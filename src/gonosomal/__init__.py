@@ -10,6 +10,7 @@ batteries, and a command line front end.
 """
 
 from .invariant_sets import (
+    RAW_EQUILIBRIUM,
     InvarianceReport,
     LimitKind,
     LimitVerdict,
@@ -27,6 +28,7 @@ from .normalized import (
     EstimateReport,
     check_estimates,
     denormalize_fixed_point,
+    embed_reduced,
     normalize_fixed_point,
     preserves_simplex,
     reduced_apply,
@@ -79,6 +81,7 @@ __all__ = [
     "LimitKind",
     "LimitVerdict",
     "PopulationState",
+    "RAW_EQUILIBRIUM",
     "SetCheck",
     "SetMembership",
     "StopReason",
@@ -91,6 +94,7 @@ __all__ = [
     "denormalize_fixed_point",
     "dump_tensor",
     "eigenvalues",
+    "embed_reduced",
     "empirical_limits",
     "find_fixed_points",
     "format_report",

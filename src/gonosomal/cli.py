@@ -16,11 +16,12 @@ verification or scan reports a failure, 2 on a usage or input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from .invariant_sets import LimitKind, classify_limit
+from .invariant_sets import RAW_EQUILIBRIUM, LimitKind, classify_limit
 from .normalized import require_simplex_state, scan_global_convergence
 from .operator import (
     GonosomalOperator,
@@ -29,17 +30,10 @@ from .operator import (
     hemophilia_operator,
     load_tensor,
 )
-from .spectral import find_fixed_points, format_report
+from .spectral import _fmt, find_fixed_points, format_report
 from .verify import run_battery
 
 __all__ = ["main"]
-
-_RAW_ROOT = np.array([2.0, 0.0, 2.0, 0.0])
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
 
 def _fmt_state(state) -> str:
     return ",".join(_fmt(c) for c in state)
@@ -53,6 +47,8 @@ def _parse_state(text: str, dim: int) -> np.ndarray:
         raise ValueError(f"--state must be comma-separated numbers, got {text!r}")
     if len(values) != dim:
         raise ValueError(f"--state needs {dim} coordinates, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"--state coordinates must be finite, got {text!r}")
     return np.array(values)
 
 
@@ -172,7 +168,7 @@ def cmd_classify(args) -> int:
             if agrees and verdict.kind is LimitKind.ZERO:
                 agrees = bool(np.abs(final).max() <= 1e-6)
             if agrees and verdict.kind is LimitKind.EQUILIBRIUM:
-                agrees = bool(np.abs(final - _RAW_ROOT).max() <= 1e-6)
+                agrees = bool(np.abs(final - RAW_EQUILIBRIUM).max() <= 1e-6)
             empirical.append(f"empirical_agrees={str(agrees).lower()}")
             if not agrees:
                 code = 1

@@ -29,6 +29,7 @@ __all__ = [
     "InvarianceReport",
     "LimitKind",
     "LimitVerdict",
+    "RAW_EQUILIBRIUM",
     "SetCheck",
     "SetMembership",
     "classify_limit",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-12
+
+# The nonzero raw fixed point, the limit of every Equilibrium verdict.
+RAW_EQUILIBRIUM = np.array([2.0, 0.0, 2.0, 0.0])
+RAW_EQUILIBRIUM.flags.writeable = False
 
 # Escape certificates: with coordinate sum above 4, any one of these ratios
 # exceeding 1 forces the corresponding coordinate products to blow up.
@@ -89,10 +94,16 @@ class SetMembership:
 
 
 def membership(state, tol: float = MEMBERSHIP_TOL) -> SetMembership:
-    """Test a single 4-coordinate state against every structured set."""
+    """Test a single 4-coordinate state against every structured set.
+
+    Raises ValueError on a non-finite coordinate, which no set test can
+    place.
+    """
     s = as_state_vector(state, 4)
     if s.ndim != 1:
         raise ValueError("expected a single state")
+    if not np.isfinite(s).all():
+        raise ValueError(f"state has a non-finite coordinate: {s.tolist()}")
     x, y, u, v = s
     female_zero = max(abs(x), abs(y)) <= tol
     male_zero = max(abs(u), abs(v)) <= tol
@@ -215,7 +226,7 @@ def classify_limit(
     with a nonpositive sign pattern are advanced the one or two steps that
     provably land them in the nonnegative orthant and classified there.
     States outside every characterized region come back Undecided rather
-    than guessed.
+    than guessed.  A state with a non-finite coordinate raises ValueError.
     """
     op = hemophilia_operator()
     s = as_state_vector(state, 4)
@@ -250,8 +261,9 @@ def classify_limit(
         t = s
         for _ in range(steps):
             t = op.apply_raw(t)
-        mt = membership(t, tol)
-        if not mt.nonnegative:
+        # a finite state of huge magnitude can overflow on the way
+        mt = membership(t, tol) if np.isfinite(t).all() else None
+        if mt is None or not mt.nonnegative:
             return LimitVerdict(kind=LimitKind.UNDECIDED, rule=f"{label}-forwarding-failed")
         inner = _classify_nonnegative(t, mt, op, probe_budget, tol)
         if inner is None or inner.kind is LimitKind.UNDECIDED:

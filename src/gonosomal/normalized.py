@@ -25,6 +25,7 @@ import numpy as np
 from .operator import (
     GonosomalOperator,
     InheritanceTensor,
+    _fold_columns,
     as_state_vector,
     hemophilia_operator,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "EstimateReport",
     "check_estimates",
     "denormalize_fixed_point",
+    "embed_reduced",
     "normalize_fixed_point",
     "preserves_simplex",
     "reduced_apply",
@@ -151,7 +153,9 @@ def denormalize_fixed_point(s_simplex, n: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _embed(reduced, eliminate: int, dim: int) -> np.ndarray:
+def embed_reduced(reduced, eliminate: int, dim: int) -> np.ndarray:
+    """Full state from chart coordinates: coordinate ``eliminate`` (an index
+    in ``range(dim)``) is put back as one minus the sum of the rest."""
     r = np.asarray(reduced, dtype=float)
     full = np.empty(r.shape[:-1] + (dim,))
     keep = [i for i in range(dim) if i != eliminate]
@@ -170,7 +174,7 @@ def reduced_apply(reduced, eliminate: int = -1, op: GonosomalOperator | None = N
     op = hemophilia_operator() if op is None else op
     dim = op.dim
     eliminate = range(dim)[eliminate]
-    full = _embed(reduced, eliminate, dim)
+    full = embed_reduced(reduced, eliminate, dim)
     image = op.apply_normalized(full)
     keep = [i for i in range(dim) if i != eliminate]
     return image[..., keep]
@@ -183,20 +187,17 @@ def reduced_jacobian_at(state, eliminate: int = -1, op: GonosomalOperator | None
     coordinate with respect to every kept one is -1.  The eigenvalues at a
     fixed point do not depend on which coordinate is eliminated (the charts
     are affinely conjugate), which makes a useful consistency check.
+    Accepts a batch (states along the last axis).
     """
     op = hemophilia_operator() if op is None else op
     dim = op.dim
     eliminate = range(dim)[eliminate]
-    vec = as_state_vector(state, dim)
-    if vec.ndim != 1:
-        raise ValueError("expected a single state")
     keep = [i for i in range(dim) if i != eliminate]
-    full_jac = op.jacobian_normalized(vec)
+    full_jac = op.jacobian_normalized(as_state_vector(state, dim))
     embed = np.zeros((dim, dim - 1))
-    for col, i in enumerate(keep):
-        embed[i, col] = 1.0
+    embed[keep, range(dim - 1)] = 1.0
     embed[eliminate, :] = -1.0
-    return full_jac[keep, :] @ embed
+    return full_jac[..., keep, :] @ embed
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +218,16 @@ class BoundCheck:
 @dataclass(frozen=True, eq=False)
 class EstimateReport:
     """Outcome of :func:`check_estimates`; over a batch, each check
-    aggregates (satisfied everywhere, worst margin anywhere)."""
+    aggregates (satisfied everywhere, worst margin anywhere).
+
+    ``checks`` holds the one- and two-step lemma bounds, which ``ok`` and
+    ``violations`` cover; the 13/24 carrier probes, known to fail at early
+    steps, are kept apart in ``contraction_probes``.
+    """
 
     state: np.ndarray
     checks: tuple[BoundCheck, ...]
+    contraction_probes: tuple[BoundCheck, ...]
     contraction_worst_ratio: float | None
 
     @property
@@ -257,8 +264,9 @@ def check_estimates(state, probe_to: int = 20, slack: float = _SLACK) -> Estimat
     13/24 only from n of order 10); the corresponding checks report this
     honestly rather than assuming the constant.  The exact witness
     (0, 1/2, 0, 1/2) reaches s(2) = (1/8, 7/24, 7/24, 7/24), where the ratio
-    v(3)/y(2) is 7/10.  ``contraction_worst_ratio`` carries the largest
-    probed ratio.
+    v(3)/y(2) is 7/10.  The probes are reported in ``contraction_probes``,
+    apart from the lemma bounds in ``checks``; ``contraction_worst_ratio``
+    carries the largest probed ratio.
 
     Accepts a batch (states along the last axis); each check then
     aggregates over the whole batch.
@@ -291,12 +299,13 @@ def check_estimates(state, probe_to: int = 20, slack: float = _SLACK) -> Estimat
                5.0 / 12.0, s2[..., 0] + s2[..., 1], 0.5, slack=slack),
     ]
 
+    probes = []
     worst_ratio = None
     cur = s2
     for n in range(2, probe_to + 1):
         nxt = op.apply_normalized(cur)
         margin = float(np.min((13.0 / 24.0) * cur[..., 1] - nxt[..., 3]))
-        checks.append(
+        probes.append(
             BoundCheck(
                 name=f"carrier contraction v({n + 1}) <= 13/24 y({n})",
                 satisfied=margin >= -slack,
@@ -310,7 +319,10 @@ def check_estimates(state, probe_to: int = 20, slack: float = _SLACK) -> Estimat
         cur = nxt
 
     return EstimateReport(
-        state=s, checks=tuple(checks), contraction_worst_ratio=worst_ratio
+        state=s,
+        checks=tuple(checks),
+        contraction_probes=tuple(probes),
+        contraction_worst_ratio=worst_ratio,
     )
 
 
@@ -368,11 +380,11 @@ def scan_global_convergence(
     starts = sample_simplex(rng, samples)
     steps = np.full(samples, -1, dtype=int)
     current = starts.copy()
-    dist = np.abs(current - EQUILIBRIUM).max(axis=1)
+    dist = _fold_columns(np.maximum, np.abs(current - EQUILIBRIUM))
     steps[dist <= tol] = 0
     for k in range(1, budget + 1):
         current = op.apply_normalized(current)
-        dist = np.abs(current - EQUILIBRIUM).max(axis=1)
+        dist = _fold_columns(np.maximum, np.abs(current - EQUILIBRIUM))
         hit = (steps < 0) & (dist <= tol)
         steps[hit] = k
         if (steps >= 0).all():

@@ -21,7 +21,7 @@ plain-text tensor file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -72,6 +72,30 @@ class AnnihilatedStateError(ValueError):
 
 class TensorFormatError(ValueError):
     """Tensor file is malformed or fails coefficient validation."""
+
+
+def _annihilated(step: int | None = None) -> AnnihilatedStateError:
+    where = "" if step is None else f" at step {step}"
+    return AnnihilatedStateError(
+        f"annihilated state{where}: a block sum is not positive, the "
+        "normalized map cannot divide by it",
+        step=step,
+    )
+
+
+def _fold_columns(ufunc, a):
+    """``ufunc.reduce`` over the trailing axis, one column at a time.
+
+    numpy reduces a short trailing axis row by row, which on a 1e4-row
+    batch of two to four columns is about 20x slower than this.  Maximum
+    gives the same result; add sums left to right, as numpy itself does
+    below eight columns.
+    """
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., j])
+    # one column must not come back as a view of the input
+    return out if a.shape[-1] > 1 else np.positive(out)
 
 
 def as_state_vector(state, dim: int | None = None) -> np.ndarray:
@@ -141,6 +165,8 @@ class InheritanceTensor:
     allowed in raw mode).  Instances are immutable.
     """
 
+    __slots__ = ("gamma_f", "gamma_m")
+
     def __init__(self, gamma_f, gamma_m, *, rowsum_tol: float = 1e-12):
         gamma_f = np.array(gamma_f, dtype=float)
         gamma_m = np.array(gamma_m, dtype=float)
@@ -166,8 +192,14 @@ class InheritanceTensor:
             )
         gamma_f.flags.writeable = False
         gamma_m.flags.writeable = False
-        self.gamma_f = gamma_f
-        self.gamma_m = gamma_m
+        object.__setattr__(self, "gamma_f", gamma_f)
+        object.__setattr__(self, "gamma_m", gamma_m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
@@ -252,48 +284,79 @@ class GonosomalOperator:
     All state-taking methods accept anything coercible to a float vector of
     length ``n + nu``; batched input works with coordinates on the trailing
     axis.  Operators are immutable and safe to share across threads.
+
+    Every map is computed on the pair-product matrix ``R = tensor.rows()``
+    (one row per parent pair (i, k), i-major), built once at construction:
+    ``W(x, y) = (x ⊗ y) · R``.
     """
 
+    __slots__ = ("_tensor", "_pair_matrix")
+
     def __init__(self, tensor: InheritanceTensor):
-        self.tensor = tensor
+        rows = tensor.rows()
+        rows.flags.writeable = False
+        object.__setattr__(self, "_tensor", tensor)
+        object.__setattr__(self, "_pair_matrix", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def tensor(self) -> InheritanceTensor:
+        return self._tensor
+
+    @property
+    def pair_matrix(self) -> np.ndarray:
+        """The read-only (n*nu, n+nu) matrix ``tensor.rows()`` every map uses."""
+        return self._pair_matrix
 
     @property
     def n(self) -> int:
-        return self.tensor.n
+        return self._tensor.n
 
     @property
     def nu(self) -> int:
-        return self.tensor.nu
+        return self._tensor.nu
 
     @property
     def dim(self) -> int:
-        return self.tensor.dim
+        return self._tensor.dim
 
     def split(self, state) -> tuple[np.ndarray, np.ndarray]:
         vec = as_state_vector(state, self.dim)
         return vec[..., : self.n], vec[..., self.n :]
 
     def block_sums(self, state) -> tuple[np.ndarray, np.ndarray]:
-        x, y = self.split(state)
-        return x.sum(axis=-1), y.sum(axis=-1)
+        return self._block_sums(*self.split(state))
+
+    @staticmethod
+    def _block_sums(x, y) -> tuple[np.ndarray, np.ndarray]:
+        return _fold_columns(np.add, x), _fold_columns(np.add, y)
+
+    def _pair_product(self, x, y) -> np.ndarray:
+        pairs = x[..., :, None] * y[..., None, :]
+        return pairs.reshape(pairs.shape[:-2] + (-1,)) @ self._pair_matrix
 
     def apply_raw(self, state) -> np.ndarray:
         """One generation of the raw (unnormalized) dynamics."""
-        x, y = self.split(state)
-        xf = np.einsum("ikj,...i,...k->...j", self.tensor.gamma_f, x, y)
-        xm = np.einsum("ikl,...i,...k->...l", self.tensor.gamma_m, x, y)
-        return np.concatenate([xf, xm], axis=-1)
+        return self._pair_product(*self.split(state))
+
+    def _pair_jacobian(self, x, y) -> np.ndarray:
+        # with r = R as (n, nu, n+nu): dW_l/dx_i = sum_k r[i,k,l] y_k and
+        # dW_l/dy_k = sum_i r[i,k,l] x_i
+        n, nu, dim = self.n, self.nu, self.dim
+        r = self._pair_matrix.reshape(n, nu, dim)
+        batch = x.shape[:-1]
+        dx = (y @ r.transpose(1, 0, 2).reshape(nu, n * dim)).reshape(batch + (n, dim))
+        dy = (x @ r.reshape(n, nu * dim)).reshape(batch + (nu, dim))
+        return np.concatenate([dx, dy], axis=-2).swapaxes(-1, -2)
 
     def jacobian_raw(self, state) -> np.ndarray:
         """Jacobian of the raw map; rows index outputs, columns inputs."""
-        x, y = self.split(state)
-        dfx = np.einsum("ikj,...k->...ji", self.tensor.gamma_f, y)
-        dfy = np.einsum("ikj,...i->...jk", self.tensor.gamma_f, x)
-        dmx = np.einsum("ikl,...k->...li", self.tensor.gamma_m, y)
-        dmy = np.einsum("ikl,...i->...lk", self.tensor.gamma_m, x)
-        top = np.concatenate([dfx, dfy], axis=-1)
-        bottom = np.concatenate([dmx, dmy], axis=-1)
-        return np.concatenate([top, bottom], axis=-2)
+        return self._pair_jacobian(*self.split(state))
 
     def sum_product_residual(self, state):
         """|sum(W(s)) - sum(female) * sum(male)|, the conservation defect.
@@ -301,20 +364,15 @@ class GonosomalOperator:
         Exact row sums make this zero in exact arithmetic for every state;
         in floating point it stays at rounding level relative to the product.
         """
-        fs, ms = self.block_sums(state)
-        total = self.apply_raw(state).sum(axis=-1)
-        out = np.abs(total - fs * ms)
+        x, y = self.split(state)
+        fs, ms = self._block_sums(x, y)
+        out = np.abs(self._pair_product(x, y).sum(axis=-1) - fs * ms)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _require_block_sums(self, state, step: int | None = None):
-        fs, ms = self.block_sums(state)
+    def _guarded_block_sums(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        fs, ms = self._block_sums(x, y)
         if np.any(fs <= _BLOCK_SUM_GUARD) or np.any(ms <= _BLOCK_SUM_GUARD):
-            where = "" if step is None else f" at step {step}"
-            raise AnnihilatedStateError(
-                f"annihilated state{where}: a block sum is not positive, the "
-                "normalized map cannot divide by it",
-                step=step,
-            )
+            raise _annihilated()
         return fs, ms
 
     def apply_normalized(self, state) -> np.ndarray:
@@ -324,14 +382,16 @@ class GonosomalOperator:
         output always sums to one.  The map depends only on the ray of the
         input: scaling either block by a positive factor leaves it unchanged.
         """
-        fs, ms = self._require_block_sums(state)
-        return self.apply_raw(state) / (fs * ms)[..., np.newaxis]
+        x, y = self.split(state)
+        fs, ms = self._guarded_block_sums(x, y)
+        return self._pair_product(x, y) / (fs * ms)[..., np.newaxis]
 
     def jacobian_normalized(self, state) -> np.ndarray:
         """Analytic Jacobian of the normalized map."""
-        fs, ms = self._require_block_sums(state)
+        x, y = self.split(state)
+        fs, ms = self._guarded_block_sums(x, y)
         g = (fs * ms)[..., np.newaxis]
-        v = self.apply_raw(state) / g
+        v = self._pair_product(x, y) / g
         # d(fs*ms)/ds_j is ms on the female block and fs on the male block
         dg = np.concatenate(
             [
@@ -340,10 +400,8 @@ class GonosomalOperator:
             ],
             axis=-1,
         )
-        jw = self.jacobian_raw(state)
-        return jw / g[..., np.newaxis] - np.einsum(
-            "...i,...j->...ij", v, dg / g
-        )
+        jw = self._pair_jacobian(x, y)
+        return jw / g[..., np.newaxis] - v[..., :, np.newaxis] * (dg / g)[..., np.newaxis, :]
 
     def iterate(
         self,
@@ -380,9 +438,12 @@ class GonosomalOperator:
         s = s.copy()
 
         def _step(vec, k):
-            if mode == "normalized":
-                self._require_block_sums(vec, step=k)
-            return self.apply_raw(vec) if mode == "raw" else self.apply_normalized(vec)
+            if mode == "raw":
+                return self.apply_raw(vec)
+            try:
+                return self.apply_normalized(vec)
+            except AnnihilatedStateError:
+                raise _annihilated(step=k) from None
 
         kept_steps = [0]
         kept = [s.copy()]
@@ -423,8 +484,13 @@ class GonosomalOperator:
         return _record(StopReason.BUDGET_EXHAUSTED, budget)
 
 
+_HEMOPHILIA = GonosomalOperator(hemophilia_tensor())
+
+
 def hemophilia_operator() -> GonosomalOperator:
-    return GonosomalOperator(hemophilia_tensor())
+    """The operator of :func:`hemophilia_tensor`: one shared immutable
+    instance, built once at import."""
+    return _HEMOPHILIA
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator import GonosomalOperator, hemophilia_operator
-from .normalized import sample_simplex
+from .normalized import embed_reduced, reduced_jacobian_at, sample_simplex
 
 __all__ = [
     "Classification",
@@ -209,17 +209,6 @@ def _deduplicate(points, residuals, radius):
     return reps
 
 
-def _reduced_jacobian_batch(op, full_states, eliminate):
-    dim = op.dim
-    keep = [i for i in range(dim) if i != eliminate]
-    embed = np.zeros((dim, dim - 1))
-    for col, i in enumerate(keep):
-        embed[i, col] = 1.0
-    embed[eliminate, :] = -1.0
-    jw = op.jacobian_normalized(full_states)
-    return jw[..., keep, :] @ embed
-
-
 def _empirical_attraction_note(op, point, rng, *, n_probes=16, radius=1e-3, steps=5000):
     # convex blends scaled to a common sup-norm radius stay on the simplex;
     # the horizon must outlast transient growth plus an algebraic tail
@@ -295,17 +284,11 @@ def find_fixed_points(
         seeds = full_seeds[:, keep]
         identity = np.eye(dim - 1)
 
-        def _embed(r):
-            full = np.empty(r.shape[:-1] + (dim,))
-            full[..., keep] = r
-            full[..., eliminate] = 1.0 - r.sum(axis=-1)
-            return full
-
         # Newton paths may leave the simplex; evaluate the chart map without
         # the annihilation guard (division blowups surface as non-finite
         # residuals and kill the seed) and refuse a Jacobian off the domain.
         def fun(r):
-            full = _embed(r)
+            full = embed_reduced(r, eliminate, dim)
             fs, ms = op.block_sums(full)
             raw = op.apply_raw(full)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -313,14 +296,12 @@ def find_fixed_points(
             return img[..., keep] - r
 
         def jac(r):
-            full = _embed(r)
+            full = embed_reduced(r, eliminate, dim)
             fs, ms = op.block_sums(full)
             ok = (fs > 0) & (ms > 0)
             out = np.full(r.shape + (dim - 1,), np.inf)
             if ok.any():
-                out[ok] = (
-                    _reduced_jacobian_batch(op, full[ok], eliminate) - identity
-                )
+                out[ok] = reduced_jacobian_at(full[ok], eliminate, op) - identity
             return out
 
     roots, n_converged = _newton_multistart(
@@ -338,9 +319,9 @@ def find_fixed_points(
             residual = float(np.abs(op.apply_raw(point) - point).max())
             jacobian = op.jacobian_raw(point)
         else:
-            point = _embed(root)
+            point = embed_reduced(root, eliminate, dim)
             residual = float(np.abs(op.apply_normalized(point) - point).max())
-            jacobian = _reduced_jacobian_batch(op, point[None], eliminate)[0]
+            jacobian = reduced_jacobian_at(point, eliminate, op)
         eigs = eigenvalues(jacobian)
         label = classify(eigs)
         note = None
@@ -361,7 +342,7 @@ def find_fixed_points(
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return f"{float(value):.17g}"
 
 
 def _fmt_complex(z: complex) -> str:

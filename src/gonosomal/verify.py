@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariant_sets import (
+    RAW_EQUILIBRIUM,
     LimitKind,
     classify_limit,
     closed_form_diagonal,
@@ -31,6 +32,7 @@ from .normalized import (
     normalize_fixed_point,
     preserves_simplex,
     reduced_apply,
+    reduced_jacobian_at,
     sample_simplex,
 )
 from .operator import (
@@ -39,11 +41,8 @@ from .operator import (
     hemophilia_operator,
 )
 from .spectral import Classification, find_fixed_points
-from .spectral import _reduced_jacobian_batch
 
 __all__ = ["CheckResult", "random_tensor", "run_battery", "empirical_limits"]
-
-_RAW_ROOT = np.array([2.0, 0.0, 2.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
     near0 = finite & (np.abs(cur).max(axis=1) <= 1e-6)
     out[near0] = 0
     if op.dim == 4:
-        nears2 = finite & (np.abs(cur - _RAW_ROOT).max(axis=1) <= 1e-6)
+        nears2 = finite & (np.abs(cur - RAW_EQUILIBRIUM).max(axis=1) <= 1e-6)
         out[nears2] = 1
     return out
 
@@ -224,7 +223,7 @@ def _check_jacobian_reduced(op: GonosomalOperator, rng, samples: int) -> CheckRe
     full = sample_simplex(rng, m, op.n, op.nu, guard=1e-2)
     eliminate = op.dim - 1
     reduced = full[:, :-1]
-    analytic = _reduced_jacobian_batch(op, full, eliminate)
+    analytic = reduced_jacobian_at(full, eliminate, op)
     fd = _fd_jacobian(lambda r: reduced_apply(r, eliminate=eliminate, op=op), reduced, 1e-6)
     worst = float(np.abs(analytic - fd).max())
     return CheckResult(
@@ -381,17 +380,15 @@ def _check_estimates(rng, samples: int) -> tuple[CheckResult, CheckResult]:
     m = min(samples, 10_000)
     states = sample_simplex(rng, m)
     rep = check_estimates(states)
-    lemma = [c for c in rep.checks if "contraction" not in c.name]
-    contr = [c for c in rep.checks if "contraction" in c.name]
-    bad = [c.name for c in lemma if not c.satisfied]
     first = CheckResult(
         name="estimate-bounds",
-        ok=not bad,
+        ok=rep.ok,
         detail=(
-            f"{m} simplex states, {len(lemma)} bounds, "
-            + ("all hold" if not bad else f"violated: {', '.join(bad)}")
+            f"{m} simplex states, {len(rep.checks)} bounds, "
+            + ("all hold" if rep.ok else f"violated: {', '.join(rep.violations)}")
         ),
     )
+    contr = rep.contraction_probes
     worst = rep.contraction_worst_ratio or 0.0
     early = sum(not c.satisfied for c in contr)
     second = CheckResult(
@@ -407,11 +404,11 @@ def _check_estimates(rng, samples: int) -> tuple[CheckResult, CheckResult]:
 
 
 def _check_correspondence(op: GonosomalOperator, rng) -> CheckResult:
-    p = normalize_fixed_point(_RAW_ROOT)
+    p = normalize_fixed_point(RAW_EQUILIBRIUM)
     res_p = float(np.abs(op.apply_normalized(p) - p).max())
     back = denormalize_fixed_point(p)
     res_back = float(np.abs(op.apply_raw(back) - back).max())
-    exact = np.abs(back - _RAW_ROOT).max() == 0.0
+    exact = np.abs(back - RAW_EQUILIBRIUM).max() == 0.0
     control = sample_simplex(rng, 1)[0]
     res_control = float(np.abs(op.apply_normalized(control) - control).max())
     ok = res_p <= 1e-12 and res_back <= 1e-12 and exact and res_control > 1e-8
@@ -431,7 +428,7 @@ def _check_raw_roots(op: GonosomalOperator, rng_seed: int) -> CheckResult:
     detail = f"{found.n_converged}/{found.n_seeds} seeds converged, {len(found)} roots"
     if ok:
         d0 = np.abs(found[0].point).max()
-        d1 = np.abs(found[1].point - _RAW_ROOT).max()
+        d1 = np.abs(found[1].point - RAW_EQUILIBRIUM).max()
         ok = (
             d0 <= 1e-10
             and d1 <= 1e-10
@@ -457,8 +454,6 @@ def _check_normalized_root(op: GonosomalOperator, rng_seed: int) -> CheckResult:
         dist = np.abs(r.point - EQUILIBRIUM).max()
         target = np.array([-0.5, 0.0, 1.0])
         eig_dev = np.abs(r.eigenvalues - target).max()
-        from .normalized import reduced_jacobian_at
-
         other = np.sort_complex(np.linalg.eigvals(reduced_jacobian_at(EQUILIBRIUM, eliminate=3, op=op)))
         cross = np.abs(other - target).max()
         ok = (

@@ -199,6 +199,13 @@ def test_classify_sign_forwarding(capsys):
     assert "forwarded" in info
 
 
+@pytest.mark.parametrize("state", ["nan,0,1,0", "inf,0,0,0", "1,0,-inf,0"])
+def test_classify_rejects_non_finite_state(capsys, state):
+    code, out, err = run_cli(capsys, "classify", "--state", state)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_classify_undecided(capsys):
     # mixed-sign state outside every certified family
     code, out, _ = run_cli(capsys, "classify", "--state", "2,-1,1,3")

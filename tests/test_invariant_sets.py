@@ -65,6 +65,27 @@ def test_membership_rejects_batches_and_wrong_arity():
         membership([1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "state",
+    [[np.nan, 0.0, 1.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [1.0, 0.0, -np.inf, 0.0]],
+)
+def test_non_finite_states_are_rejected_not_classified(state):
+    # nan once came back Infinity ("carrier-free |xu| > 4") and inf Zero
+    # ("annihilated"); neither verdict is backed by a rule
+    with pytest.raises(ValueError, match="non-finite"):
+        membership(state)
+    with pytest.raises(ValueError, match="non-finite"):
+        classify_limit(state)
+
+
+def test_forwarding_overflow_is_undecided():
+    # finite, but its first image overflows: no set clause can place it
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = classify_limit([-1e200, -1e200, -1e200, -1e200])
+    assert v.kind is LimitKind.UNDECIDED
+    assert v.rule == "nonpositive-forwarding-failed"
+
+
 # ---------------------------------------------------------------------------
 # diagonal closed form
 # ---------------------------------------------------------------------------

@@ -160,19 +160,24 @@ def test_reduced_jacobian_matches_finite_differences():
 def test_estimates_lemma_bounds_hold_everywhere():
     states = sample_simplex(np.random.default_rng(4), 10_000)
     report = check_estimates(states)
-    lemma = [c for c in report.checks if "contraction" not in c.name]
+    lemma = list(report.checks)
     assert len(lemma) == 9
     assert all(c.satisfied for c in lemma)
     assert min(c.margin for c in lemma) >= -1e-12
+    # the 13/24 probes are reported apart, so ok means the lemma bounds hold
+    assert all("contraction" not in c.name for c in lemma)
+    assert all("contraction" in c.name for c in report.contraction_probes)
+    assert report.ok and report.violations == []
 
 
 def test_estimates_scalar_agrees_with_batch():
     states = sample_simplex(np.random.default_rng(5), 50)
     batch = check_estimates(states)
     singles = [check_estimates(s) for s in states]
-    for idx, check in enumerate(batch.checks):
-        worst = min(r.checks[idx].margin for r in singles)
-        assert check.margin == pytest.approx(worst, rel=1e-12, abs=1e-300)
+    for field in ("checks", "contraction_probes"):
+        for idx, check in enumerate(getattr(batch, field)):
+            worst = min(getattr(r, field)[idx].margin for r in singles)
+            assert check.margin == pytest.approx(worst, rel=1e-12, abs=1e-300)
 
 
 def test_estimates_reject_states_off_the_simplex():
@@ -185,7 +190,7 @@ def test_carrier_contraction_exists_but_not_at_the_sharp_constant():
     # yet exceeds 13/24 at early steps for generic states
     states = sample_simplex(np.random.default_rng(6), 5000)
     report = check_estimates(states)
-    contraction = [c for c in report.checks if "contraction" in c.name]
+    contraction = list(report.contraction_probes)
     assert len(contraction) == 19
     early = [c for c in contraction if "y(2)" in c.name or "y(3)" in c.name]
     assert all(not c.satisfied for c in early)
@@ -197,9 +202,8 @@ def test_carrier_contraction_holds_from_late_steps():
     report = check_estimates(states)
     late = [
         c
-        for c in report.checks
-        if "contraction" in c.name
-        and int(c.name.split("y(")[1].rstrip(")")) >= 12
+        for c in report.contraction_probes
+        if int(c.name.split("y(")[1].rstrip(")")) >= 12
     ]
     assert len(late) == 9
     assert all(c.satisfied for c in late)

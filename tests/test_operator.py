@@ -14,12 +14,14 @@ from gonosomal.operator import (
     PopulationState,
     StopReason,
     TensorFormatError,
+    _fold_columns,
     as_state_vector,
     dump_tensor,
     hemophilia_operator,
     hemophilia_tensor,
     load_tensor,
 )
+from gonosomal.verify import random_tensor
 
 OP = hemophilia_operator()
 
@@ -118,6 +120,81 @@ def test_batch_matches_scalar_rows():
         np.testing.assert_array_equal(OP.apply_raw(row), img)
 
 
+# The bilinear map and its Jacobian as written in the module docstring; the
+# operator computes both on the pair-product matrix instead.
+def _einsum_raw(gf, gm, s):
+    x, y = s[..., : gf.shape[0]], s[..., gf.shape[0] :]
+    xf = np.einsum("ikj,...i,...k->...j", gf, x, y)
+    xm = np.einsum("ikl,...i,...k->...l", gm, x, y)
+    return np.concatenate([xf, xm], axis=-1)
+
+
+def _einsum_jacobian(gf, gm, s):
+    x, y = s[..., : gf.shape[0]], s[..., gf.shape[0] :]
+    top = np.concatenate(
+        [np.einsum("ikj,...k->...ji", gf, y), np.einsum("ikj,...i->...jk", gf, x)], axis=-1
+    )
+    bottom = np.concatenate(
+        [np.einsum("ikl,...k->...li", gm, y), np.einsum("ikl,...i->...lk", gm, x)], axis=-1
+    )
+    return np.concatenate([top, bottom], axis=-2)
+
+
+batch_shape = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 6)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    batch_shape,
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_einsum_definition(n, nu, batch, nonnegative, seed):
+    rng = np.random.default_rng(seed)
+    t = random_tensor(rng, n, nu, nonnegative=nonnegative)
+    op = GonosomalOperator(t)
+    s = rng.uniform(-3.0, 3.0, size=batch + (n + nu,))
+    gf, gm = t.gamma_f, t.gamma_m
+    # relative to the sum of the absolute terms, so cancellation is covered
+    raw, jac = op.apply_raw(s), op.jacobian_raw(s)
+    assert raw.shape == batch + (n + nu,)
+    assert jac.shape == batch + (n + nu, n + nu)
+    raw_scale = _einsum_raw(np.abs(gf), np.abs(gm), np.abs(s))
+    jac_scale = _einsum_jacobian(np.abs(gf), np.abs(gm), np.abs(s))
+    assert (np.abs(raw - _einsum_raw(gf, gm, s)) <= 1e-12 * raw_scale).all()
+    assert (np.abs(jac - _einsum_jacobian(gf, gm, s)) <= 1e-12 * jac_scale).all()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4), batch_shape, st.integers(0, 2**32 - 1))
+def test_fold_columns_matches_numpy_reduce(cols, batch, seed):
+    a = np.random.default_rng(seed).uniform(-3.0, 3.0, size=batch + (cols,))
+    np.testing.assert_array_equal(_fold_columns(np.add, a), a.sum(axis=-1))
+    np.testing.assert_array_equal(_fold_columns(np.maximum, a), a.max(axis=-1))
+    if cols == 1 and batch:
+        assert not np.shares_memory(_fold_columns(np.add, a), a)
+
+
+def test_hemophilia_operator_is_one_shared_immutable_instance():
+    op = hemophilia_operator()
+    assert hemophilia_operator() is op
+    np.testing.assert_array_equal(op.pair_matrix, hemophilia_tensor().rows())
+    with pytest.raises(ValueError):
+        op.pair_matrix[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        op.tensor = hemophilia_tensor()
+    with pytest.raises(AttributeError):
+        op.tensor.gamma_f = np.zeros((2, 2, 2))
+    np.testing.assert_array_equal(op.pair_matrix, hemophilia_tensor().rows())
+    np.testing.assert_array_equal(op.tensor.gamma_f, hemophilia_tensor().gamma_f)
+
+
 def test_wrong_arity_rejected():
     with pytest.raises(DimensionMismatchError):
         OP.apply_raw([1.0, 2.0, 3.0])
@@ -153,8 +230,9 @@ def test_normalized_scale_invariance():
 
 
 def test_annihilated_state_raises():
-    with pytest.raises(AnnihilatedStateError):
+    with pytest.raises(AnnihilatedStateError) as err:
         OP.apply_normalized([0.0, 0.0, 1.0, 1.0])
+    assert err.value.step is None
     with pytest.raises(AnnihilatedStateError):
         OP.apply_normalized([1.0, 1.0, 0.0, 0.0])
 
@@ -229,6 +307,15 @@ def test_iterate_normalized_from_annihilated_raises():
     with pytest.raises(AnnihilatedStateError) as err:
         OP.iterate([0.0, 0.0, 0.5, 0.5], mode="normalized")
     assert err.value.step == 0
+
+
+def test_iterate_normalized_names_a_later_annihilation_step():
+    # every pair has only sons: step 0 maps (1, 1) to (0, 1), which step 1
+    # cannot divide by
+    op = GonosomalOperator(InheritanceTensor([[[0.0]]], [[[1.0]]]))
+    with pytest.raises(AnnihilatedStateError, match="at step 1") as err:
+        op.iterate([1.0, 1.0], mode="normalized")
+    assert err.value.step == 1
 
 
 def test_iterate_fixed_point_is_immediate():
