@@ -42,7 +42,6 @@ from .operator import (
     DimensionMismatchError,
     GonosomalOperator,
     InheritanceTensor,
-    PopulationState,
     StopReason,
     TensorFormatError,
     TrajectoryRecord,
@@ -80,7 +79,6 @@ __all__ = [
     "InvarianceReport",
     "LimitKind",
     "LimitVerdict",
-    "PopulationState",
     "RAW_EQUILIBRIUM",
     "SetCheck",
     "SetMembership",

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .invariant_sets import RAW_EQUILIBRIUM, LimitKind, classify_limit
+from .invariant_sets import LimitKind, classify_limit
 from .normalized import require_simplex_state, scan_global_convergence
 from .operator import (
     GonosomalOperator,
@@ -31,7 +31,7 @@ from .operator import (
     load_tensor,
 )
 from .spectral import _fmt, find_fixed_points, format_report
-from .verify import run_battery
+from .verify import empirical_limits, run_battery
 
 __all__ = ["main"]
 
@@ -153,22 +153,15 @@ def cmd_classify(args) -> int:
         op = hemophilia_operator()
         record = op.iterate(s0, mode="raw", budget=args.budget_iterate)
         final = record.iterates[-1]
-        expected = {
-            LimitKind.ZERO: StopReason.CONVERGED,
-            LimitKind.EQUILIBRIUM: StopReason.CONVERGED,
-            LimitKind.INFINITY: StopReason.DIVERGED,
-        }
         empirical = [
             "empirical_stop_reason=" + record.stop_reason.value,
             f"empirical_steps={record.steps_taken}",
             f"empirical_final={_fmt_state(final)}",
         ]
         if verdict.kind is not LimitKind.UNDECIDED:
-            agrees = record.stop_reason is expected[verdict.kind]
-            if agrees and verdict.kind is LimitKind.ZERO:
-                agrees = bool(np.abs(final).max() <= 1e-6)
-            if agrees and verdict.kind is LimitKind.EQUILIBRIUM:
-                agrees = bool(np.abs(final - RAW_EQUILIBRIUM).max() <= 1e-6)
+            seen = empirical_limits(op, final[None], steps=0)[0]
+            stop = StopReason.DIVERGED if seen is LimitKind.INFINITY else StopReason.CONVERGED
+            agrees = seen is verdict.kind and record.stop_reason is stop
             empirical.append(f"empirical_agrees={str(agrees).lower()}")
             if not agrees:
                 code = 1

@@ -44,10 +44,6 @@ MEMBERSHIP_TOL = 1e-12
 RAW_EQUILIBRIUM = np.array([2.0, 0.0, 2.0, 0.0])
 RAW_EQUILIBRIUM.flags.writeable = False
 
-# Escape certificates: with coordinate sum above 4, any one of these ratios
-# exceeding 1 forces the corresponding coordinate products to blow up.
-_ESCAPE_RATIOS = ("xu/4", "yu/16", "yv/9")
-
 
 @dataclass(frozen=True, eq=False)
 class SetMembership:
@@ -177,6 +173,16 @@ class LimitVerdict:
     forwarded: np.ndarray | None = None
 
 
+def _carrier_free_verdict(s, tol) -> LimitVerdict:
+    """The product trichotomy of the carrier-free plane, for either sign."""
+    q = abs(s[0] * s[2])
+    if abs(q - 4.0) <= tol:
+        return LimitVerdict(kind=LimitKind.EQUILIBRIUM, rule="carrier-free |xu| = 4")
+    if q < 4.0:
+        return LimitVerdict(kind=LimitKind.ZERO, rule="carrier-free |xu| < 4")
+    return LimitVerdict(kind=LimitKind.INFINITY, rule="carrier-free |xu| > 4")
+
+
 def _classify_nonnegative(s, m, op, probe_budget, tol) -> LimitVerdict | None:
     """Clauses for states already known nonnegative (or annihilated)."""
     if m.annihilated:
@@ -184,12 +190,7 @@ def _classify_nonnegative(s, m, op, probe_budget, tol) -> LimitVerdict | None:
     if m.subcritical:
         return LimitVerdict(kind=LimitKind.ZERO, rule="subcritical")
     if m.carrier_free:
-        q = s[0] * s[2]
-        if abs(abs(q) - 4.0) <= tol:
-            return LimitVerdict(kind=LimitKind.EQUILIBRIUM, rule="carrier-free |xu| = 4")
-        if abs(q) < 4.0:
-            return LimitVerdict(kind=LimitKind.ZERO, rule="carrier-free |xu| < 4")
-        return LimitVerdict(kind=LimitKind.INFINITY, rule="carrier-free |xu| > 4")
+        return _carrier_free_verdict(s, tol)
     if m.escaping:
         name, value = max(m.escape_ratios.items(), key=lambda kv: kv[1])
         return LimitVerdict(
@@ -229,10 +230,8 @@ def classify_limit(
     than guessed.  A state with a non-finite coordinate raises ValueError.
     """
     op = hemophilia_operator()
-    s = as_state_vector(state, 4)
-    if s.ndim != 1:
-        raise ValueError("expected a single state")
-    m = membership(s, tol)
+    m = membership(state, tol)
+    s = m.state
 
     if m.annihilated:
         return LimitVerdict(kind=LimitKind.ZERO, rule="annihilated")
@@ -243,12 +242,7 @@ def classify_limit(
         return LimitVerdict(kind=LimitKind.UNDECIDED)
     if m.carrier_free:
         # signed carrier-free states obey the same product trichotomy
-        q = s[0] * s[2]
-        if abs(abs(q) - 4.0) <= tol:
-            return LimitVerdict(kind=LimitKind.EQUILIBRIUM, rule="carrier-free |xu| = 4")
-        if abs(q) < 4.0:
-            return LimitVerdict(kind=LimitKind.ZERO, rule="carrier-free |xu| < 4")
-        return LimitVerdict(kind=LimitKind.INFINITY, rule="carrier-free |xu| > 4")
+        return _carrier_free_verdict(s, tol)
 
     label = None
     if m.nonpositive:

@@ -32,7 +32,6 @@ __all__ = [
     "DimensionMismatchError",
     "GonosomalOperator",
     "InheritanceTensor",
-    "PopulationState",
     "StopReason",
     "TensorFormatError",
     "TrajectoryRecord",
@@ -99,11 +98,11 @@ def _fold_columns(ufunc, a):
 
 
 def as_state_vector(state, dim: int | None = None) -> np.ndarray:
-    """Coerce a state (sequence, array, or PopulationState) to a float vector.
+    """Coerce a state (sequence or array) to a float vector.
 
     Batched input is allowed: the coordinates live on the trailing axis.
     """
-    vec = np.asarray(getattr(state, "vector", state), dtype=float)
+    vec = np.asarray(state, dtype=float)
     if vec.ndim == 0:
         raise DimensionMismatchError("state must be a vector, got a scalar")
     if dim is not None and vec.shape[-1] != dim:
@@ -111,49 +110,6 @@ def as_state_vector(state, dim: int | None = None) -> np.ndarray:
             f"state has {vec.shape[-1]} coordinates, operator expects {dim}"
         )
     return vec
-
-
-@dataclass(frozen=True, eq=False)
-class PopulationState:
-    """A population split into a female and a male block.
-
-    Entries are arbitrary finite reals; nonnegativity is a property of
-    particular regions of state space, not of the type.
-    """
-
-    female: np.ndarray
-    male: np.ndarray
-
-    def __post_init__(self):
-        for name in ("female", "male"):
-            block = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if block.ndim != 1:
-                raise ValueError(f"{name} block must be one-dimensional")
-            if not np.isfinite(block).all():
-                raise ValueError(f"{name} block contains non-finite entries")
-            block.flags.writeable = False
-            object.__setattr__(self, name, block)
-
-    @classmethod
-    def from_vector(cls, vec, n: int, nu: int) -> "PopulationState":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (n + nu,):
-            raise DimensionMismatchError(
-                f"expected a vector of length {n + nu}, got shape {vec.shape}"
-            )
-        return cls(female=vec[:n], male=vec[n:])
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.female, self.male])
-
-    @property
-    def n(self) -> int:
-        return self.female.size
-
-    @property
-    def nu(self) -> int:
-        return self.male.size
 
 
 class InheritanceTensor:

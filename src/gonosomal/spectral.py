@@ -27,6 +27,7 @@ __all__ = [
     "Classification",
     "FixedPointReport",
     "FixedPointSearchResult",
+    "attraction_probe",
     "classify",
     "eigenvalues",
     "find_fixed_points",
@@ -209,9 +210,14 @@ def _deduplicate(points, residuals, radius):
     return reps
 
 
-def _empirical_attraction_note(op, point, rng, *, n_probes=16, radius=1e-3, steps=5000):
-    # convex blends scaled to a common sup-norm radius stay on the simplex;
-    # the horizon must outlast transient growth plus an algebraic tail
+def attraction_probe(op, point, rng, *, n_probes, radius=1e-3, steps=5000):
+    """Sup distances to ``point`` of ``n_probes`` simplex probes at
+    ``radius``, before and after ``steps`` normalized steps.
+
+    Convex blends toward uniform simplex draws, scaled to a common sup-norm
+    radius, stay on the simplex; the horizon must outlast transient growth
+    plus an algebraic tail.
+    """
     z = sample_simplex(rng, n_probes, op.n, op.nu)
     offset = z - point
     scale = radius / np.abs(offset).max(axis=1, keepdims=True)
@@ -220,7 +226,11 @@ def _empirical_attraction_note(op, point, rng, *, n_probes=16, radius=1e-3, step
     cur = probes
     for _ in range(steps):
         cur = op.apply_normalized(cur)
-    after = np.abs(cur - point).max(axis=1)
+    return before, np.abs(cur - point).max(axis=1)
+
+
+def _empirical_attraction_note(op, point, rng, *, n_probes=16, radius=1e-3, steps=5000):
+    before, after = attraction_probe(op, point, rng, n_probes=n_probes, radius=radius, steps=steps)
     if (after < before).all():
         return (
             f"unit-modulus eigenvalue: linearization is inconclusive; "

@@ -40,7 +40,7 @@ from .operator import (
     InheritanceTensor,
     hemophilia_operator,
 )
-from .spectral import Classification, find_fixed_points
+from .spectral import Classification, attraction_probe, find_fixed_points
 
 __all__ = ["CheckResult", "random_tensor", "run_battery", "empirical_limits"]
 
@@ -78,25 +78,35 @@ def random_tensor(
 
 
 def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarray:
-    """Batched empirical trajectory verdicts: 0 origin, 1 equilibrium point,
-    2 divergence, 3 unresolved after ``steps``.
+    """Batched empirical trajectory verdicts: one :class:`LimitKind` per row
+    after ``steps`` raw steps (``steps=0`` judges the rows themselves).
 
-    The raw dynamics is doubly exponential, so anything not exactly on the
-    critical boundary resolves within a few dozen steps.
+    Zero within 1e-6 of the origin, Equilibrium within 1e-6 of
+    ``RAW_EQUILIBRIUM`` (four-coordinate operators only), Infinity when
+    non-finite or above 1e12, Undecided otherwise.  The raw dynamics is
+    doubly exponential, so anything not exactly on the critical boundary
+    resolves within a few dozen steps.
     """
     cur = np.array(states, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             cur = op.apply_raw(cur)
-    out = np.full(len(cur), 3, dtype=int)
-    finite = np.isfinite(cur).all(axis=1)
-    out[~finite | (np.where(np.isfinite(cur), np.abs(cur), np.inf).max(axis=1) > 1e12)] = 2
-    near0 = finite & (np.abs(cur).max(axis=1) <= 1e-6)
-    out[near0] = 0
-    if op.dim == 4:
-        nears2 = finite & (np.abs(cur - RAW_EQUILIBRIUM).max(axis=1) <= 1e-6)
-        out[nears2] = 1
+        size = np.abs(cur).max(axis=1)
+        out = np.full(len(cur), LimitKind.UNDECIDED, dtype=object)
+        out[~np.isfinite(size) | (size > 1e12)] = LimitKind.INFINITY
+        out[size <= 1e-6] = LimitKind.ZERO
+        if op.dim == 4:
+            out[np.abs(cur - RAW_EQUILIBRIUM).max(axis=1) <= 1e-6] = LimitKind.EQUILIBRIUM
     return out
+
+
+def _agreement(op: GonosomalOperator, batch) -> tuple[int, int]:
+    """Rows of ``batch`` that :func:`classify_limit` decides, and how many
+    of those verdicts :func:`empirical_limits` confirms."""
+    kinds = [classify_limit(row).kind for row in batch]
+    decided = [(k, e) for k, e in zip(kinds, empirical_limits(op, batch))
+               if k is not LimitKind.UNDECIDED]
+    return len(decided), sum(k is e for k, e in decided)
 
 
 def _refill(rng, draw, accept, count) -> np.ndarray:
@@ -293,13 +303,7 @@ def _check_trichotomy(op: GonosomalOperator, rng) -> CheckResult:
     us = rng.uniform(-3.0, 3.0, size=194)
     states += [np.array([x, 0.0, u, 0.0]) for x, u in zip(xs, us)]
     batch = np.stack(states)
-    empirical = empirical_limits(op, batch)
-    expected = {LimitKind.ZERO: 0, LimitKind.EQUILIBRIUM: 1, LimitKind.INFINITY: 2}
-    bad = 0
-    for row, e in zip(batch, empirical):
-        verdict = classify_limit(row)
-        if verdict.kind is LimitKind.UNDECIDED or expected[verdict.kind] != e:
-            bad += 1
+    bad = len(batch) - _agreement(op, batch)[1]
     return CheckResult(
         name="carrier-free-trichotomy",
         ok=bad == 0,
@@ -356,16 +360,8 @@ def _check_classifier_mc(op: GonosomalOperator, rng, samples: int) -> CheckResul
     blocks.append(mixed)
     blocks.append(-mixed)
     batch = np.concatenate(blocks)
-    empirical = empirical_limits(op, batch)
-    expected = {LimitKind.ZERO: 0, LimitKind.EQUILIBRIUM: 1, LimitKind.INFINITY: 2}
-    decided = agree = undecided = 0
-    for row, e in zip(batch, empirical):
-        verdict = classify_limit(row)
-        if verdict.kind is LimitKind.UNDECIDED:
-            undecided += 1
-            continue
-        decided += 1
-        agree += int(expected[verdict.kind] == e)
+    decided, agree = _agreement(op, batch)
+    undecided = len(batch) - decided
     return CheckResult(
         name="limit-classifier-agreement",
         ok=agree == decided,
@@ -471,18 +467,10 @@ def _check_normalized_root(op: GonosomalOperator, rng_seed: int) -> CheckResult:
 
 
 def _check_local_attraction(op: GonosomalOperator, rng) -> CheckResult:
-    # scale offsets to a common sup-norm radius; the carrier block of the
-    # linearization has sup norm 3/2, so distances can grow transiently and
-    # the horizon must outlast the algebraic (about 2.25/n) tail
-    z = sample_simplex(rng, 32)
-    offset = z - EQUILIBRIUM
-    offset = 1e-3 * offset / np.abs(offset).max(axis=1, keepdims=True)
-    probes = EQUILIBRIUM + offset
-    before = np.abs(probes - EQUILIBRIUM).max(axis=1)
-    cur = probes
-    for _ in range(5000):
-        cur = op.apply_normalized(cur)
-    after = np.abs(cur - EQUILIBRIUM).max(axis=1)
+    # the carrier block of the linearization has sup norm 3/2, so distances
+    # can grow transiently and the horizon must outlast the algebraic
+    # (about 2.25/n) tail
+    before, after = attraction_probe(op, EQUILIBRIUM, rng, n_probes=32)
     closer = bool((after < before).all())
     d = rng.uniform(-0.3, 0.3, size=8)
     cf = np.zeros((8, 4))

@@ -5,12 +5,15 @@ that matters (determinism) and structurally elsewhere.  One test goes
 through a real subprocess to cover the ``python -m gonosomal`` entry.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gonosomal
 from gonosomal.cli import main
 from gonosomal.operator import InheritanceTensor, dump_tensor, hemophilia_tensor
 
@@ -190,6 +193,26 @@ def test_classify_equilibrium_boundary(capsys):
     assert stanza_dict(second)["empirical_agrees"] == "true"
 
 
+def test_classify_zero_with_empirical(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--state", "0.5,0.5,0.5,0.5", "--empirical")
+    assert code == 0
+    first, second = out.strip().split("\n\n")
+    assert stanza_dict(first)["kind"] == "Zero"
+    info = stanza_dict(second)
+    assert info["empirical_stop_reason"] == "ConvergedToPoint"
+    assert info["empirical_agrees"] == "true"
+
+
+def test_classify_undecided_with_empirical_has_no_agreement(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--state=-1,2,3,-4", "--empirical")
+    assert code == 0
+    first, second = out.strip().split("\n\n")
+    assert stanza_dict(first)["kind"] == "Undecided"
+    info = stanza_dict(second)
+    assert "empirical_stop_reason" in info
+    assert "empirical_agrees" not in info
+
+
 def test_classify_sign_forwarding(capsys):
     code, out, _ = run_cli(capsys, "classify", "--state=-1,-1,-1,-1")
     assert code == 0
@@ -309,20 +332,22 @@ def test_scan_deterministic(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gonosomal", "classify", "--state", "1,1,1,1"],
-        capture_output=True,
-        text=True,
+def run_module(*argv):
+    # the child imports the same package as this process, installed or not
+    env = dict(os.environ)
+    home = str(Path(gonosomal.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [home, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gonosomal", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point():
+    proc = run_module("classify", "--state", "1,1,1,1")
     assert proc.returncode == 0
     assert "kind=Zero" in proc.stdout
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gonosomal", "no-such-command"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("no-such-command")
     assert proc.returncode == 2

@@ -14,7 +14,7 @@ from gonosomal.invariant_sets import (
     verify_invariance,
 )
 from gonosomal.operator import GonosomalOperator, hemophilia_operator
-from gonosomal.verify import random_tensor
+from gonosomal.verify import empirical_limits, random_tensor
 
 OP = hemophilia_operator()
 
@@ -183,6 +183,30 @@ def test_uncharacterized_states_are_undecided():
     v = classify_limit([-1.0, 2.0, 3.0, -4.0])
     assert v.kind is LimitKind.UNDECIDED
     assert v.rule is None
+
+
+def test_empirical_limits_returns_limit_kinds():
+    starts = [[0.5, 0.5, 0.5, 0.5], [2.0, 0.0, 2.0, 0.0], [3.0, 0.0, 3.0, 0.0]]
+    kinds = empirical_limits(OP, starts)
+    assert list(kinds) == [LimitKind.ZERO, LimitKind.EQUILIBRIUM, LimitKind.INFINITY]
+    assert all(type(k) is LimitKind for k in kinds)
+    # one step from (1, 1, 1, 1) is near neither limit nor escaped yet
+    assert list(empirical_limits(OP, [[1.0, 1.0, 1.0, 1.0]], steps=1)) == [LimitKind.UNDECIDED]
+    # steps=0 judges the rows themselves
+    rows = [
+        [0.0, 0.0, 0.0, 1e-7],
+        [2.0, 0.0, 2.0, 0.0],
+        [2e12, 0.0, 0.0, 0.0],
+        [np.nan, 0.0, 0.0, 0.0],
+        [3.0, 0.0, 3.0, 0.0],
+    ]
+    assert list(empirical_limits(OP, rows, steps=0)) == [
+        LimitKind.ZERO,
+        LimitKind.EQUILIBRIUM,
+        LimitKind.INFINITY,
+        LimitKind.INFINITY,
+        LimitKind.UNDECIDED,
+    ]
 
 
 def test_classifier_agrees_with_iteration_on_decided_cases():

@@ -11,7 +11,6 @@ from gonosomal.operator import (
     DimensionMismatchError,
     GonosomalOperator,
     InheritanceTensor,
-    PopulationState,
     StopReason,
     TensorFormatError,
     _fold_columns,
@@ -107,9 +106,8 @@ def test_all_ones_normalized_image():
     )
 
 
-def test_accepts_population_state_and_lists():
-    ps = PopulationState.from_vector(np.ones(4), 2, 2)
-    np.testing.assert_array_equal(OP.apply_raw(ps), OP.apply_raw([1, 1, 1, 1]))
+def test_accepts_lists():
+    np.testing.assert_array_equal(OP.apply_raw([1, 1, 1, 1]), OP.apply_raw(np.ones(4)))
 
 
 def test_batch_matches_scalar_rows():
@@ -328,18 +326,6 @@ def test_iterate_fixed_point_is_immediate():
 # ---------------------------------------------------------------------------
 # state containers
 # ---------------------------------------------------------------------------
-
-
-def test_population_state_round_trip():
-    ps = PopulationState.from_vector(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
-    np.testing.assert_array_equal(ps.female, [1.0, 2.0])
-    np.testing.assert_array_equal(ps.male, [3.0, 4.0])
-    np.testing.assert_array_equal(ps.vector, [1.0, 2.0, 3.0, 4.0])
-
-
-def test_population_state_rejects_non_finite():
-    with pytest.raises(ValueError):
-        PopulationState.from_vector(np.array([np.inf, 0.0, 1.0, 1.0]), 2, 2)
 
 
 def test_as_state_vector_batch_shape():
