@@ -30,13 +30,13 @@ from .operator import (
     hemophilia_operator,
     load_tensor,
 )
-from .spectral import _fmt, find_fixed_points, format_report
+from .spectral import find_fixed_points, format_float, format_report
 from .verify import empirical_limits, run_battery
 
 __all__ = ["main"]
 
 def _fmt_state(state) -> str:
-    return ",".join(_fmt(c) for c in state)
+    return ",".join(format_float(c) for c in state)
 
 
 def _parse_state(text: str, dim: int) -> np.ndarray:
@@ -94,7 +94,7 @@ def cmd_fixed_points(args) -> int:
                 f"mode={mode}",
                 f"seeds={result.n_seeds}",
                 f"seed={args.seed}",
-                f"tol={_fmt(args.tol)}",
+                f"tol={format_float(args.tol)}",
                 f"converged={result.n_converged}",
                 f"dropped={result.n_dropped}",
                 f"roots={len(result)}",
@@ -124,7 +124,7 @@ def cmd_trajectory(args) -> int:
     for step, row, total, product in zip(
         record.step_indices, record.iterates, sums, fs * ms
     ):
-        lines.append(f"{step}," + _fmt_state(row) + f",{_fmt(total)},{_fmt(product)}")
+        lines.append(f"{step}," + _fmt_state([*row, total, product]))
     lines.append(f"# stop_reason={record.stop_reason.value}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -144,7 +144,7 @@ def cmd_classify(args) -> int:
         lines.append(f"witness_step={verdict.witness_step}")
     if verdict.witness_ratio is not None:
         name, value = verdict.witness_ratio
-        lines.append(f"witness_ratio={name}={_fmt(value)}")
+        lines.append(f"witness_ratio={name}={format_float(value)}")
     if verdict.forwarded is not None:
         lines.append(f"forwarded={_fmt_state(verdict.forwarded)}")
     text = "\n".join(lines)
@@ -201,12 +201,12 @@ def cmd_scan(args) -> int:
         "command=scan",
         f"samples={report.samples}",
         f"seed={report.rng_seed}",
-        f"tol={_fmt(report.tol)}",
+        f"tol={format_float(report.tol)}",
         f"budget={report.budget}",
         f"converged={report.converged}",
         f"budget_exhausted={report.budget_exhausted}",
         f"max_steps_observed={report.max_steps_observed}",
-        f"worst_final_distance={_fmt(report.worst_final_distance)}",
+        f"worst_final_distance={format_float(report.worst_final_distance)}",
     ]
     hits = report.steps[report.steps >= 0]
     width = max(1, report.budget // 10)

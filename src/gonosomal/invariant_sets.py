@@ -19,6 +19,7 @@ states.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,26 +68,19 @@ class SetMembership:
     @property
     def subcritical(self) -> bool:
         """Nonnegative with block-sum product below 4: the origin's basin."""
-        if not self.nonnegative:
-            return False
-        x, y, u, v = self.state
-        return (x + y) * (u + v) < 4.0
+        x, y, u, v = self.state.tolist()
+        return self.nonnegative and (x + y) * (u + v) < 4.0
 
     @property
     def escape_ratios(self) -> dict[str, float]:
-        x, y, u, v = self.state
-        return {
-            "xu/4": float(x * u / 4.0),
-            "yu/16": float(y * u / 16.0),
-            "yv/9": float(y * v / 9.0),
-        }
+        x, y, u, v = self.state.tolist()
+        return {"xu/4": x * u / 4.0, "yu/16": y * u / 16.0, "yv/9": y * v / 9.0}
 
     @property
     def escaping(self) -> bool:
         """Nonnegative, coordinate sum above 4, and some escape ratio above 1."""
-        if not self.nonnegative or self.state.sum() <= 4.0:
-            return False
-        return max(self.escape_ratios.values()) > 1.0
+        q = self.q_level
+        return q is not None and q > 4.0 and max(self.escape_ratios.values()) > 1.0
 
 
 def membership(state, tol: float = MEMBERSHIP_TOL) -> SetMembership:
@@ -98,13 +92,13 @@ def membership(state, tol: float = MEMBERSHIP_TOL) -> SetMembership:
     s = as_state_vector(state, 4)
     if s.ndim != 1:
         raise ValueError("expected a single state")
-    if not np.isfinite(s).all():
-        raise ValueError(f"state has a non-finite coordinate: {s.tolist()}")
-    x, y, u, v = s
+    x, y, u, v = c = s.tolist()
+    if not all(map(math.isfinite, c)):
+        raise ValueError(f"state has a non-finite coordinate: {c}")
     female_zero = max(abs(x), abs(y)) <= tol
     male_zero = max(abs(u), abs(v)) <= tol
-    nonneg = bool(s.min() >= -tol)
-    nonpos = bool(s.max() <= tol)
+    nonneg = min(c) >= -tol
+    nonpos = max(c) <= tol
     carrier_free = abs(y) <= tol and abs(v) <= tol
     return SetMembership(
         state=s,
@@ -114,8 +108,8 @@ def membership(state, tol: float = MEMBERSHIP_TOL) -> SetMembership:
         balanced=carrier_free and abs(x - u) <= tol,
         nonnegative=nonneg,
         nonpositive=nonpos,
-        female_nonpositive=bool(max(x, y) <= tol and min(u, v) >= -tol),
-        male_nonpositive=bool(max(u, v) <= tol and min(x, y) >= -tol),
+        female_nonpositive=max(x, y) <= tol and min(u, v) >= -tol,
+        male_nonpositive=max(u, v) <= tol and min(x, y) >= -tol,
         q_level=float(s.sum()) if nonneg else None,
     )
 

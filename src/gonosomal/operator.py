@@ -21,6 +21,7 @@ plain-text tensor file format.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -386,57 +387,59 @@ class GonosomalOperator:
             raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
         if budget < 1:
             raise ValueError("budget must be at least 1")
-        if tol_fp <= 0 or div_threshold <= 0:
+        if not (tol_fp > 0 and div_threshold > 0):  # NaN is not positive either
             raise ValueError("tol_fp and div_threshold must be positive")
         s = as_state_vector(s0, self.dim)
         if s.ndim != 1:
             raise DimensionMismatchError("iterate expects a single state")
-        s = s.copy()
+        n = self.n
 
         def _step(vec, k):
+            # apply_raw / apply_normalized without re-validating the state
+            x, y = vec[:n], vec[n:]
             if mode == "raw":
-                return self.apply_raw(vec)
-            try:
-                return self.apply_normalized(vec)
-            except AnnihilatedStateError:
-                raise _annihilated(step=k) from None
+                return self._pair_product(x, y)
+            fs, ms = self._block_sums(x, y)
+            if fs <= _BLOCK_SUM_GUARD or ms <= _BLOCK_SUM_GUARD:
+                raise _annihilated(step=k)
+            return self._pair_product(x, y) / (fs * ms)
 
-        kept_steps = [0]
-        kept = [s.copy()]
-
-        def _keep(k, vec):
-            if k <= _THIN_AFTER or k % _THIN_STRIDE == 0:
-                kept_steps.append(k)
-                kept.append(vec.copy())
+        kept_steps, kept = [0], [s]  # iterates are never written to: no copies
 
         def _record(reason, k, limit=None):
             if kept_steps[-1] != k:
                 kept_steps.append(k)
-                kept.append(s.copy())
+                kept.append(s)
             return TrajectoryRecord(
                 iterates=np.array(kept),
                 step_indices=np.array(kept_steps, dtype=int),
                 stop_reason=reason,
                 steps_taken=k,
-                limit=None if limit is None else limit.copy(),
+                limit=limit,
                 mode=mode,
             )
 
-        if not np.isfinite(s).all() or np.abs(s).max() > div_threshold:
+        # Tests on Python floats: NaN fails every <=, and so does inf against
+        # a threshold capped at the largest double, so non-finite diverges.
+        thr = min(div_threshold, sys.float_info.max)
+        cur = s.tolist()
+        if not all(abs(c) <= thr for c in cur):
             return _record(StopReason.DIVERGED, 0)
 
         for k in range(1, budget + 1):
             s_next = _step(s, k - 1)
-            if not np.isfinite(s_next).all() or np.abs(s_next).max() > div_threshold:
+            nxt = s_next.tolist()
+            if not all(abs(c) <= thr for c in nxt):
                 s = s_next
                 return _record(StopReason.DIVERGED, k)
-            settled = np.abs(s_next - s).max() <= tol_fp
-            s = s_next
-            _keep(k, s)
-            if settled:
-                residual = np.abs(_step(s, k) - s).max()
-                if residual <= tol_fp:
-                    return _record(StopReason.CONVERGED, k, limit=s)
+            # both iterates are finite, so no NaN reaches max()
+            settled = max(abs(a - b) for a, b in zip(nxt, cur)) <= tol_fp
+            s, cur = s_next, nxt
+            if k <= _THIN_AFTER or k % _THIN_STRIDE == 0:
+                kept_steps.append(k)
+                kept.append(s)
+            if settled and np.abs(_step(s, k) - s).max() <= tol_fp:
+                return _record(StopReason.CONVERGED, k, limit=s)
         return _record(StopReason.BUDGET_EXHAUSTED, budget)
 
 

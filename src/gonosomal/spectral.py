@@ -16,7 +16,7 @@ non-hyperbolic, where the linearization alone decides nothing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "classify",
     "eigenvalues",
     "find_fixed_points",
+    "format_float",
     "format_report",
 ]
 
@@ -351,7 +352,8 @@ def find_fixed_points(
     return FixedPointSearchResult(reports, n_seeds=n_seeds, n_converged=n_converged)
 
 
-def _fmt(value: float) -> str:
+def format_float(value: float) -> str:
+    """The one float format of every report: ``.17g``, exact round trip."""
     return f"{float(value):.17g}"
 
 
@@ -363,10 +365,10 @@ def format_report(report: FixedPointReport) -> str:
     """Flat key=value stanza for one fixed point, stable across runs."""
     lines = [
         f"mode={report.mode}",
-        "point=" + ",".join(_fmt(c) for c in report.point),
-        f"residual={_fmt(report.residual)}",
+        "point=" + ",".join(format_float(c) for c in report.point),
+        f"residual={format_float(report.residual)}",
         "jacobian=" + ";".join(
-            ",".join(_fmt(c) for c in row) for row in report.jacobian
+            ",".join(format_float(c) for c in row) for row in report.jacobian
         ),
         "eigenvalues=" + ";".join(_fmt_complex(z) for z in report.eigenvalues),
         f"classification={report.classification.value}",

@@ -28,7 +28,6 @@ import warnings
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from gonosomal.invariant_sets import (
     LimitKind,

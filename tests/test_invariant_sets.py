@@ -3,10 +3,11 @@ classification, and the sampling battery."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gonosomal.invariant_sets import (
+    MEMBERSHIP_TOL,
     LimitKind,
     classify_limit,
     closed_form_diagonal,
@@ -63,6 +64,60 @@ def test_membership_rejects_batches_and_wrong_arity():
         membership(np.zeros((3, 4)))
     with pytest.raises(Exception):
         membership([1.0, 2.0])
+
+
+def _reference_membership(state, tol=MEMBERSHIP_TOL):
+    """The set tests on numpy scalars that ``membership`` must reproduce."""
+    s = np.asarray(state, dtype=float)
+    x, y, u, v = s
+    nonneg = s.min() >= -tol
+    carrier_free = abs(y) <= tol and abs(v) <= tol
+    ratios = {
+        "xu/4": float(x * u / 4.0),
+        "yu/16": float(y * u / 16.0),
+        "yv/9": float(y * v / 9.0),
+    }
+    return dict(
+        annihilated=max(abs(x), abs(y)) <= tol or max(abs(u), abs(v)) <= tol,
+        carrier_free=carrier_free,
+        balanced=carrier_free and abs(x - u) <= tol,
+        nonnegative=nonneg,
+        nonpositive=s.max() <= tol,
+        female_nonpositive=max(x, y) <= tol and min(u, v) >= -tol,
+        male_nonpositive=max(u, v) <= tol and min(x, y) >= -tol,
+        subcritical=nonneg and (x + y) * (u + v) < 4.0,
+        escaping=nonneg and s.sum() > 4.0 and max(ratios.values()) > 1.0,
+    ), float(s.sum()) if nonneg else None, ratios
+
+
+_TOL = MEMBERSHIP_TOL
+# zeros of both signs, the tolerance itself and its neighbours one ulp away
+_EDGE = [0.0, -0.0] + [
+    sign * t for sign in (1.0, -1.0) for t in (_TOL, _TOL * (1 + 2**-52), _TOL * (1 - 2**-52))
+]
+edge_or_uniform = st.one_of(st.sampled_from(_EDGE), st.floats(-5.0, 5.0))
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.tuples(*[edge_or_uniform] * 4))
+# the coordinate sum depends on the order of the additions here
+@example((1.0, 2.0**-53, 2.0**-53, 0.0))
+@example((2.0**-53, 2.0**-53, 1.0, 0.0))
+def test_membership_matches_numpy_scalar_reference(state):
+    m = membership(state)
+    flags, q_level, ratios = _reference_membership(state)
+    assert m.state.tobytes() == np.asarray(state, dtype=float).tobytes()
+    assert m.tol == _TOL
+    for name, expected in flags.items():
+        got = getattr(m, name)
+        assert type(got) is bool and got == bool(expected), name
+    if q_level is None:
+        assert m.q_level is None
+    else:
+        assert m.q_level.hex() == q_level.hex() == float(m.state.sum()).hex()
+    assert m.escape_ratios.keys() == ratios.keys()
+    for name, expected in ratios.items():
+        assert m.escape_ratios[name].hex() == expected.hex(), name
 
 
 @pytest.mark.parametrize(

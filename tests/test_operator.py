@@ -323,6 +323,123 @@ def test_iterate_fixed_point_is_immediate():
     np.testing.assert_array_equal(rec.limit, [2.0, 0.0, 2.0, 0.0])
 
 
+def _reference_iterate(op, s0, mode="raw", budget=10_000, tol_fp=1e-12, div_threshold=1e12):
+    """The plain numpy loop ``iterate`` must reproduce bit for bit: public
+    maps, array-wide finiteness and sup-norm tests, a copy per kept step."""
+    s = np.array(s0, dtype=float)
+
+    def step(vec, k):
+        if mode == "raw":
+            return op.apply_raw(vec)
+        try:
+            return op.apply_normalized(vec)
+        except AnnihilatedStateError:
+            raise AnnihilatedStateError(f"annihilated at step {k}", step=k) from None
+
+    kept_steps, kept = [0], [s.copy()]
+
+    def record(reason, k, limit=None):
+        if kept_steps[-1] != k:
+            kept_steps.append(k)
+            kept.append(s.copy())
+        return reason, k, np.array(kept), np.array(kept_steps), limit
+
+    if not np.isfinite(s).all() or np.abs(s).max() > div_threshold:
+        return record(StopReason.DIVERGED, 0)
+    for k in range(1, budget + 1):
+        s_next = step(s, k - 1)
+        if not np.isfinite(s_next).all() or np.abs(s_next).max() > div_threshold:
+            s = s_next
+            return record(StopReason.DIVERGED, k)
+        settled = np.abs(s_next - s).max() <= tol_fp
+        s = s_next
+        if k <= 1000 or k % 10 == 0:
+            kept_steps.append(k)
+            kept.append(s.copy())
+        if settled and np.abs(step(s, k) - s).max() <= tol_fp:
+            return record(StopReason.CONVERGED, k, limit=s.copy())
+    return record(StopReason.BUDGET_EXHAUSTED, budget)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _assert_iterate_matches_reference(op, s0, **kw):
+    try:
+        expected = _reference_iterate(op, s0, **kw)
+    except AnnihilatedStateError as exc:
+        with pytest.raises(AnnihilatedStateError, match=f"at step {exc.step}\\b") as err:
+            op.iterate(s0, **kw)
+        assert err.value.step == exc.step
+        return
+    reason, steps, iterates, indices, limit = expected
+    rec = op.iterate(s0, **kw)
+    assert rec.stop_reason is reason
+    assert rec.steps_taken == steps
+    assert rec.mode == kw.get("mode", "raw")
+    assert _same_bits(rec.step_indices, indices.astype(int))
+    assert _same_bits(rec.iterates, iterates)
+    assert (rec.limit is None) == (limit is None)
+    if limit is not None:
+        assert _same_bits(rec.limit, limit)
+
+
+@pytest.mark.parametrize(
+    "op, s0, kw",
+    [
+        # thinning past step 1000, then budget exhaustion
+        (OP, [0.3, 0.2, 0.4, 0.1], dict(mode="normalized", budget=3000)),
+        (OP, [1.0, 1.0, 1.0, 1.0], dict(budget=5)),
+        (OP, [1.0, 1.0, 1.0, 1.0], {}),
+        (OP, [2.0, 0.0, 2.0, 0.0], {}),
+        (OP, [3.0, 0.0, 3.0, 0.0], {}),
+        # divergence at step 0, by size and by a non-finite start
+        (OP, [2e12, 0.0, 1.0, 1.0], {}),
+        (OP, [np.nan, 0.0, 1.0, 1.0], {}),
+        (OP, [np.inf, 0.0, 1.0, 1.0], dict(div_threshold=np.inf)),
+        # the products overflow and the step-1 iterate is NaN
+        (OP, [1e300, 1e300, 1e300, -1e300], dict(div_threshold=1e308)),
+        # settled at step 1 (step 0.105 <= 0.2), but the residual 0.226 is not
+        (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=0.2)),
+        # annihilation at step 0 and at a later named step
+        (OP, [0.0, 0.0, 0.5, 0.5], dict(mode="normalized")),
+        (GonosomalOperator(InheritanceTensor([[[0.0]]], [[[1.0]]])), [1.0, 1.0],
+         dict(mode="normalized")),
+    ],
+)
+def test_iterate_matches_reference_loop(op, s0, kw):
+    _assert_iterate_matches_reference(op, s0, **kw)
+
+
+@pytest.mark.parametrize("kw", [dict(tol_fp=0.0), dict(div_threshold=-1.0),
+                                dict(tol_fp=np.nan), dict(div_threshold=np.nan)])
+def test_iterate_rejects_thresholds_that_are_not_positive(kw):
+    with pytest.raises(ValueError, match="must be positive"):
+        OP.iterate([1.0, 1.0, 1.0, 1.0], **kw)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_iterate_nan_step_is_diverged_at_step_1():
+    rec = OP.iterate([1e300, 1e300, 1e300, -1e300], div_threshold=1e308)
+    assert rec.stop_reason is StopReason.DIVERGED and rec.steps_taken == 1
+    assert np.isnan(rec.iterates[-1]).any()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 4),
+    st.sampled_from(["raw", "normalized"]),
+    st.sampled_from([1e-12, 1e-6, 0.2]),
+    st.sampled_from([1e12, 10.0, 1e308, np.inf]),
+)
+def test_iterate_matches_reference_loop_on_signed_states(s0, mode, tol_fp, div_threshold):
+    _assert_iterate_matches_reference(
+        OP, s0, mode=mode, budget=300, tol_fp=tol_fp, div_threshold=div_threshold
+    )
+
+
 # ---------------------------------------------------------------------------
 # state containers
 # ---------------------------------------------------------------------------
