@@ -39,6 +39,7 @@ __all__ = [
     "verify_invariance",
 ]
 
+# Tolerance of the set tests, and slack of the sampled sum-cap clause.
 MEMBERSHIP_TOL = 1e-12
 
 # The nonzero raw fixed point, the limit of every Equilibrium verdict.
@@ -48,14 +49,13 @@ RAW_EQUILIBRIUM.flags.writeable = False
 
 @dataclass(frozen=True, eq=False)
 class SetMembership:
-    """Which structured sets a state belongs to, at tolerance ``tol``.
+    """Which structured sets a state belongs to, at ``MEMBERSHIP_TOL``.
 
     ``q_level`` is the coordinate sum when the state is nonnegative (the
     smallest sum cap containing it), else None.
     """
 
     state: np.ndarray
-    tol: float
     annihilated: bool
     carrier_free: bool
     balanced: bool
@@ -83,7 +83,7 @@ class SetMembership:
         return q is not None and q > 4.0 and max(self.escape_ratios.values()) > 1.0
 
 
-def membership(state, tol: float = MEMBERSHIP_TOL) -> SetMembership:
+def membership(state) -> SetMembership:
     """Test a single 4-coordinate state against every structured set.
 
     Raises ValueError on a non-finite coordinate, which no set test can
@@ -95,6 +95,7 @@ def membership(state, tol: float = MEMBERSHIP_TOL) -> SetMembership:
     x, y, u, v = c = s.tolist()
     if not all(map(math.isfinite, c)):
         raise ValueError(f"state has a non-finite coordinate: {c}")
+    tol = MEMBERSHIP_TOL
     female_zero = max(abs(x), abs(y)) <= tol
     male_zero = max(abs(u), abs(v)) <= tol
     nonneg = min(c) >= -tol
@@ -102,7 +103,6 @@ def membership(state, tol: float = MEMBERSHIP_TOL) -> SetMembership:
     carrier_free = abs(y) <= tol and abs(v) <= tol
     return SetMembership(
         state=s,
-        tol=tol,
         annihilated=female_zero or male_zero,
         carrier_free=carrier_free,
         balanced=carrier_free and abs(x - u) <= tol,
@@ -167,41 +167,41 @@ class LimitVerdict:
     forwarded: np.ndarray | None = None
 
 
-def _carrier_free_verdict(s, tol) -> LimitVerdict:
+def _carrier_free_verdict(s) -> LimitVerdict:
     """The product trichotomy of the carrier-free plane, for either sign."""
     q = abs(s[0] * s[2])
-    if abs(q - 4.0) <= tol:
+    if abs(q - 4.0) <= MEMBERSHIP_TOL:
         return LimitVerdict(kind=LimitKind.EQUILIBRIUM, rule="carrier-free |xu| = 4")
     if q < 4.0:
         return LimitVerdict(kind=LimitKind.ZERO, rule="carrier-free |xu| < 4")
     return LimitVerdict(kind=LimitKind.INFINITY, rule="carrier-free |xu| > 4")
 
 
-def _classify_nonnegative(s, m, op, probe_budget, tol) -> LimitVerdict | None:
+def _classify_nonnegative(s, m, op, probe_budget) -> LimitVerdict | None:
     """Clauses for states already known nonnegative (or annihilated)."""
     if m.annihilated:
         return LimitVerdict(kind=LimitKind.ZERO, rule="annihilated")
     if m.subcritical:
         return LimitVerdict(kind=LimitKind.ZERO, rule="subcritical")
     if m.carrier_free:
-        return _carrier_free_verdict(s, tol)
+        return _carrier_free_verdict(s)
     if m.escaping:
         name, value = max(m.escape_ratios.items(), key=lambda kv: kv[1])
         return LimitVerdict(
             kind=LimitKind.INFINITY, rule="escaping", witness_ratio=(name, value)
         )
-    if m.q_level is not None and m.q_level <= 4.0 + tol:
+    if m.q_level is not None and m.q_level <= 4.0 + MEMBERSHIP_TOL:
         # Sum at most 4 but not subcritical forces block sums (2, 2) with
         # carriers present; probe until mixing pulls the product below 4.
         t = s
         for k in range(1, probe_budget + 1):
             t = op.apply_raw(t)
-            mt = membership(t, tol)
+            mt = membership(t)
             if mt.subcritical or mt.annihilated:
                 return LimitVerdict(
                     kind=LimitKind.ZERO, rule="boundary-mixing", witness_step=k
                 )
-            if mt.carrier_free and abs(t[0] - 2.0) <= tol and abs(t[2] - 2.0) <= tol:
+            if mt.carrier_free and max(abs(t[0] - 2.0), abs(t[2] - 2.0)) <= MEMBERSHIP_TOL:
                 return LimitVerdict(
                     kind=LimitKind.EQUILIBRIUM,
                     rule="boundary-equilibrium",
@@ -211,9 +211,7 @@ def _classify_nonnegative(s, m, op, probe_budget, tol) -> LimitVerdict | None:
     return None
 
 
-def classify_limit(
-    state, probe_budget: int = 100, tol: float = MEMBERSHIP_TOL
-) -> LimitVerdict:
+def classify_limit(state, probe_budget: int = 100) -> LimitVerdict:
     """Decide the trajectory limit of the raw hemophilia dynamics, if the
     invariant-set structure determines it from the start alone.
 
@@ -224,19 +222,19 @@ def classify_limit(
     than guessed.  A state with a non-finite coordinate raises ValueError.
     """
     op = hemophilia_operator()
-    m = membership(state, tol)
+    m = membership(state)
     s = m.state
 
     if m.annihilated:
         return LimitVerdict(kind=LimitKind.ZERO, rule="annihilated")
     if m.nonnegative:
-        verdict = _classify_nonnegative(s, m, op, probe_budget, tol)
+        verdict = _classify_nonnegative(s, m, op, probe_budget)
         if verdict is not None:
             return verdict
         return LimitVerdict(kind=LimitKind.UNDECIDED)
     if m.carrier_free:
         # signed carrier-free states obey the same product trichotomy
-        return _carrier_free_verdict(s, tol)
+        return _carrier_free_verdict(s)
 
     label = None
     if m.nonpositive:
@@ -250,10 +248,10 @@ def classify_limit(
         for _ in range(steps):
             t = op.apply_raw(t)
         # a finite state of huge magnitude can overflow on the way
-        mt = membership(t, tol) if np.isfinite(t).all() else None
+        mt = membership(t) if np.isfinite(t).all() else None
         if mt is None or not mt.nonnegative:
             return LimitVerdict(kind=LimitKind.UNDECIDED, rule=f"{label}-forwarding-failed")
-        inner = _classify_nonnegative(t, mt, op, probe_budget, tol)
+        inner = _classify_nonnegative(t, mt, op, probe_budget)
         if inner is None or inner.kind is LimitKind.UNDECIDED:
             return LimitVerdict(
                 kind=LimitKind.UNDECIDED, rule=f"{label}->undecided", forwarded=t
@@ -314,14 +312,13 @@ def verify_invariance(
     op: GonosomalOperator | None = None,
     samples: int = 10_000,
     rng_seed: int = 0,
-    slack: float = 1e-12,
 ) -> InvarianceReport:
     """Recheck every invariance clause on random states, batched.
 
     Exact-zero clauses (annihilation, carrier-free, balance, sign
     propagation) are asserted exactly: the images are sums of products each
     carrying a zero or signed factor, so floating point preserves them.
-    The sum-cap contraction is checked with ``slack``.
+    The sum-cap contraction is checked with slack ``MEMBERSHIP_TOL``.
     """
     op = hemophilia_operator() if op is None else op
     if op.dim != 4 or op.n != 2:
@@ -370,7 +367,7 @@ def verify_invariance(
             _check(
                 f"sum cap {a:g} contracts to {a * a / 4:g}",
                 s,
-                img.sum(axis=1) > a * a / 4.0 + slack,
+                img.sum(axis=1) > a * a / 4.0 + MEMBERSHIP_TOL,
             )
         )
 

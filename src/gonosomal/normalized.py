@@ -25,8 +25,8 @@ import numpy as np
 from .operator import (
     GonosomalOperator,
     InheritanceTensor,
-    _fold_columns,
     as_state_vector,
+    fold_columns,
     hemophilia_operator,
 )
 
@@ -56,6 +56,7 @@ EQUILIBRIUM.flags.writeable = False
 _BOUNDARY_GUARD = 1e-9
 
 _SLACK = 1e-12
+_PROBE_TO = 20  # last step of the 13/24 carrier probes
 
 
 def sample_simplex(
@@ -84,11 +85,13 @@ def sample_simplex(
 def require_simplex_state(state, n: int = 2, nu: int = 2, tol: float = _SLACK) -> np.ndarray:
     """Validate membership in the punctured simplex and return the array.
 
-    Requires nonnegative coordinates summing to one (within ``tol``) with
-    strictly positive mass in both blocks.  Accepts a batch with states
-    along the last axis; every row must pass.
+    Requires finite, nonnegative coordinates summing to one (within
+    ``tol``) with strictly positive mass in both blocks.  Accepts a batch
+    with states along the last axis; every row must pass.
     """
     vec = as_state_vector(state, n + nu)
+    if not np.isfinite(vec).all():  # NaN would pass every test below
+        raise ValueError("state has a non-finite coordinate")
     if vec.min() < -tol:
         raise ValueError("state has a negative coordinate")
     if np.abs(vec.sum(axis=-1) - 1.0).max() > tol:
@@ -123,6 +126,8 @@ def normalize_fixed_point(s_raw) -> np.ndarray:
     vec = as_state_vector(s_raw)
     if vec.ndim != 1:
         raise ValueError("expected a single state")
+    if not np.isfinite(vec).all():
+        raise ValueError("raw fixed point has a non-finite coordinate")
     if vec.min() < 0:
         raise ValueError("raw fixed point has a negative coordinate")
     total = vec.sum()
@@ -131,20 +136,16 @@ def normalize_fixed_point(s_raw) -> np.ndarray:
     return vec / total
 
 
-def denormalize_fixed_point(s_simplex, n: int = 2) -> np.ndarray:
-    """Rescale a simplex fixed point to the raw fixed point on its ray.
+def denormalize_fixed_point(s_simplex) -> np.ndarray:
+    """Rescale a hemophilia simplex fixed point to the raw fixed point on its ray.
 
     The inverse of :func:`normalize_fixed_point`: divide by the product of
-    the block sums.
+    the block sums.  The point must pass :func:`require_simplex_state`.
     """
-    vec = as_state_vector(s_simplex)
+    vec = require_simplex_state(s_simplex)
     if vec.ndim != 1:
         raise ValueError("expected a single state")
-    if vec.min() < 0:
-        raise ValueError("simplex point has a negative coordinate")
-    fs, ms = vec[:n].sum(), vec[n:].sum()
-    if fs <= 0 or ms <= 0:
-        raise ValueError("simplex point lies in the annihilated set")
+    fs, ms = hemophilia_operator().block_sums(vec)
     return vec / (fs * ms)
 
 
@@ -243,21 +244,21 @@ class EstimateReport:
         return [c.name for c in self.checks if not c.satisfied]
 
 
-def _chain(name: str, *values, slack: float) -> BoundCheck:
+def _chain(name: str, *values) -> BoundCheck:
     # values must be nondecreasing; margin is the tightest consecutive gap,
     # over the whole batch when the values are arrays
     margin = min(float(np.min(b - a)) for a, b in zip(values, values[1:]))
-    return BoundCheck(name=name, satisfied=margin >= -slack, margin=margin)
+    return BoundCheck(name=name, satisfied=margin >= -_SLACK, margin=margin)
 
 
-def check_estimates(state, probe_to: int = 20, slack: float = _SLACK) -> EstimateReport:
+def check_estimates(state) -> EstimateReport:
     """Verify the one- and two-step bounds of the hemophilia simplex dynamics.
 
     For a state s = (x, y, u, v) in the punctured simplex, the image
     (x', y', u', v') is pinned by explicit ratio bounds (see the individual
     check names), the second iterate's female mass lies in [5/12, 1/2], and
     the carrier coordinate is probed for the contraction
-    v(n+1) <= (13/24) y(n) at steps n = 2..probe_to.
+    v(n+1) <= (13/24) y(n) at steps n = 2..20, each to a slack of 1e-12.
 
     The contraction constant 13/24 is exceeded by generic states at early
     probe steps (measured worst ratio is about 0.70 at n = 2, falling below
@@ -281,34 +282,33 @@ def check_estimates(state, probe_to: int = 20, slack: float = _SLACK) -> Estimat
 
     checks = [
         _chain("image x in [u/(4(u+v)), u/(2(u+v))] cap 1/2",
-               u / (4 * ms), x1, u / (2 * ms), 0.5, slack=slack),
+               u / (4 * ms), x1, u / (2 * ms), 0.5),
         _chain("image y in [v/(3(u+v)), (u+2v)/(4(u+v))] cap 1/2",
-               v / (3 * ms), y1, (u + 2 * v) / (4 * ms), 0.5, slack=slack),
+               v / (3 * ms), y1, (u + 2 * v) / (4 * ms), 0.5),
         _chain("image u in [(2x+y)/(4(x+y)), (3x+2y)/(6(x+y))] within [1/4, 1/2]",
-               0.25, (2 * x + y) / (4 * fs), u1, (3 * x + 2 * y) / (6 * fs), 0.5,
-               slack=slack),
+               0.25, (2 * x + y) / (4 * fs), u1, (3 * x + 2 * y) / (6 * fs), 0.5),
         _chain("image v in [y/(4(x+y)), y/(3(x+y))] cap 1/3",
-               y / (4 * fs), v1, y / (3 * fs), 1.0 / 3.0, slack=slack),
+               y / (4 * fs), v1, y / (3 * fs), 1.0 / 3.0),
         _chain("image female mass in [1/3 + u/(6(u+v)), 1/2]",
-               1.0 / 3.0 + u / (6 * ms), x1 + y1, 0.5, slack=slack),
+               1.0 / 3.0 + u / (6 * ms), x1 + y1, 0.5),
         _chain("image male mass in [1/2, 1/2 + yv/(6(x+y)(u+v))] cap 2/3",
-               0.5, u1 + v1, 0.5 + y * v / (6 * fs * ms), 2.0 / 3.0, slack=slack),
-        _chain("image ordering v' <= y' <= u'", v1, y1, u1, slack=slack),
-        _chain("image ordering x' <= u'", x1, u1, slack=slack),
+               0.5, u1 + v1, 0.5 + y * v / (6 * fs * ms), 2.0 / 3.0),
+        _chain("image ordering v' <= y' <= u'", v1, y1, u1),
+        _chain("image ordering x' <= u'", x1, u1),
         _chain("second iterate female mass in [5/12, 1/2]",
-               5.0 / 12.0, s2[..., 0] + s2[..., 1], 0.5, slack=slack),
+               5.0 / 12.0, s2[..., 0] + s2[..., 1], 0.5),
     ]
 
     probes = []
     worst_ratio = None
     cur = s2
-    for n in range(2, probe_to + 1):
+    for n in range(2, _PROBE_TO + 1):
         nxt = op.apply_normalized(cur)
         margin = float(np.min((13.0 / 24.0) * cur[..., 1] - nxt[..., 3]))
         probes.append(
             BoundCheck(
                 name=f"carrier contraction v({n + 1}) <= 13/24 y({n})",
-                satisfied=margin >= -slack,
+                satisfied=margin >= -_SLACK,
                 margin=margin,
             )
         )
@@ -380,11 +380,11 @@ def scan_global_convergence(
     starts = sample_simplex(rng, samples)
     steps = np.full(samples, -1, dtype=int)
     current = starts.copy()
-    dist = _fold_columns(np.maximum, np.abs(current - EQUILIBRIUM))
+    dist = fold_columns(np.maximum, np.abs(current - EQUILIBRIUM))
     steps[dist <= tol] = 0
     for k in range(1, budget + 1):
         current = op.apply_normalized(current)
-        dist = _fold_columns(np.maximum, np.abs(current - EQUILIBRIUM))
+        dist = fold_columns(np.maximum, np.abs(current - EQUILIBRIUM))
         hit = (steps < 0) & (dist <= tol)
         steps[hit] = k
         if (steps >= 0).all():

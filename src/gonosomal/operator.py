@@ -21,7 +21,6 @@ plain-text tensor file format.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -53,9 +52,10 @@ BUDGET = 10_000
 _THIN_AFTER = 1_000
 _THIN_STRIDE = 10
 
-# The normalized map divides by the block sums; refuse anything at or below
-# this magnitude rather than producing infinities.
+# The normalized map refuses block sums at or below this magnitude, and a
+# product of them that underflowed or overflowed, rather than divide by them.
 _BLOCK_SUM_GUARD = 1e-300
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 class DimensionMismatchError(ValueError):
@@ -77,13 +77,12 @@ class TensorFormatError(ValueError):
 def _annihilated(step: int | None = None) -> AnnihilatedStateError:
     where = "" if step is None else f" at step {step}"
     return AnnihilatedStateError(
-        f"annihilated state{where}: a block sum is not positive, the "
-        "normalized map cannot divide by it",
+        f"annihilated state{where}: the normalized map cannot divide by its block sums",
         step=step,
     )
 
 
-def _fold_columns(ufunc, a):
+def fold_columns(ufunc, a):
     """``ufunc.reduce`` over the trailing axis, one column at a time.
 
     numpy reduces a short trailing axis row by row, which on a 1e4-row
@@ -96,6 +95,13 @@ def _fold_columns(ufunc, a):
         out = ufunc(out, a[..., j])
     # one column must not come back as a view of the input
     return out if a.shape[-1] > 1 else np.positive(out)
+
+
+def can_normalize(fs, ms):
+    """Where the normalized map can divide by the block sums ``fs``, ``ms``:
+    both above the guard and their product a finite normal double."""
+    g = fs * ms
+    return (fs > _BLOCK_SUM_GUARD) & (ms > _BLOCK_SUM_GUARD) & (g >= _NORMAL_MIN) & (g < np.inf)
 
 
 def as_state_vector(state, dim: int | None = None) -> np.ndarray:
@@ -178,8 +184,8 @@ class InheritanceTensor:
             axis=1,
         )
 
-    def is_nonnegative(self, tol: float = 0.0) -> bool:
-        return bool(self.gamma_f.min() >= -tol and self.gamma_m.min() >= -tol)
+    def is_nonnegative(self) -> bool:
+        return bool(self.gamma_f.min() >= 0.0 and self.gamma_m.min() >= 0.0)
 
     def __repr__(self) -> str:
         return f"InheritanceTensor(n={self.n}, nu={self.nu})"
@@ -291,7 +297,7 @@ class GonosomalOperator:
 
     @staticmethod
     def _block_sums(x, y) -> tuple[np.ndarray, np.ndarray]:
-        return _fold_columns(np.add, x), _fold_columns(np.add, y)
+        return fold_columns(np.add, x), fold_columns(np.add, y)
 
     def _pair_product(self, x, y) -> np.ndarray:
         pairs = x[..., :, None] * y[..., None, :]
@@ -328,7 +334,7 @@ class GonosomalOperator:
 
     def _guarded_block_sums(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         fs, ms = self._block_sums(x, y)
-        if np.any(fs <= _BLOCK_SUM_GUARD) or np.any(ms <= _BLOCK_SUM_GUARD):
+        if not can_normalize(fs, ms).all():
             raise _annihilated()
         return fs, ms
 
@@ -366,7 +372,6 @@ class GonosomalOperator:
         mode: str = "raw",
         budget: int = BUDGET,
         tol_fp: float = TOL_FP,
-        div_threshold: float = DIV_THRESHOLD,
     ) -> TrajectoryRecord:
         """Run the orbit of ``s0`` until convergence, divergence, or budget.
 
@@ -376,19 +381,17 @@ class GonosomalOperator:
             budget: maximum number of steps.
             tol_fp: convergence tolerance on both the step difference and
                 the fixed-point residual of the landing point.
-            div_threshold: sup-norm bound beyond which the orbit is declared
-                divergent (non-finite iterates count as divergent too).
 
         Raises:
-            AnnihilatedStateError: in normalized mode, when some iterate has
-                a block sum at or below zero; the error names the step.
+            AnnihilatedStateError: in normalized mode, when some iterate's
+                block sums fail :func:`can_normalize`; the error names the step.
         """
         if mode not in ("raw", "normalized"):
             raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
         if budget < 1:
             raise ValueError("budget must be at least 1")
-        if not (tol_fp > 0 and div_threshold > 0):  # NaN is not positive either
-            raise ValueError("tol_fp and div_threshold must be positive")
+        if not tol_fp > 0:  # NaN is not positive either
+            raise ValueError("tol_fp must be positive")
         s = as_state_vector(s0, self.dim)
         if s.ndim != 1:
             raise DimensionMismatchError("iterate expects a single state")
@@ -400,7 +403,7 @@ class GonosomalOperator:
             if mode == "raw":
                 return self._pair_product(x, y)
             fs, ms = self._block_sums(x, y)
-            if fs <= _BLOCK_SUM_GUARD or ms <= _BLOCK_SUM_GUARD:
+            if not can_normalize(fs, ms):  # a scalar .all() would cost more than the test
                 raise _annihilated(step=k)
             return self._pair_product(x, y) / (fs * ms)
 
@@ -419,17 +422,15 @@ class GonosomalOperator:
                 mode=mode,
             )
 
-        # Tests on Python floats: NaN fails every <=, and so does inf against
-        # a threshold capped at the largest double, so non-finite diverges.
-        thr = min(div_threshold, sys.float_info.max)
+        # Tests on Python floats: NaN and inf fail every <=, so non-finite diverges.
         cur = s.tolist()
-        if not all(abs(c) <= thr for c in cur):
+        if not all(abs(c) <= DIV_THRESHOLD for c in cur):
             return _record(StopReason.DIVERGED, 0)
 
         for k in range(1, budget + 1):
             s_next = _step(s, k - 1)
             nxt = s_next.tolist()
-            if not all(abs(c) <= thr for c in nxt):
+            if not all(abs(c) <= DIV_THRESHOLD for c in nxt):
                 s = s_next
                 return _record(StopReason.DIVERGED, k)
             # both iterates are finite, so no NaN reaches max()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import GonosomalOperator, hemophilia_operator
+from .operator import GonosomalOperator, can_normalize, hemophilia_operator
 from .normalized import embed_reduced, reduced_jacobian_at, sample_simplex
 
 __all__ = [
@@ -38,7 +38,13 @@ __all__ = [
 # Moduli within this distance of 1 make a linearization non-hyperbolic.
 UNIT_CIRCLE_TOL = 1e-8
 
+# The empirical attraction probe of a non-hyperbolic simplex root.
+ATTRACTION_PROBES = 32
+ATTRACTION_RADIUS = 1e-3
+ATTRACTION_STEPS = 5000
+
 _MAX_EIG_DIM = 32
+_MAX_NEWTON_STEPS = 200
 _DEDUP_RADIUS = 1e-6
 # Near a root with a unit Jacobian eigenvalue the chart residual scales like
 # the squared distance, so the residual test alone would accept points 1e-5
@@ -91,7 +97,8 @@ class FixedPointReport:
 
     In normalized mode ``point`` is the full simplex state while
     ``jacobian`` and ``eigenvalues`` describe the reduced chart, so the
-    spectrum is free of the sum-constraint artifact.
+    spectrum is free of the sum-constraint artifact.  ``attraction`` holds the
+    :func:`attraction_probe` distances of a non-hyperbolic normalized root.
     """
 
     point: np.ndarray
@@ -100,7 +107,19 @@ class FixedPointReport:
     eigenvalues: np.ndarray
     classification: Classification
     mode: str = "raw"
-    note: str | None = None
+    attraction: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def note(self) -> str | None:
+        if self.attraction is None:
+            return None
+        before, after = self.attraction
+        return (
+            f"unit-modulus eigenvalue: linearization is inconclusive; "
+            f"{int((after < before).sum())} of {ATTRACTION_PROBES} simplex probes at distance "
+            f"{ATTRACTION_RADIUS:g} moved closer over {ATTRACTION_STEPS} steps "
+            f"(worst remaining distance {after.max():.3g})"
+        )
 
 
 class FixedPointSearchResult(list):
@@ -121,13 +140,13 @@ class FixedPointSearchResult(list):
         return self.n_seeds - self.n_converged
 
 
-def _newton_multistart(fun, jac, seeds, *, tol, max_steps, step_tol, rng):
+def _newton_multistart(fun, jac, seeds, *, tol, rng):
     """Damped Newton from every seed at once.
 
     Convergence requires both a small residual and a small final step, so
     a root with a singular Jacobian (where the residual alone can stay
     small over a wide neighborhood) is still pinned to root accuracy of
-    order ``step_tol``.  A singular linearization gets one random jitter;
+    order ``_STEP_TOL``.  A singular linearization gets one random jitter;
     a second one kills the seed.
     """
     pts = np.array(seeds, dtype=float)
@@ -140,8 +159,8 @@ def _newton_multistart(fun, jac, seeds, *, tol, max_steps, step_tol, rng):
     dead = np.isinf(res)
     jittered = np.zeros(k, dtype=bool)
 
-    for _ in range(max_steps):
-        done |= ~dead & (res <= tol) & (last_step <= step_tol)
+    for _ in range(_MAX_NEWTON_STEPS):
+        done |= ~dead & (res <= tol) & (last_step <= _STEP_TOL)
         active = np.flatnonzero(~done & ~dead)
         if active.size == 0:
             break
@@ -194,16 +213,16 @@ def _newton_multistart(fun, jac, seeds, *, tol, max_steps, step_tol, rng):
             alpha[pending] *= 0.5
         dead[active[pending]] = True
 
-    done |= ~dead & (res <= tol) & (last_step <= step_tol)
+    done |= ~dead & (res <= tol) & (last_step <= _STEP_TOL)
     return pts[done], int(done.sum())
 
 
-def _deduplicate(points, residuals, radius):
-    # best residual first; a point within radius of a kept one is its twin
+def _deduplicate(points, residuals):
+    # best residual first; a point within the radius of a kept one is its twin
     order = np.argsort(residuals)
     kept: list[int] = []
     for i in order:
-        if all(np.abs(points[i] - points[j]).max() > radius for j in kept):
+        if all(np.abs(points[i] - points[j]).max() > _DEDUP_RADIUS for j in kept):
             kept.append(i)
     reps = points[kept]
     if len(reps) > 1:
@@ -211,39 +230,24 @@ def _deduplicate(points, residuals, radius):
     return reps
 
 
-def attraction_probe(op, point, rng, *, n_probes, radius=1e-3, steps=5000):
-    """Sup distances to ``point`` of ``n_probes`` simplex probes at
-    ``radius``, before and after ``steps`` normalized steps.
+def attraction_probe(op, point, rng):
+    """Sup distances to ``point`` of the simplex probes, before and after
+    the normalized steps (``ATTRACTION_*``).
 
     Convex blends toward uniform simplex draws, scaled to a common sup-norm
-    radius, stay on the simplex; the horizon must outlast transient growth
-    plus an algebraic tail.
+    radius, stay on the simplex.  At the hemophilia equilibrium the carrier
+    block of the linearization has sup norm 3/2, so the horizon must outlast
+    transient growth plus an algebraic (about 2.25/n) tail.
     """
-    z = sample_simplex(rng, n_probes, op.n, op.nu)
+    z = sample_simplex(rng, ATTRACTION_PROBES, op.n, op.nu)
     offset = z - point
-    scale = radius / np.abs(offset).max(axis=1, keepdims=True)
+    scale = ATTRACTION_RADIUS / np.abs(offset).max(axis=1, keepdims=True)
     probes = point + np.minimum(scale, 1.0) * offset
     before = np.abs(probes - point).max(axis=1)
     cur = probes
-    for _ in range(steps):
+    for _ in range(ATTRACTION_STEPS):
         cur = op.apply_normalized(cur)
     return before, np.abs(cur - point).max(axis=1)
-
-
-def _empirical_attraction_note(op, point, rng, *, n_probes=16, radius=1e-3, steps=5000):
-    before, after = attraction_probe(op, point, rng, n_probes=n_probes, radius=radius, steps=steps)
-    if (after < before).all():
-        return (
-            f"unit-modulus eigenvalue: linearization is inconclusive; "
-            f"{n_probes} simplex probes at distance {radius:g} all moved closer "
-            f"over {steps} steps (worst remaining distance {after.max():.3g}), "
-            f"consistent with algebraic convergence"
-        )
-    return (
-        f"unit-modulus eigenvalue: linearization is inconclusive; "
-        f"{int((after >= before).sum())} of {n_probes} simplex probes at distance "
-        f"{radius:g} failed to move closer over {steps} steps"
-    )
 
 
 def find_fixed_points(
@@ -253,9 +257,6 @@ def find_fixed_points(
     seed_box: tuple[float, float] = (-5.0, 5.0),
     rng_seed: int = 0,
     tol: float = 1e-10,
-    max_steps: int = 200,
-    step_tol: float = _STEP_TOL,
-    dedup_radius: float = _DEDUP_RADIUS,
 ) -> FixedPointSearchResult:
     """Multistart Newton search for fixed points, with stability reports.
 
@@ -263,10 +264,10 @@ def find_fixed_points(
     W(s) = s.  Normalized mode seeds on the punctured simplex, solves in
     the chart without the first male coordinate (``seed_box`` is unused),
     and reports the reduced Jacobian; a non-hyperbolic normalized root
-    additionally carries an empirical attraction probe in its note.
+    additionally carries an empirical attraction probe in ``attraction``.
 
-    Roots within ``dedup_radius`` (sup norm) collapse to the member with
-    the smallest residual; reports come back lexicographically sorted.
+    Roots within 1e-6 (sup norm) collapse to the member with the smallest
+    residual; reports come back lexicographically sorted.
     """
     op = hemophilia_operator() if op is None else op
     if mode not in ("raw", "normalized"):
@@ -308,20 +309,17 @@ def find_fixed_points(
 
         def jac(r):
             full = embed_reduced(r, eliminate, dim)
-            fs, ms = op.block_sums(full)
-            ok = (fs > 0) & (ms > 0)
+            ok = can_normalize(*op.block_sums(full))
             out = np.full(r.shape + (dim - 1,), np.inf)
             if ok.any():
                 out[ok] = reduced_jacobian_at(full[ok], eliminate, op) - identity
             return out
 
-    roots, n_converged = _newton_multistart(
-        fun, jac, seeds, tol=tol, max_steps=max_steps, step_tol=step_tol, rng=rng
-    )
+    roots, n_converged = _newton_multistart(fun, jac, seeds, tol=tol, rng=rng)
 
     if len(roots):
         residuals = np.abs(fun(roots)).max(axis=1)
-        roots = _deduplicate(roots, residuals, dedup_radius)
+        roots = _deduplicate(roots, residuals)
 
     reports = []
     for root in roots:
@@ -335,9 +333,8 @@ def find_fixed_points(
             jacobian = reduced_jacobian_at(point, eliminate, op)
         eigs = eigenvalues(jacobian)
         label = classify(eigs)
-        note = None
-        if mode == "normalized" and label is Classification.NON_HYPERBOLIC:
-            note = _empirical_attraction_note(op, point, rng)
+        probed = mode == "normalized" and label is Classification.NON_HYPERBOLIC
+        attraction = attraction_probe(op, point, rng) if probed else None
         reports.append(
             FixedPointReport(
                 point=point,
@@ -346,7 +343,7 @@ def find_fixed_points(
                 eigenvalues=eigs,
                 classification=label,
                 mode=mode,
-                note=note,
+                attraction=attraction,
             )
         )
     return FixedPointSearchResult(reports, n_seeds=n_seeds, n_converged=n_converged)

@@ -5,8 +5,8 @@ property the implementation relies on: algebraic identities of the
 operator class (fuzzed over random tensors and states), finite-difference
 confirmation of the analytic Jacobians, the invariant-set clauses, the
 closed forms, the estimate bounds, and the fixed-point machinery.  The
-battery backs the command line ``verify`` command and the test suite runs
-the same checks with pinned sample counts.
+battery backs the command line ``verify`` command; the test suite checks
+the same properties with code of its own.
 
 Checks bound to the built-in hemophilia structure only run when the
 battery is given that operator; algebraic checks run for any tensor.
@@ -36,11 +36,14 @@ from .normalized import (
     sample_simplex,
 )
 from .operator import (
+    DIV_THRESHOLD,
     GonosomalOperator,
     InheritanceTensor,
     hemophilia_operator,
 )
-from .spectral import Classification, attraction_probe, find_fixed_points
+from .spectral import (
+    ATTRACTION_PROBES, ATTRACTION_RADIUS, ATTRACTION_STEPS, Classification, find_fixed_points,
+)
 
 __all__ = ["CheckResult", "random_tensor", "run_battery", "empirical_limits"]
 
@@ -83,9 +86,9 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
 
     Zero within 1e-6 of the origin, Equilibrium within 1e-6 of
     ``RAW_EQUILIBRIUM`` (four-coordinate operators only), Infinity when
-    non-finite or above 1e12, Undecided otherwise.  The raw dynamics is
-    doubly exponential, so anything not exactly on the critical boundary
-    resolves within a few dozen steps.
+    non-finite or above ``DIV_THRESHOLD``, Undecided otherwise.  The raw
+    dynamics is doubly exponential, so anything not exactly on the critical
+    boundary resolves within a few dozen steps.
     """
     cur = np.array(states, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -93,7 +96,7 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
             cur = op.apply_raw(cur)
         size = np.abs(cur).max(axis=1)
         out = np.full(len(cur), LimitKind.UNDECIDED, dtype=object)
-        out[~np.isfinite(size) | (size > 1e12)] = LimitKind.INFINITY
+        out[~np.isfinite(size) | (size > DIV_THRESHOLD)] = LimitKind.INFINITY
         out[size <= 1e-6] = LimitKind.ZERO
         if op.dim == 4:
             out[np.abs(cur - RAW_EQUILIBRIUM).max(axis=1) <= 1e-6] = LimitKind.EQUILIBRIUM
@@ -441,8 +444,7 @@ def _check_raw_roots(op: GonosomalOperator, rng_seed: int) -> CheckResult:
     return CheckResult(name="raw-fixed-points", ok=bool(ok), detail=detail)
 
 
-def _check_normalized_root(op: GonosomalOperator, rng_seed: int) -> CheckResult:
-    found = find_fixed_points(op, mode="normalized", n_seeds=400, rng_seed=rng_seed)
+def _check_normalized_root(op: GonosomalOperator, found) -> CheckResult:
     ok = len(found) == 1
     detail = f"{found.n_converged}/{found.n_seeds} seeds converged, {len(found)} roots"
     if ok:
@@ -466,11 +468,10 @@ def _check_normalized_root(op: GonosomalOperator, rng_seed: int) -> CheckResult:
     return CheckResult(name="normalized-fixed-point", ok=bool(ok), detail=detail)
 
 
-def _check_local_attraction(op: GonosomalOperator, rng) -> CheckResult:
-    # the carrier block of the linearization has sup norm 3/2, so distances
-    # can grow transiently and the horizon must outlast the algebraic
-    # (about 2.25/n) tail
-    before, after = attraction_probe(op, EQUILIBRIUM, rng, n_probes=32)
+def _check_local_attraction(op: GonosomalOperator, found, rng) -> CheckResult:
+    if len(found) != 1 or found[0].attraction is None:
+        return CheckResult("local-attraction", False, f"no unique probed root ({len(found)} roots)")
+    before, after = found[0].attraction
     closer = bool((after < before).all())
     d = rng.uniform(-0.3, 0.3, size=8)
     cf = np.zeros((8, 4))
@@ -481,7 +482,9 @@ def _check_local_attraction(op: GonosomalOperator, rng) -> CheckResult:
         name="local-attraction",
         ok=closer and one_step == 0.0,
         detail=(
-            f"32 probes at 1e-3 all moved closer over 5000 steps: {closer} "
+            f"{ATTRACTION_PROBES} probes at "
+            f"{np.format_float_scientific(ATTRACTION_RADIUS, trim='-', exp_digits=1)} "
+            f"all moved closer over {ATTRACTION_STEPS} steps: {closer} "
             f"(worst remaining {after.max():.2e}, algebraic rate); carrier-free "
             f"probes land exactly in one step: {one_step == 0.0}"
         ),
@@ -528,6 +531,7 @@ def run_battery(
         results.extend(_check_estimates(rng, samples))
         results.append(_check_correspondence(op, rng))
         results.append(_check_raw_roots(op, rng_seed))
-        results.append(_check_normalized_root(op, rng_seed))
-        results.append(_check_local_attraction(op, rng))
+        found = find_fixed_points(op, mode="normalized", n_seeds=400, rng_seed=rng_seed)
+        results.append(_check_normalized_root(op, found))
+        results.append(_check_local_attraction(op, found, rng))
     return results

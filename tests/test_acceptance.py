@@ -100,7 +100,7 @@ def test_criterion_03_carrier_free_trichotomy():
 
 
 def test_criterion_04_invariance_suite():
-    report = verify_invariance(OP, samples=10_000, slack=1e-12)
+    report = verify_invariance(OP, samples=10_000)
     names = [c.name for c in report.checks]
     assert "annihilated maps to the origin exactly" in names
     for a in (1, 2, 3, 4):
@@ -326,14 +326,13 @@ def test_criterion_10_jacobian_finite_difference_oracle():
         simplex = np.concatenate([simplex, batch[batch.min(axis=1) >= 0.02]])
     simplex = simplex[:1000]
     worst_red = 0.0
-    for state in simplex:
-        jac = reduced_jacobian_at(state, eliminate=3)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fd = (
-                reduced_apply(state[:3] + e, eliminate=3)
-                - reduced_apply(state[:3] - e, eliminate=3)
-            ) / (2 * h)
-            worst_red = max(worst_red, float(np.abs(jac[:, j] - fd).max()))
+    jac = reduced_jacobian_at(simplex, eliminate=3)
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        fd = (
+            reduced_apply(simplex[:, :3] + e, eliminate=3)
+            - reduced_apply(simplex[:, :3] - e, eliminate=3)
+        ) / (2 * h)
+        worst_red = max(worst_red, float(np.abs(jac[..., j] - fd).max()))
     assert worst_red <= 1e-6, f"reduced jacobian vs central differences: {worst_red:.3e}"

@@ -107,7 +107,6 @@ def test_membership_matches_numpy_scalar_reference(state):
     m = membership(state)
     flags, q_level, ratios = _reference_membership(state)
     assert m.state.tobytes() == np.asarray(state, dtype=float).tobytes()
-    assert m.tol == _TOL
     for name, expected in flags.items():
         got = getattr(m, name)
         assert type(got) is bool and got == bool(expected), name

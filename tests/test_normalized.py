@@ -74,6 +74,22 @@ def test_require_simplex_state():
         require_simplex_state([0.0, 0.0, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_states_are_rejected_at_the_simplex_boundary(bad):
+    # NaN fails every comparison, so it once passed validation and made
+    # check_estimates report all nine lemma bounds violated
+    state = [bad, 0.5, 0.25, 0.25]
+    batch = sample_simplex(np.random.default_rng(4), 8)
+    batch[5, 0] = bad
+    for call in (require_simplex_state, check_estimates):
+        for arg in (state, batch):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(arg)
+    for call in (normalize_fixed_point, denormalize_fixed_point):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(state)
+
+
 def test_preserves_simplex():
     assert preserves_simplex(hemophilia_tensor())
     # a crossing table whose offspring are all male cannot preserve the simplex

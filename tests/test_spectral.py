@@ -1,10 +1,14 @@
 """Fixed point search and stability classification tests."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gonosomal.operator import GonosomalOperator, hemophilia_operator
 from gonosomal.spectral import (
+    ATTRACTION_PROBES,
+    ATTRACTION_RADIUS,
     Classification,
     FixedPointReport,
     classify,
@@ -136,6 +140,20 @@ def test_normalized_root_carries_empirical_note():
     note = found[0].note
     assert note is not None
     assert "probes" in note and "moved closer" in note
+
+
+def test_normalized_root_keeps_its_attraction_probe():
+    found = find_fixed_points(OP, mode="normalized", n_seeds=200, rng_seed=3)
+    before, after = found[0].attraction
+    assert before.shape == after.shape == (ATTRACTION_PROBES,) == (32,)
+    np.testing.assert_allclose(before, ATTRACTION_RADIUS, rtol=1e-9, atol=0)
+    assert (after < before).all()
+    # the note reports the stored probe, not a second run
+    worst = re.search(r"worst remaining distance ([^)]+)\)", found[0].note).group(1)
+    assert worst == f"{after.max():.3g}"
+    assert f"{ATTRACTION_PROBES} simplex probes" in found[0].note
+    # raw roots are not probed
+    assert all(r.attraction is None for r in find_fixed_points(OP, n_seeds=200, rng_seed=3))
 
 
 def test_normalized_search_point_is_on_simplex():
