@@ -438,7 +438,8 @@ def test_iterate_matches_reference_loop(op, s0, kw):
     _assert_iterate_matches_reference(op, s0, **kw)
 
 
-@pytest.mark.parametrize("kw", [dict(tol_fp=0.0), dict(tol_fp=np.nan)])
+@pytest.mark.parametrize("kw", [dict(tol_fp=0.0), dict(tol_fp=-1.0),
+                                dict(tol_fp=np.nan), dict(tol_fp=-np.inf)])
 def test_iterate_rejects_thresholds_that_are_not_positive(kw):
     with pytest.raises(ValueError, match="must be positive"):
         OP.iterate([1.0, 1.0, 1.0, 1.0], **kw)
