@@ -171,11 +171,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tensor == "builtin":
-        results = run_battery(samples=args.samples, rng_seed=args.seed)
-    else:
-        op, _, _ = _load_operator(args)
-        results = run_battery(op, samples=args.samples, rng_seed=args.seed)
+    op, _, _ = _load_operator(args)
+    results = run_battery(op, samples=args.samples, rng_seed=args.seed)
     failed = sum(not r.ok for r in results)
     lines = [
         "command=verify",

@@ -117,29 +117,21 @@ def membership(state) -> SetMembership:
 def closed_form_diagonal(x0: float, k: int) -> float:
     """First coordinate after k steps from the balanced state (x0, 0, x0, 0).
 
-    The diagonal recursion x -> x²/2 solves to 2 (x0/2)^(2^k); computed by
-    repeated squaring for small k and in log space beyond that, so huge k
-    yields a clean 0, 2, or infinity instead of an intermediate overflow.
+    The diagonal recursion x -> x²/2 solves to 2 (x0/2)^(2^k), computed by
+    repeated squaring that stops once the power reaches 0, 1 or infinity
+    (at most 64 squarings for a finite start), so huge k yields a clean 0,
+    2, or infinity.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
     if k == 0:
         return float(x0)
-    r = x0 / 2.0
-    if r == 0.0:
-        return 0.0
-    # after one squaring the sign is gone for good
-    if k <= 6:
-        p = r * r
-        for _ in range(k - 1):
-            p = p * p
-        return 2.0 * p
-    mag = abs(r)
-    if mag == 1.0:
-        return 2.0
-    with np.errstate(over="ignore"):
-        # np.exp2 saturates to inf instead of raising for huge k
-        return float(2.0 * np.exp2(np.exp2(np.float64(k)) * np.log2(mag)))
+    p = float(x0) / 2.0
+    for _ in range(k):
+        p *= p
+        if p in (0.0, 1.0, math.inf) or math.isnan(p):
+            break
+    return 2.0 * p
 
 
 class LimitKind(enum.Enum):

@@ -156,11 +156,12 @@ def denormalize_fixed_point(s_simplex) -> np.ndarray:
 
 def embed_reduced(reduced, eliminate: int, dim: int) -> np.ndarray:
     """Full state from chart coordinates: coordinate ``eliminate`` (an index
-    in ``range(dim)``) is put back as one minus the sum of the rest."""
-    r = np.asarray(reduced, dtype=float)
+    into ``range(dim)``, so -1 is the last) is put back as one minus the sum
+    of the rest."""
+    r = as_state_vector(reduced, dim - 1)
+    eliminate = range(dim)[eliminate]
     full = np.empty(r.shape[:-1] + (dim,))
-    keep = [i for i in range(dim) if i != eliminate]
-    full[..., keep] = r
+    full[..., np.arange(dim) != eliminate] = r
     full[..., eliminate] = 1.0 - r.sum(axis=-1)
     return full
 
@@ -173,32 +174,25 @@ def reduced_apply(reduced, eliminate: int = -1, op: GonosomalOperator | None = N
     because the normalized image always sums to one).
     """
     op = hemophilia_operator() if op is None else op
-    dim = op.dim
-    eliminate = range(dim)[eliminate]
-    full = embed_reduced(reduced, eliminate, dim)
-    image = op.apply_normalized(full)
-    keep = [i for i in range(dim) if i != eliminate]
-    return image[..., keep]
+    image = op.apply_normalized(embed_reduced(reduced, eliminate, op.dim))
+    return np.delete(image, eliminate, axis=-1)
 
 
 def reduced_jacobian_at(state, eliminate: int = -1, op: GonosomalOperator | None = None) -> np.ndarray:
     """Jacobian of the reduced normalized map at a full simplex state.
 
-    Chain rule through the embedding: the derivative of the reconstructed
-    coordinate with respect to every kept one is -1.  The eigenvalues at a
+    Chain rule through the embedding, whose derivative along chart axis j
+    is ``embed_reduced(e_j) - embed_reduced(0)``.  The eigenvalues at a
     fixed point do not depend on which coordinate is eliminated (the charts
     are affinely conjugate), which makes a useful consistency check.
     Accepts a batch (states along the last axis).
     """
     op = hemophilia_operator() if op is None else op
     dim = op.dim
-    eliminate = range(dim)[eliminate]
-    keep = [i for i in range(dim) if i != eliminate]
     full_jac = op.jacobian_normalized(as_state_vector(state, dim))
-    embed = np.zeros((dim, dim - 1))
-    embed[keep, range(dim - 1)] = 1.0
-    embed[eliminate, :] = -1.0
-    return full_jac[..., keep, :] @ embed
+    # rows of the embedded points: the chart origin, then each chart axis
+    pts = embed_reduced(np.eye(dim)[:, 1:], eliminate, dim)
+    return np.delete(full_jac, eliminate, axis=-2) @ (pts[1:] - pts[0]).T
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ class GonosomalOperator:
 
     def _pair_product(self, x, y) -> np.ndarray:
         pairs = x[..., :, None] * y[..., None, :]
-        return pairs.reshape(pairs.shape[:-2] + (-1,)) @ self._pair_matrix
+        return pairs.reshape(pairs.shape[:-2] + self._pair_matrix.shape[:1]) @ self._pair_matrix
 
     def apply_raw(self, state) -> np.ndarray:
         """One generation of the raw (unnormalized) dynamics."""

@@ -1,11 +1,12 @@
 """Fixed points of gonosomal dynamics and their linear stability.
 
 Fixed points are located by damped Newton iteration from many random
-seeds, run as one batched computation.  Raw mode solves W(s) = s on the
+seeds, run as one batched computation; a seed whose linearization is
+singular is dropped, never perturbed.  Raw mode solves W(s) = s on the
 ambient space; normalized mode solves for the map restricted to the
-simplex, in the chart that eliminates one coordinate through the sum
-constraint (which removes the trivial unit eigenvalue the constraint
-would otherwise contribute).
+simplex, in the :func:`~gonosomal.normalized.embed_reduced` chart that
+eliminates one coordinate through the sum constraint (which removes the
+trivial unit eigenvalue the constraint would otherwise contribute).
 
 Stability is read off the spectrum of the Jacobian at the root: strictly
 inside the unit circle is attracting, strictly outside repelling, mixed is
@@ -52,7 +53,6 @@ _DEDUP_RADIUS = 1e-6
 # singular direction, hence this is also (twice) the point accuracy.
 _STEP_TOL = 1e-12
 _SINGULAR_DET = 1e-14
-_JITTER = 1e-8
 _MAX_HALVINGS = 40
 
 
@@ -77,12 +77,13 @@ def eigenvalues(matrix) -> np.ndarray:
     return np.sort_complex(np.linalg.eigvals(m))
 
 
-def classify(eigs, unit_tol: float = UNIT_CIRCLE_TOL) -> Classification:
-    """Stability class from Jacobian eigenvalues at a fixed point."""
+def classify(eigs) -> Classification:
+    """Stability class from Jacobian eigenvalues at a fixed point; moduli
+    within ``UNIT_CIRCLE_TOL`` of 1 are non-hyperbolic."""
     moduli = np.abs(np.asarray(eigs, dtype=complex))
     if moduli.size == 0:
         raise ValueError("empty spectrum")
-    if (np.abs(moduli - 1.0) <= unit_tol).any():
+    if (np.abs(moduli - 1.0) <= UNIT_CIRCLE_TOL).any():
         return Classification.NON_HYPERBOLIC
     if (moduli < 1.0).all():
         return Classification.ATTRACTING
@@ -126,8 +127,8 @@ class FixedPointSearchResult(list):
     """Deduplicated fixed-point reports plus multistart bookkeeping.
 
     ``n_dropped`` counts seeds that never met the convergence test
-    (diverging Newton paths, repeated singular linearizations, exhausted
-    iteration budget).
+    (non-finite residuals, singular or non-finite linearizations, step
+    halvings exhausted, iteration budget exhausted).
     """
 
     def __init__(self, reports, n_seeds: int, n_converged: int):
@@ -140,14 +141,15 @@ class FixedPointSearchResult(list):
         return self.n_seeds - self.n_converged
 
 
-def _newton_multistart(fun, jac, seeds, *, tol, rng):
+def _newton_multistart(fun, jac, seeds, *, tol):
     """Damped Newton from every seed at once.
 
     Convergence requires both a small residual and a small final step, so
     a root with a singular Jacobian (where the residual alone can stay
     small over a wide neighborhood) is still pinned to root accuracy of
-    order ``_STEP_TOL``.  A singular linearization gets one random jitter;
-    a second one kills the seed.
+    order ``_STEP_TOL``.  A seed dies at once when its residual is
+    non-finite, its linearization is singular or non-finite, or no step
+    halving lowers its residual.
     """
     pts = np.array(seeds, dtype=float)
     k, d = pts.shape
@@ -157,7 +159,6 @@ def _newton_multistart(fun, jac, seeds, *, tol, rng):
     last_step = np.full(k, np.inf)
     done = np.zeros(k, dtype=bool)
     dead = np.isinf(res)
-    jittered = np.zeros(k, dtype=bool)
 
     for _ in range(_MAX_NEWTON_STEPS):
         done |= ~dead & (res <= tol) & (last_step <= _STEP_TOL)
@@ -170,23 +171,8 @@ def _newton_multistart(fun, jac, seeds, *, tol, rng):
             bad = ~np.isfinite(J).all(axis=(1, 2))
             det = np.where(bad, 0.0, np.linalg.det(np.where(np.isfinite(J), J, 0.0)))
             singular = bad | (np.abs(det) < _SINGULAR_DET * scale)
-        if singular.any():
-            hit = active[singular]
-            retry = hit[~jittered[hit]]
-            dead[hit[jittered[hit]]] = True
-            if retry.size:
-                pts[retry] += rng.normal(scale=_JITTER, size=(retry.size, d))
-                jittered[retry] = True
-                Fr = fun(pts[retry])
-                rr = np.abs(Fr).max(axis=1)
-                F[retry] = Fr
-                res[retry] = np.where(np.isfinite(rr), rr, np.inf)
-                last_step[retry] = np.inf
-                dead[retry] |= np.isinf(res[retry])
-            active = active[~singular]
-            if active.size == 0:
-                continue
-            J = J[~singular]
+        dead[active[singular]] = True
+        active, J = active[~singular], J[~singular]
 
         step = np.linalg.solve(J, -F[active][..., None])[..., 0]
         alpha = np.ones(active.size)
@@ -291,9 +277,7 @@ def find_fixed_points(
             return op.jacobian_raw(s) - identity
     else:
         eliminate = op.n
-        keep = [i for i in range(dim) if i != eliminate]
-        full_seeds = sample_simplex(rng, n_seeds, op.n, op.nu)
-        seeds = full_seeds[:, keep]
+        seeds = np.delete(sample_simplex(rng, n_seeds, op.n, op.nu), eliminate, axis=-1)
         identity = np.eye(dim - 1)
 
         # Newton paths may leave the simplex; evaluate the chart map without
@@ -305,7 +289,7 @@ def find_fixed_points(
             raw = op.apply_raw(full)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 img = raw / (fs * ms)[..., None]
-            return img[..., keep] - r
+            return np.delete(img, eliminate, axis=-1) - r
 
         def jac(r):
             full = embed_reduced(r, eliminate, dim)
@@ -315,7 +299,7 @@ def find_fixed_points(
                 out[ok] = reduced_jacobian_at(full[ok], eliminate, op) - identity
             return out
 
-    roots, n_converged = _newton_multistart(fun, jac, seeds, tol=tol, rng=rng)
+    roots, n_converged = _newton_multistart(fun, jac, seeds, tol=tol)
 
     if len(roots):
         residuals = np.abs(fun(roots)).max(axis=1)

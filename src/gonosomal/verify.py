@@ -9,7 +9,8 @@ battery backs the command line ``verify`` command; the test suite checks
 the same properties with code of its own.
 
 Checks bound to the built-in hemophilia structure only run when the
-battery is given that operator; algebraic checks run for any tensor.
+battery is given an operator with its coefficients; algebraic checks run
+for any tensor.
 """
 
 from __future__ import annotations
@@ -503,13 +504,14 @@ def run_battery(
 ) -> list[CheckResult]:
     """Run every applicable check and return the results in a fixed order.
 
-    With no operator the built-in hemophilia model is used and the
+    With no operator the built-in hemophilia model is used.  An operator
+    whose pair matrix equals the hemophilia one also gets the
     model-specific checks (invariant sets, closed form, trichotomy,
-    estimates, fixed-point values) run as well; a custom operator gets the
-    algebraic and generic-numeric checks only.
+    estimates, fixed-point values); any other operator gets the algebraic
+    and generic-numeric checks only.
     """
-    builtin = op is None
-    op = hemophilia_operator() if builtin else op
+    op = hemophilia_operator() if op is None else op
+    builtin = np.array_equal(op.pair_matrix, hemophilia_operator().pair_matrix)
     rng = np.random.default_rng(rng_seed)
     results = [
         _check_tensor_rows(op),

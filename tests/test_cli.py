@@ -254,6 +254,14 @@ def test_verify_builtin_battery_passes(capsys):
     assert any(line.startswith("ok sum-product-identity:") for line in lines)
 
 
+HEMOPHILIA_ONLY_CHECKS = {
+    "invariant-sets", "diagonal-closed-form", "carrier-free-trichotomy",
+    "escape-growth-bound", "limit-classifier-agreement", "estimate-bounds",
+    "carrier-contraction", "fixed-point-correspondence", "raw-fixed-points",
+    "normalized-fixed-point", "local-attraction",
+}
+
+
 def test_verify_custom_tensor(capsys, tmp_path):
     rng = np.random.default_rng(12)
     gf = rng.dirichlet(np.ones(3), size=(3, 2))
@@ -266,6 +274,9 @@ def test_verify_custom_tensor(capsys, tmp_path):
     assert stanza_dict(head)["failed"] == "0"
     # generic battery: no hemophilia-specific checks for a custom tensor
     assert "raw-fixed-points" not in body
+    names = {line.split(":")[0].split(" ", 1)[1] for line in body.splitlines()}
+    assert len(names) == 8
+    assert not names & HEMOPHILIA_ONLY_CHECKS
 
 
 def test_verify_missing_tensor_file(capsys):

@@ -164,6 +164,9 @@ def test_closed_form_boundary_and_extremes():
     assert closed_form_diagonal(1.0, 5000) == 0.0
     assert closed_form_diagonal(3.0, 200) == np.inf
     assert closed_form_diagonal(-3.0, 200) == np.inf
+    assert closed_form_diagonal(2.0, 10**18) == 2.0
+    assert closed_form_diagonal(1.0, 10**18) == 0.0
+    assert closed_form_diagonal(-3.0, 10**18) == np.inf
     with pytest.raises(ValueError):
         closed_form_diagonal(1.0, -1)
 

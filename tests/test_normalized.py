@@ -19,6 +19,7 @@ from gonosomal.normalized import (
     EQUILIBRIUM,
     check_estimates,
     denormalize_fixed_point,
+    embed_reduced,
     normalize_fixed_point,
     preserves_simplex,
     reduced_apply,
@@ -135,6 +136,12 @@ def test_reduced_apply_fixes_the_equilibrium_in_every_chart():
         keep = [i for i in range(4) if i != eliminate]
         r = EQUILIBRIUM[keep]
         np.testing.assert_array_equal(reduced_apply(r, eliminate=eliminate), r)
+
+
+def test_embed_reduced_counts_a_negative_index_from_the_end():
+    r = np.array([[0.125, 0.25, 0.5], [0.25, 0.0, 0.5]])
+    np.testing.assert_array_equal(embed_reduced(r, -1, 4), embed_reduced(r, 3, 4))
+    np.testing.assert_array_equal(embed_reduced(r, -1, 4)[:, 3], [0.125, 0.25])
 
 
 def test_reduced_apply_matches_full_map():

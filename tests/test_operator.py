@@ -20,7 +20,7 @@ from gonosomal.operator import (
     hemophilia_tensor,
     load_tensor,
 )
-from gonosomal.verify import random_tensor
+from gonosomal.verify import empirical_limits, random_tensor
 
 OP = hemophilia_operator()
 
@@ -116,6 +116,21 @@ def test_batch_matches_scalar_rows():
     whole = OP.apply_raw(batch)
     for row, img in zip(batch, whole):
         np.testing.assert_array_equal(OP.apply_raw(row), img)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [OP, GonosomalOperator(random_tensor(np.random.default_rng(9), 3, 2))],
+    ids=["hemophilia", "random-3x2"],
+)
+def test_kernels_accept_an_empty_batch(op):
+    empty = np.empty((0, op.dim))
+    for kernel in (op.apply_raw, op.apply_normalized):
+        assert kernel(empty).shape == (0, op.dim)
+    for kernel in (op.jacobian_raw, op.jacobian_normalized):
+        assert kernel(empty).shape == (0, op.dim, op.dim)
+    assert op.sum_product_residual(empty).shape == (0,)
+    assert empirical_limits(op, empty).shape == (0,)
 
 
 # The bilinear map and its Jacobian as written in the module docstring; the

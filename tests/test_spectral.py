@@ -5,12 +5,15 @@ import re
 import numpy as np
 import pytest
 
+from gonosomal.normalized import sample_simplex
 from gonosomal.operator import GonosomalOperator, hemophilia_operator
 from gonosomal.spectral import (
     ATTRACTION_PROBES,
     ATTRACTION_RADIUS,
     Classification,
     FixedPointReport,
+    _newton_multistart,
+    attraction_probe,
     classify,
     eigenvalues,
     find_fixed_points,
@@ -62,7 +65,6 @@ def test_classify_all_classes():
 def test_classify_unit_circle_tolerance():
     assert classify([1.0 - 1e-9, 0.1]) is Classification.NON_HYPERBOLIC
     assert classify([1.0 - 1e-7, 0.1]) is Classification.ATTRACTING
-    assert classify([1.0 - 1e-7, 0.1], unit_tol=1e-6) is Classification.NON_HYPERBOLIC
     with pytest.raises(ValueError):
         classify([])
 
@@ -119,6 +121,15 @@ def test_raw_search_seed_box_and_validation():
         find_fixed_points(OP, mode="both")
 
 
+def test_newton_drops_a_seed_at_a_singular_jacobian():
+    # f(x) = x² has Jacobian 0 at the seed: the seed dies there, unperturbed
+    roots, n_converged = _newton_multistart(
+        lambda x: x**2, lambda x: 2.0 * x[..., None], np.zeros((1, 1)), tol=1e-10
+    )
+    assert n_converged == 0
+    assert roots.shape == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # normalized search
 # ---------------------------------------------------------------------------
@@ -154,6 +165,16 @@ def test_normalized_root_keeps_its_attraction_probe():
     assert f"{ATTRACTION_PROBES} simplex probes" in found[0].note
     # raw roots are not probed
     assert all(r.attraction is None for r in find_fixed_points(OP, n_seeds=200, rng_seed=3))
+
+
+def test_normalized_attraction_probe_depends_only_on_the_seed():
+    # the search draws nothing from its generator between the seeds and the probe
+    found = find_fixed_points(OP, mode="normalized", n_seeds=400, rng_seed=42)
+    rng = np.random.default_rng(42)
+    sample_simplex(rng, 400)
+    before, after = attraction_probe(OP, found[0].point, rng)
+    np.testing.assert_array_equal(found[0].attraction[0], before)
+    np.testing.assert_array_equal(found[0].attraction[1], after)
 
 
 def test_normalized_search_point_is_on_simplex():

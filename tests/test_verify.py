@@ -3,8 +3,10 @@
 import sys
 
 import numpy as np
+import pytest
 
 from gonosomal import spectral, verify
+from gonosomal.operator import GonosomalOperator, hemophilia_operator, hemophilia_tensor
 from gonosomal.spectral import FixedPointSearchResult
 
 
@@ -32,3 +34,20 @@ def test_local_attraction_fails_plainly_without_a_unique_root():
     result = verify._check_local_attraction(None, none, np.random.default_rng(0))
     assert not result.ok
     assert result.detail == "no unique probed root (0 roots)"
+
+
+@pytest.mark.parametrize(
+    "op",
+    [None, hemophilia_operator(), GonosomalOperator(hemophilia_tensor())],
+    ids=["default", "shared", "rebuilt"],
+)
+def test_every_hemophilia_operator_gets_the_full_battery(monkeypatch, op):
+    # the scope follows the coefficients; the Newton searches are stubbed out,
+    # since only the check names matter here
+    monkeypatch.setattr(
+        verify, "find_fixed_points",
+        lambda op, mode, n_seeds, rng_seed: FixedPointSearchResult([], n_seeds, 0),
+    )
+    names = [r.name for r in verify.run_battery(op, samples=50)]
+    assert len(names) == 19
+    assert names == [r.name for r in verify.run_battery(samples=50)]
