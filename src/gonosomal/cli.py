@@ -97,6 +97,8 @@ def cmd_fixed_points(args) -> int:
                 f"tol={format_float(args.tol)}",
                 f"converged={result.n_converged}",
                 f"dropped={result.n_dropped}",
+                *(f"dropped_{reason}={count}" for reason, count in result.drops.items()),
+                f"iterations={result.iterations}",
                 f"roots={len(result)}",
             ]
         )

@@ -55,7 +55,8 @@ _THIN_STRIDE = 10
 # The normalized map refuses block sums at or below this magnitude, and a
 # product of them that underflowed or overflowed, rather than divide by them.
 _BLOCK_SUM_GUARD = 1e-300
-_NORMAL_MIN = np.finfo(float).tiny
+# a Python float, so that can_normalize on Python floats returns a plain bool
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 class DimensionMismatchError(ValueError):
@@ -97,9 +98,19 @@ def fold_columns(ufunc, a):
     return out if a.shape[-1] > 1 else np.positive(out)
 
 
+def _add_floats(values):
+    """Sum of Python floats, left to right as :func:`fold_columns` adds
+    (``sum`` compensates since Python 3.12)."""
+    total = values[0]
+    for c in values[1:]:
+        total += c
+    return total
+
+
 def can_normalize(fs, ms):
     """Where the normalized map can divide by the block sums ``fs``, ``ms``:
-    both above the guard and their product a finite normal double."""
+    both above the guard and their product a finite normal double.  Arrays
+    give a mask; Python floats give a bool."""
     g = fs * ms
     return (fs > _BLOCK_SUM_GUARD) & (ms > _BLOCK_SUM_GUARD) & (g >= _NORMAL_MIN) & (g < np.inf)
 
@@ -402,8 +413,9 @@ class GonosomalOperator:
             x, y = vec[:n], vec[n:]
             if mode == "raw":
                 return self._pair_product(x, y)
-            fs, ms = self._block_sums(x, y)
-            if not can_normalize(fs, ms):  # a scalar .all() would cost more than the test
+            values = vec.tolist()
+            fs, ms = _add_floats(values[:n]), _add_floats(values[n:])
+            if not can_normalize(fs, ms):
                 raise _annihilated(step=k)
             return self._pair_product(x, y) / (fs * ms)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .operator import GonosomalOperator, can_normalize, hemophilia_operator
 from .normalized import embed_reduced, reduced_jacobian_at, sample_simplex
 
 __all__ = [
+    "DROP_REASONS",
     "Classification",
     "FixedPointReport",
     "FixedPointSearchResult",
@@ -54,6 +56,11 @@ _DEDUP_RADIUS = 1e-6
 _STEP_TOL = 1e-12
 _SINGULAR_DET = 1e-14
 _MAX_HALVINGS = 40
+# Newton's trial step lengths: the full step, then each halving in turn.
+_ALPHAS = 0.5 ** np.arange(_MAX_HALVINGS)
+
+# Why a Newton seed was dropped; see FixedPointSearchResult.
+DROP_REASONS = ("non_finite", "singular", "no_descent", "max_steps")
 
 
 class Classification(enum.Enum):
@@ -126,19 +133,31 @@ class FixedPointReport:
 class FixedPointSearchResult(list):
     """Deduplicated fixed-point reports plus multistart bookkeeping.
 
-    ``n_dropped`` counts seeds that never met the convergence test
-    (non-finite residuals, singular or non-finite linearizations, step
-    halvings exhausted, iteration budget exhausted).
+    ``iterations`` counts the Newton steps the batch took.  ``drops`` maps
+    each reason of ``DROP_REASONS`` to the number of seeds that died of it,
+    so its counts sum to ``n_dropped``: ``non_finite`` (the starting residual
+    is not finite), ``singular`` (a singular or non-finite linearization),
+    ``no_descent`` (no step halving lowered the residual) and ``max_steps``
+    (still unconverged after the iteration budget).
     """
 
-    def __init__(self, reports, n_seeds: int, n_converged: int):
+    def __init__(self, reports, n_seeds: int, n_converged: int, *, iterations: int, drops):
         super().__init__(reports)
         self.n_seeds = int(n_seeds)
         self.n_converged = int(n_converged)
+        self.iterations = int(iterations)
+        self.drops = {reason: int(drops[reason]) for reason in DROP_REASONS}
 
     @property
     def n_dropped(self) -> int:
         return self.n_seeds - self.n_converged
+
+
+class _NewtonRun(NamedTuple):
+    points: np.ndarray
+    n_converged: int
+    iterations: int
+    drops: dict[str, int]
 
 
 def _newton_multistart(fun, jac, seeds, *, tol):
@@ -147,9 +166,13 @@ def _newton_multistart(fun, jac, seeds, *, tol):
     Convergence requires both a small residual and a small final step, so
     a root with a singular Jacobian (where the residual alone can stay
     small over a wide neighborhood) is still pinned to root accuracy of
-    order ``_STEP_TOL``.  A seed dies at once when its residual is
-    non-finite, its linearization is singular or non-finite, or no step
-    halving lowers its residual.
+    order ``_STEP_TOL``.  Each iteration tries the full Newton step of every
+    active seed in one ``fun`` call, then every halving ``_ALPHAS[1:]`` of the
+    seeds it did not improve in a second call; a seed takes the longest step
+    that lowers its residual.  A seed dies at once when its residual is
+    non-finite, its linearization is singular or non-finite, or no halving
+    lowers its residual; the drop counts keep these reasons apart
+    (see :class:`FixedPointSearchResult`).
     """
     pts = np.array(seeds, dtype=float)
     k, d = pts.shape
@@ -159,12 +182,22 @@ def _newton_multistart(fun, jac, seeds, *, tol):
     last_step = np.full(k, np.inf)
     done = np.zeros(k, dtype=bool)
     dead = np.isinf(res)
+    drops = dict.fromkeys(DROP_REASONS, 0)
+    drops["non_finite"] = int(dead.sum())
 
-    for _ in range(_MAX_NEWTON_STEPS):
+    def accept(tgt, trial, Ft, rt, alpha_step):
+        pts[tgt] = trial
+        F[tgt] = Ft
+        res[tgt] = rt
+        last_step[tgt] = np.abs(alpha_step).max(axis=1)
+
+    iterations = 0
+    while True:
         done |= ~dead & (res <= tol) & (last_step <= _STEP_TOL)
         active = np.flatnonzero(~done & ~dead)
-        if active.size == 0:
+        if active.size == 0 or iterations == _MAX_NEWTON_STEPS:
             break
+        iterations += 1
         J = jac(pts[active])
         scale = np.maximum(np.abs(J).max(axis=(1, 2)), 1.0) ** d
         with np.errstate(over="ignore", invalid="ignore"):
@@ -172,35 +205,36 @@ def _newton_multistart(fun, jac, seeds, *, tol):
             det = np.where(bad, 0.0, np.linalg.det(np.where(np.isfinite(J), J, 0.0)))
             singular = bad | (np.abs(det) < _SINGULAR_DET * scale)
         dead[active[singular]] = True
+        drops["singular"] += int(singular.sum())
         active, J = active[~singular], J[~singular]
+        if active.size == 0:
+            continue
 
         step = np.linalg.solve(J, -F[active][..., None])[..., 0]
-        alpha = np.ones(active.size)
-        pending = np.ones(active.size, dtype=bool)
-        for _halving in range(_MAX_HALVINGS):
-            if not pending.any():
-                break
-            idx = active[pending]
-            trial = pts[idx] + alpha[pending, None] * step[pending]
-            Ft = fun(trial)
-            rt = np.abs(Ft).max(axis=1)
-            ok = np.isfinite(rt) & (rt < res[idx])
-            if ok.any():
-                tgt = idx[ok]
-                pts[tgt] = trial[ok]
-                F[tgt] = Ft[ok]
-                res[tgt] = rt[ok]
-                last_step[tgt] = np.abs(
-                    alpha[pending][ok, None] * step[pending][ok]
-                ).max(axis=1)
-                keep = pending.copy()
-                keep[np.flatnonzero(pending)[ok]] = False
-                pending = keep
-            alpha[pending] *= 0.5
-        dead[active[pending]] = True
+        trial = pts[active] + step
+        Ft = fun(trial)
+        rt = np.abs(Ft).max(axis=1)
+        ok = np.isfinite(rt) & (rt < res[active])
+        accept(active[ok], trial[ok], Ft[ok], rt[ok], step[ok])
+        if ok.all():
+            continue
 
-    done |= ~dead & (res <= tol) & (last_step <= _STEP_TOL)
-    return pts[done], int(done.sum())
+        # every halving of every seed the full step did not improve, at once
+        idx, step = active[~ok], step[~ok]
+        scaled = _ALPHAS[1:, None] * step[:, None, :]
+        trial = pts[idx][:, None, :] + scaled
+        Ft = fun(trial.reshape(-1, d)).reshape(trial.shape)
+        rt = np.abs(Ft).max(axis=2)
+        ok = np.isfinite(rt) & (rt < res[idx][:, None])
+        found = ok.any(axis=1)
+        rows = np.flatnonzero(found)
+        take = rows, ok[rows].argmax(axis=1)  # the first, longest, halving that descends
+        accept(idx[rows], trial[take], Ft[take], rt[take], scaled[take])
+        dead[idx[~found]] = True
+        drops["no_descent"] += int((~found).sum())
+
+    drops["max_steps"] = int((~done & ~dead).sum())
+    return _NewtonRun(pts[done], int(done.sum()), iterations, drops)
 
 
 def _deduplicate(points, residuals):
@@ -299,7 +333,8 @@ def find_fixed_points(
                 out[ok] = reduced_jacobian_at(full[ok], eliminate, op) - identity
             return out
 
-    roots, n_converged = _newton_multistart(fun, jac, seeds, tol=tol)
+    run = _newton_multistart(fun, jac, seeds, tol=tol)
+    roots = run.points
 
     if len(roots):
         residuals = np.abs(fun(roots)).max(axis=1)
@@ -330,7 +365,9 @@ def find_fixed_points(
                 attraction=attraction,
             )
         )
-    return FixedPointSearchResult(reports, n_seeds=n_seeds, n_converged=n_converged)
+    return FixedPointSearchResult(
+        reports, n_seeds, run.n_converged, iterations=run.iterations, drops=run.drops
+    )
 
 
 def format_float(value: float) -> str:

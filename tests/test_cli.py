@@ -72,6 +72,16 @@ def test_fixed_points_normalized(capsys):
     assert "moved closer" in root["note"]
 
 
+def test_fixed_points_reports_drops_by_reason(capsys):
+    code, out, _ = run_cli(capsys, "fixed-points", "--samples", "200")
+    assert code == 0
+    head = stanza_dict(out.split("\n\n")[0])
+    reasons = ("non_finite", "singular", "no_descent", "max_steps")
+    counts = [int(head[f"dropped_{r}"]) for r in reasons]
+    assert sum(counts) == int(head["dropped"]) == 200 - int(head["converged"])
+    assert 1 <= int(head["iterations"]) <= 200
+
+
 def test_fixed_points_deterministic(capsys):
     _, first, _ = run_cli(capsys, "fixed-points", "--samples", "200")
     _, second, _ = run_cli(capsys, "fixed-points", "--samples", "200")

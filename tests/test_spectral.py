@@ -1,5 +1,6 @@
 """Fixed point search and stability classification tests."""
 
+import functools
 import re
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 
 from gonosomal.normalized import sample_simplex
 from gonosomal.operator import GonosomalOperator, hemophilia_operator
+from gonosomal import spectral
 from gonosomal.spectral import (
     ATTRACTION_PROBES,
     ATTRACTION_RADIUS,
+    DROP_REASONS,
     Classification,
     FixedPointReport,
     _newton_multistart,
@@ -123,11 +126,166 @@ def test_raw_search_seed_box_and_validation():
 
 def test_newton_drops_a_seed_at_a_singular_jacobian():
     # f(x) = x² has Jacobian 0 at the seed: the seed dies there, unperturbed
-    roots, n_converged = _newton_multistart(
+    roots, n_converged, _, drops = _newton_multistart(
         lambda x: x**2, lambda x: 2.0 * x[..., None], np.zeros((1, 1)), tol=1e-10
     )
     assert n_converged == 0
     assert roots.shape == (0, 1)
+    assert drops == dict.fromkeys(DROP_REASONS, 0) | {"singular": 1}
+
+
+# ---------------------------------------------------------------------------
+# Newton line search against the sequential-halving reference
+# ---------------------------------------------------------------------------
+
+
+def _sequential_halving_newton(fun, jac, seeds, *, tol):
+    """Reference solver: the one-halving-per-call damped Newton that the
+    batched line search replaced, kept as an oracle with its constants
+    inlined."""
+    max_newton_steps, step_tol, singular_det, max_halvings = 200, 1e-12, 1e-14, 40
+    pts = np.array(seeds, dtype=float)
+    k, d = pts.shape
+    F = fun(pts)
+    res = np.abs(F).max(axis=1)
+    res = np.where(np.isfinite(res), res, np.inf)
+    last_step = np.full(k, np.inf)
+    done = np.zeros(k, dtype=bool)
+    dead = np.isinf(res)
+
+    for _ in range(max_newton_steps):
+        done |= ~dead & (res <= tol) & (last_step <= step_tol)
+        active = np.flatnonzero(~done & ~dead)
+        if active.size == 0:
+            break
+        J = jac(pts[active])
+        scale = np.maximum(np.abs(J).max(axis=(1, 2)), 1.0) ** d
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.isfinite(J).all(axis=(1, 2))
+            det = np.where(bad, 0.0, np.linalg.det(np.where(np.isfinite(J), J, 0.0)))
+            singular = bad | (np.abs(det) < singular_det * scale)
+        dead[active[singular]] = True
+        active, J = active[~singular], J[~singular]
+
+        step = np.linalg.solve(J, -F[active][..., None])[..., 0]
+        alpha = np.ones(active.size)
+        pending = np.ones(active.size, dtype=bool)
+        for _halving in range(max_halvings):
+            if not pending.any():
+                break
+            idx = active[pending]
+            trial = pts[idx] + alpha[pending, None] * step[pending]
+            Ft = fun(trial)
+            rt = np.abs(Ft).max(axis=1)
+            ok = np.isfinite(rt) & (rt < res[idx])
+            if ok.any():
+                tgt = idx[ok]
+                pts[tgt] = trial[ok]
+                F[tgt] = Ft[ok]
+                res[tgt] = rt[ok]
+                last_step[tgt] = np.abs(
+                    alpha[pending][ok, None] * step[pending][ok]
+                ).max(axis=1)
+                keep = pending.copy()
+                keep[np.flatnonzero(pending)[ok]] = False
+                pending = keep
+            alpha[pending] *= 0.5
+        dead[active[pending]] = True
+
+    done |= ~dead & (res <= tol) & (last_step <= step_tol)
+    return pts[done], int(done.sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _hemophilia_search(mode, n_seeds, rng_seed):
+    """One hemophilia search with the solver's own inputs and output, the
+    number of ``fun`` calls it made, and the reference solver's answer on
+    the same ``fun``, ``jac`` and seeds."""
+    real = spectral._newton_multistart
+    seen = {}
+
+    def spy(fun, jac, seeds, *, tol):
+        seen["calls"] = 0
+
+        def counted(x):
+            seen["calls"] += 1
+            return fun(x)
+
+        seen["run"] = real(counted, jac, seeds, tol=tol)
+        seen["reference"] = _sequential_halving_newton(fun, jac, seeds, tol=tol)
+        return seen["run"]
+
+    spectral._newton_multistart = spy
+    try:
+        found = find_fixed_points(OP, mode=mode, n_seeds=n_seeds, rng_seed=rng_seed)
+    finally:
+        spectral._newton_multistart = real
+    return found, seen
+
+
+SEARCHES = [
+    pytest.param(mode, n_seeds, rng_seed, id=f"{mode}-{rng_seed}")
+    for mode, n_seeds in (("raw", 1000), ("normalized", 400))
+    for rng_seed in (0, 42, 73411)
+]
+
+
+@pytest.mark.parametrize("mode, n_seeds, rng_seed", SEARCHES)
+def test_newton_matches_sequential_halving_on_hemophilia(mode, n_seeds, rng_seed):
+    found, seen = _hemophilia_search(mode, n_seeds, rng_seed)
+    points, n_converged = seen["reference"]
+    assert seen["run"].n_converged == found.n_converged == n_converged
+    assert seen["run"].points.shape == points.shape
+    assert seen["run"].points.tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("mode, n_seeds, rng_seed", SEARCHES)
+def test_newton_makes_at_most_two_calls_per_iteration(mode, n_seeds, rng_seed):
+    # one call for the starting residuals, then the full steps and the
+    # halvings of the seeds the full step did not improve
+    found, seen = _hemophilia_search(mode, n_seeds, rng_seed)
+    assert 1 <= found.iterations <= 200
+    assert seen["calls"] <= 1 + 2 * found.iterations
+
+
+@pytest.mark.parametrize(
+    "mode, n_seeds, converged, iterations, drops",
+    [
+        ("raw", 1000, 874, 200, (0, 0, 54, 72)),
+        ("normalized", 400, 371, 96, (0, 5, 24, 0)),
+    ],
+    ids=["raw", "normalized"],
+)
+def test_search_reports_iterations_and_drops_by_reason(
+    mode, n_seeds, converged, iterations, drops
+):
+    found, _ = _hemophilia_search(mode, n_seeds, 73411)
+    assert found.n_converged == converged
+    assert found.iterations == iterations
+    assert found.drops == dict(zip(DROP_REASONS, drops))
+    assert sum(found.drops.values()) == found.n_dropped
+
+
+def test_newton_matches_sequential_halving_when_the_full_step_overshoots():
+    # Newton on arctan overshoots for |x| > 1.39; from x = 3 neither the full
+    # nor the half step lowers |arctan|, so the seed takes a later halving
+    x = 3.0
+    step = -np.arctan(x) * (1.0 + x * x)
+    assert abs(np.arctan(x + step)) >= np.arctan(x)
+    assert abs(np.arctan(x + 0.5 * step)) >= np.arctan(x)
+
+    def fun(s):
+        return np.arctan(s)
+
+    def jac(s):
+        return (1.0 / (1.0 + s * s))[..., None]
+
+    seeds = np.array([[3.0], [-2.5], [10.0], [-40.0], [1.0], [0.25]])
+    run = _newton_multistart(fun, jac, seeds, tol=1e-10)
+    points, n_converged = _sequential_halving_newton(fun, jac, seeds, tol=1e-10)
+    assert run.n_converged == n_converged >= 1
+    assert run.points.tobytes() == points.tobytes()
+    assert sum(run.drops.values()) == len(seeds) - n_converged
 
 
 # ---------------------------------------------------------------------------

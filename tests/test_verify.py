@@ -7,7 +7,13 @@ import pytest
 
 from gonosomal import spectral, verify
 from gonosomal.operator import GonosomalOperator, hemophilia_operator, hemophilia_tensor
-from gonosomal.spectral import FixedPointSearchResult
+from gonosomal.spectral import DROP_REASONS, FixedPointSearchResult
+
+
+def _rootless(n_seeds):
+    # a search whose every seed had a non-finite starting residual
+    drops = dict.fromkeys(DROP_REASONS, 0) | {"non_finite": n_seeds}
+    return FixedPointSearchResult([], n_seeds, 0, iterations=0, drops=drops)
 
 
 def test_run_battery_runs_the_attraction_probe_once(monkeypatch):
@@ -30,7 +36,7 @@ def test_run_battery_runs_the_attraction_probe_once(monkeypatch):
 
 
 def test_local_attraction_fails_plainly_without_a_unique_root():
-    none = FixedPointSearchResult([], n_seeds=400, n_converged=0)
+    none = _rootless(400)
     result = verify._check_local_attraction(None, none, np.random.default_rng(0))
     assert not result.ok
     assert result.detail == "no unique probed root (0 roots)"
@@ -46,7 +52,7 @@ def test_every_hemophilia_operator_gets_the_full_battery(monkeypatch, op):
     # since only the check names matter here
     monkeypatch.setattr(
         verify, "find_fixed_points",
-        lambda op, mode, n_seeds, rng_seed: FixedPointSearchResult([], n_seeds, 0),
+        lambda op, mode, n_seeds, rng_seed: _rootless(n_seeds),
     )
     names = [r.name for r in verify.run_battery(op, samples=50)]
     assert len(names) == 19
