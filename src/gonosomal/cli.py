@@ -2,9 +2,10 @@
 
 Five subcommands: ``fixed-points`` (multistart Newton search with
 stability reports), ``trajectory`` (orbit of one state as a CSV table),
-``classify`` (limit verdict for one state, optionally cross-checked by
-actual iteration), ``verify`` (the named check battery), and ``scan``
-(Monte Carlo convergence scan of the normalized dynamics).
+``classify`` (limit verdict for one state from the sign of its escape
+series, with the sum, forward steps and terms it took, optionally
+cross-checked by actual iteration), ``verify`` (the named check battery),
+and ``scan`` (Monte Carlo convergence scan of the normalized dynamics).
 
 Reports are flat key=value lines in blank-line-separated stanzas; tables
 are CSV with a header row.  All floating point output uses repr-exact
@@ -134,21 +135,16 @@ def cmd_trajectory(args) -> int:
 
 def cmd_classify(args) -> int:
     s0 = _parse_state(args.state, 4)
-    verdict = classify_limit(s0, probe_budget=args.budget)
+    verdict = classify_limit(s0)
+    escape_sum = "none" if verdict.escape_sum is None else format_float(verdict.escape_sum)
     lines = [
         "command=classify",
         f"state={_fmt_state(s0)}",
         f"kind={verdict.kind.value}",
+        f"escape_sum={escape_sum}",
+        f"forward_steps={verdict.forward_steps}",
+        f"terms={verdict.terms}",
     ]
-    if verdict.rule is not None:
-        lines.append(f"rule={verdict.rule}")
-    if verdict.witness_step is not None:
-        lines.append(f"witness_step={verdict.witness_step}")
-    if verdict.witness_ratio is not None:
-        name, value = verdict.witness_ratio
-        lines.append(f"witness_ratio={name}={format_float(value)}")
-    if verdict.forwarded is not None:
-        lines.append(f"forwarded={_fmt_state(verdict.forwarded)}")
     text = "\n".join(lines)
     code = 0
     if args.empirical:
@@ -259,9 +255,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("classify", help="limit verdict for one start state")
+    # no abbreviations: --budget must not be read as --budget-iterate
+    p = sub.add_parser(
+        "classify",
+        help="limit verdict for one start state, from its escape series",
+        allow_abbrev=False,
+    )
     p.add_argument("--state", required=True, help="comma-separated start state")
-    p.add_argument("--budget", type=int, default=100, help="boundary probe budget")
     p.add_argument(
         "--empirical",
         action="store_true",

@@ -7,13 +7,28 @@ plane y = v = 0 and its balanced diagonal x = u are invariant, the
 nonnegative orthant is invariant, a coordinate-sum cap of a contracts to
 a²/4, and the sign-pattern sets (all coordinates nonpositive, or one block
 nonpositive and the other nonnegative) feed into the nonnegative orthant
-after one or two steps.
+after one or two steps.  :func:`membership` tests one state against them
+and :func:`verify_invariance` rechecks every clause on random states.
 
-Those facts drive :func:`classify_limit`, which decides the trajectory
-limit from the starting state alone wherever the set structure determines
-it, and says so when it does not.  :func:`verify_invariance` is the
-matching sampling battery that rechecks every invariance clause on random
-states.
+:func:`classify_limit` decides the trajectory limit from one series.  Let
+s be nonnegative with block sums fs, ms > 0, T the normalized map and
+t_k = T^k(s).  The raw map is homogeneous of degree two and its image has
+total mass fs·ms, so the orbit is s_n = c_n·t_n with c_1 = fs·ms and
+c_(n+1) = c_n²·g(t_n), where g = fs·ms of t_n.  With d_n = log(c_n / 4)
+this reads d_(n+1) = 2·d_n + log(4·g(t_n)), hence d_n = 2^(n-1)·Λ_n with
+
+    Λ_n = log(fs·ms / 4) + Σ_(k=1)^(n-1) 2^-k·log(4·g(t_k)).
+
+If Λ = lim Λ_n is negative then c_n -> 0 and the orbit goes to the origin
+(Zero); if it is positive then c_n -> ∞ (Infinity); if it is zero then
+c_n -> 4 and, as t_n -> (1/2, 0, 1/2, 0), the orbit goes to (2, 0, 2, 0)
+(Equilibrium).  Every t_k with k >= 1 is in the image of the simplex, where
+the female mass fs is in [1/3, 1/2] (the lemma of
+:func:`~gonosomal.normalized.check_estimates`).  So 4·g = 4·fs·(1 - fs) is
+in [8/9, 1] and every term is in [-log(9/8), 0]: a partial sum after K
+terms is an upper bound on Λ, and exceeds it by at most 2^-K·log(9/8).
+Since Λ(W(s)) = 2·Λ(s), a signed state that some raw step makes
+nonnegative has the verdict of that image.
 """
 
 from __future__ import annotations
@@ -70,17 +85,6 @@ class SetMembership:
         """Nonnegative with block-sum product below 4: the origin's basin."""
         x, y, u, v = self.state.tolist()
         return self.nonnegative and (x + y) * (u + v) < 4.0
-
-    @property
-    def escape_ratios(self) -> dict[str, float]:
-        x, y, u, v = self.state.tolist()
-        return {"xu/4": x * u / 4.0, "yu/16": y * u / 16.0, "yv/9": y * v / 9.0}
-
-    @property
-    def escaping(self) -> bool:
-        """Nonnegative, coordinate sum above 4, and some escape ratio above 1."""
-        q = self.q_level
-        return q is not None and q > 4.0 and max(self.escape_ratios.values()) > 1.0
 
 
 def membership(state) -> SetMembership:
@@ -145,117 +149,90 @@ class LimitKind(enum.Enum):
 class LimitVerdict:
     """Outcome of :func:`classify_limit`.
 
-    ``rule`` names the clause that decided (None when undecided);
-    ``witness_step`` is the probe step that settled a boundary case;
-    ``witness_ratio`` is the escape certificate (name, value) for a
-    divergence verdict; ``forwarded`` is the iterate actually classified
-    when a sign-pattern clause first pushed the state forward.
+    ``escape_sum`` is the last partial sum of the escape series of the
+    state reached by the forward steps: -inf when an exact zero block sends
+    it to the origin, None when it was still signed after the forward cap.
+    ``forward_steps`` counts the raw steps taken to make the state
+    nonnegative, and ``terms`` the series terms summed after log(fs·ms/4).
     """
 
     kind: LimitKind
-    rule: str | None = None
-    witness_step: int | None = None
-    witness_ratio: tuple[str, float] | None = None
-    forwarded: np.ndarray | None = None
+    escape_sum: float | None = None
+    forward_steps: int = 0
+    terms: int = 0
 
 
-def _carrier_free_verdict(s) -> LimitVerdict:
-    """The product trichotomy of the carrier-free plane, for either sign."""
-    q = abs(s[0] * s[2])
-    if abs(q - 4.0) <= MEMBERSHIP_TOL:
-        return LimitVerdict(kind=LimitKind.EQUILIBRIUM, rule="carrier-free |xu| = 4")
-    if q < 4.0:
-        return LimitVerdict(kind=LimitKind.ZERO, rule="carrier-free |xu| < 4")
-    return LimitVerdict(kind=LimitKind.INFINITY, rule="carrier-free |xu| > 4")
+# Raw steps a signed state may take to become nonnegative, and series terms
+# summed before the verdict is left Undecided.
+_MAX_FORWARD = 64
+_MAX_TERMS = 64
+# On the image of the simplex the female mass is in [1/3, 1/2], so every
+# term log(4 g) lies in [-log(9/8), 0].
+_LOG_9_8 = math.log(9.0 / 8.0)
+_LOG4 = math.log(4.0)
+# The hemophilia pair matrix R as one column per output coordinate.
+_COLUMNS = hemophilia_operator().pair_matrix.T.tolist()
 
 
-def _classify_nonnegative(s, m, op, probe_budget) -> LimitVerdict | None:
-    """Clauses for states already known nonnegative (or annihilated)."""
-    if m.annihilated:
-        return LimitVerdict(kind=LimitKind.ZERO, rule="annihilated")
-    if m.subcritical:
-        return LimitVerdict(kind=LimitKind.ZERO, rule="subcritical")
-    if m.carrier_free:
-        return _carrier_free_verdict(s)
-    if m.escaping:
-        name, value = max(m.escape_ratios.items(), key=lambda kv: kv[1])
-        return LimitVerdict(
-            kind=LimitKind.INFINITY, rule="escaping", witness_ratio=(name, value)
-        )
-    if m.q_level is not None and m.q_level <= 4.0 + MEMBERSHIP_TOL:
-        # Sum at most 4 but not subcritical forces block sums (2, 2) with
-        # carriers present; probe until mixing pulls the product below 4.
-        t = s
-        for k in range(1, probe_budget + 1):
-            t = op.apply_raw(t)
-            mt = membership(t)
-            if mt.subcritical or mt.annihilated:
-                return LimitVerdict(
-                    kind=LimitKind.ZERO, rule="boundary-mixing", witness_step=k
-                )
-            if mt.carrier_free and max(abs(t[0] - 2.0), abs(t[2] - 2.0)) <= MEMBERSHIP_TOL:
-                return LimitVerdict(
-                    kind=LimitKind.EQUILIBRIUM,
-                    rule="boundary-equilibrium",
-                    witness_step=k,
-                )
-        return LimitVerdict(kind=LimitKind.UNDECIDED, rule="boundary-probe-exhausted")
-    return None
+def _raw_step(x, y, u, v):
+    """The pair-product kernel W(s) = (x ⊗ y)·R on Python floats; the rows
+    of R are the pairs xu, xv, yu, yv."""
+    xu, xv, yu, yv = x * u, x * v, y * u, y * v
+    return [xu * a + xv * b + yu * c + yv * d for a, b, c, d in _COLUMNS]
 
 
-def classify_limit(state, probe_budget: int = 100) -> LimitVerdict:
-    """Decide the trajectory limit of the raw hemophilia dynamics, if the
-    invariant-set structure determines it from the start alone.
+def classify_limit(state) -> LimitVerdict:
+    """Decide the trajectory limit of the raw hemophilia dynamics from the
+    sign of its escape series Λ (see the module docstring).
 
-    Nonnegative states are decided by the basin clauses directly; states
-    with a nonpositive sign pattern are advanced the one or two steps that
-    provably land them in the nonnegative orthant and classified there.
-    States outside every characterized region come back Undecided rather
-    than guessed.  A state with a non-finite coordinate raises ValueError.
+    A state with a negative coordinate is first stepped with the
+    pair-product kernel, on Python floats, until it is nonnegative, for at
+    most ``_MAX_FORWARD`` steps.  The state is kept as w·e^L with sup norm
+    |w| = 1 (L -> 2L + log|W(w)| per step), so huge starts and images never
+    overflow.  A state with an exactly zero block maps to the origin: Zero,
+    with sum -inf.  Then the partial sums of Λ decide Zero once below
+    -band and Infinity once above 2^-K·log(9/8) + band, where the band
+    1e-12·(1 + 2|L|) bounds the rounding of a sum that starts from 2L.
+    Equilibrium is claimed only on a carrier-free state (y = v = 0
+    exactly), whose normalized image is exactly (1/2, 0, 1/2, 0) so that
+    every later term is exactly 0, with |Λ| within the band.  Anything else
+    still inside the band after ``_MAX_TERMS`` terms comes back Undecided.
+    A state with a non-finite coordinate raises ValueError.
     """
-    op = hemophilia_operator()
-    m = membership(state)
-    s = m.state
+    x, y, u, v = membership(state).state.tolist()
+    log_scale = 0.0
+    for steps in range(_MAX_FORWARD + 1):
+        if steps:
+            x, y, u, v = _raw_step(x, y, u, v)
+        top = max(abs(x), abs(y), abs(u), abs(v)) or 1.0
+        x, y, u, v = x / top, y / top, u / top, v / top
+        log_scale = 2.0 * log_scale + math.log(top)
+        if not (x or y) or not (u or v):
+            return LimitVerdict(kind=LimitKind.ZERO, escape_sum=-math.inf, forward_steps=steps)
+        if min(x, y, u, v) >= 0.0:
+            break
+    else:
+        return LimitVerdict(kind=LimitKind.UNDECIDED, forward_steps=_MAX_FORWARD)
 
-    if m.annihilated:
-        return LimitVerdict(kind=LimitKind.ZERO, rule="annihilated")
-    if m.nonnegative:
-        verdict = _classify_nonnegative(s, m, op, probe_budget)
-        if verdict is not None:
-            return verdict
-        return LimitVerdict(kind=LimitKind.UNDECIDED)
-    if m.carrier_free:
-        # signed carrier-free states obey the same product trichotomy
-        return _carrier_free_verdict(s)
-
-    label = None
-    if m.nonpositive:
-        label, steps = "nonpositive", 1
-    elif m.female_nonpositive:
-        label, steps = "female-nonpositive", 2
-    elif m.male_nonpositive:
-        label, steps = "male-nonpositive", 2
-    if label is not None:
-        t = s
-        for _ in range(steps):
-            t = op.apply_raw(t)
-        # a finite state of huge magnitude can overflow on the way
-        mt = membership(t) if np.isfinite(t).all() else None
-        if mt is None or not mt.nonnegative:
-            return LimitVerdict(kind=LimitKind.UNDECIDED, rule=f"{label}-forwarding-failed")
-        inner = _classify_nonnegative(t, mt, op, probe_budget)
-        if inner is None or inner.kind is LimitKind.UNDECIDED:
+    fs, ms = x + y, u + v
+    total = 2.0 * log_scale + math.log(fs) + math.log(ms) - _LOG4
+    band = 1e-12 * (1.0 + 2.0 * abs(log_scale))
+    if y == 0.0 and v == 0.0 and abs(total) <= band:
+        return LimitVerdict(kind=LimitKind.EQUILIBRIUM, escape_sum=total, forward_steps=steps)
+    weight, terms = 1.0, 0
+    while -band <= total <= weight * _LOG_9_8 + band:
+        if terms == _MAX_TERMS:
             return LimitVerdict(
-                kind=LimitKind.UNDECIDED, rule=f"{label}->undecided", forwarded=t
+                kind=LimitKind.UNDECIDED, escape_sum=total, forward_steps=steps, terms=terms
             )
-        return LimitVerdict(
-            kind=inner.kind,
-            rule=f"{label}->{inner.rule}",
-            witness_step=inner.witness_step,
-            witness_ratio=inner.witness_ratio,
-            forwarded=t,
-        )
-    return LimitVerdict(kind=LimitKind.UNDECIDED)
+        # the normalized map T(s) = W(x/fs, y/ms): no product of block sums to underflow
+        x, y, u, v = _raw_step(x / fs, y / fs, u / ms, v / ms)
+        fs, ms = x + y, u + v
+        weight *= 0.5
+        total += weight * math.log(4.0 * fs * ms)
+        terms += 1
+    kind = LimitKind.ZERO if total < 0.0 else LimitKind.INFINITY
+    return LimitVerdict(kind=kind, escape_sum=total, forward_steps=steps, terms=terms)
 
 
 # ---------------------------------------------------------------------------

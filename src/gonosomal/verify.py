@@ -342,13 +342,13 @@ def _check_classifier_mc(op: GonosomalOperator, rng, samples: int) -> CheckResul
     def subcritical(r, c):
         return r.uniform(0.0, 2.0, size=(c, 4))
 
-    def escaping(r, c):
+    def large(r, c):
         return r.uniform(0.0, 6.0, size=(c, 4))
 
     def is_sub(b):
         return (b[:, 0] + b[:, 1]) * (b[:, 2] + b[:, 3]) < 4.0
 
-    def is_esc(b):
+    def is_large(b):
         ratios = np.stack(
             [b[:, 0] * b[:, 2] / 4.0, b[:, 1] * b[:, 2] / 16.0, b[:, 1] * b[:, 3] / 9.0]
         )
@@ -356,7 +356,7 @@ def _check_classifier_mc(op: GonosomalOperator, rng, samples: int) -> CheckResul
 
     blocks = [
         _refill(rng, subcritical, is_sub, per),
-        _refill(rng, escaping, is_esc, per),
+        _refill(rng, large, is_large, per),
         -rng.uniform(0.0, 4.0, size=(per, 4)),
     ]
     mixed = rng.uniform(0.0, 4.0, size=(per, 4))

@@ -158,7 +158,9 @@ def test_criterion_05_limit_classifier_soundness():
         if verdict.kind is seen:
             agreed += 1
         elif len(mismatches) < 3:
-            mismatches.append(f"{row} classified {verdict.kind.value} ({verdict.rule})")
+            mismatches.append(
+                f"{row} classified {verdict.kind.value} (escape_sum={verdict.escape_sum})"
+            )
     print(
         f"criterion 5: {agreed}/{decided} decided verdicts agree with iteration; "
         f"undecided rate {undecided / len(batch):.2%} ({undecided}/{len(batch)})"

@@ -163,17 +163,19 @@ def test_classify_subcritical(capsys):
     assert code == 0
     info = stanza_dict(out)
     assert info["kind"] == "Zero"
-    assert info["rule"] == "subcritical"
+    assert info["escape_sum"] == "-1.3862943611198906"  # log(1/4)
+    assert info["forward_steps"] == "0" and info["terms"] == "0"
 
 
 def test_classify_boundary_mixing(capsys):
-    # block-sum product exactly 4: decided by probing one image forward
+    # block-sum product exactly 4: the first series term, from the carriers,
+    # pulls the sum below zero
     code, out, _ = run_cli(capsys, "classify", "--state", "1,1,1,1")
     assert code == 0
     info = stanza_dict(out)
     assert info["kind"] == "Zero"
-    assert info["rule"] == "boundary-mixing"
-    assert info["witness_step"] == "1"
+    assert float(info["escape_sum"]) < 0.0
+    assert info["forward_steps"] == "0" and info["terms"] == "1"
 
 
 def test_classify_escaping_witness(capsys):
@@ -181,8 +183,8 @@ def test_classify_escaping_witness(capsys):
     assert code == 0
     info = stanza_dict(out)
     assert info["kind"] == "Infinity"
-    assert info["rule"] == "escaping"
-    assert info["witness_ratio"] == "xu/4=2.25"
+    assert info["escape_sum"] == "1.3862943611198906"  # log(16/4), above log(9/8)
+    assert info["forward_steps"] == "0" and info["terms"] == "0"
 
 
 def test_classify_divergent_with_empirical(capsys):
@@ -214,7 +216,7 @@ def test_classify_zero_with_empirical(capsys):
 
 
 def test_classify_undecided_with_empirical_has_no_agreement(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--state=-1,2,3,-4", "--empirical")
+    code, out, _ = run_cli(capsys, "classify", f"--state={STILL_SIGNED}", "--empirical")
     assert code == 0
     first, second = out.strip().split("\n\n")
     assert stanza_dict(first)["kind"] == "Undecided"
@@ -228,8 +230,8 @@ def test_classify_sign_forwarding(capsys):
     assert code == 0
     info = stanza_dict(out)
     assert info["kind"] == "Zero"
-    assert info["rule"].startswith("nonpositive->")
-    assert "forwarded" in info
+    assert info["forward_steps"] == "1"
+    assert float(info["escape_sum"]) < 0.0
 
 
 @pytest.mark.parametrize("state", ["nan,0,1,0", "inf,0,0,0", "1,0,-inf,0"])
@@ -239,11 +241,39 @@ def test_classify_rejects_non_finite_state(capsys, state):
     assert err.startswith("error:") and "finite" in err
 
 
+# a mixed-sign start that is still mixed-sign after the forward cap of 64 steps
+STILL_SIGNED = "-2.8211426363159307,1.3599015298514754,0.7684185564834212,0.8653637246648396"
+
+
 def test_classify_undecided(capsys):
-    # mixed-sign state outside every certified family
-    code, out, _ = run_cli(capsys, "classify", "--state", "2,-1,1,3")
+    code, out, _ = run_cli(capsys, "classify", f"--state={STILL_SIGNED}")
     assert code == 0
-    assert stanza_dict(out)["kind"] == "Undecided"
+    info = stanza_dict(out)
+    assert info["kind"] == "Undecided"
+    assert info["escape_sum"] == "none"
+    assert info["forward_steps"] == "64" and info["terms"] == "0"
+
+
+def test_classify_output_bytes(capsys):
+    # forwarded three steps, then decided by the first partial sum
+    expected = (
+        "command=classify\n"
+        "state=-1,2,3,-4\n"
+        "kind=Zero\n"
+        "escape_sum=-3.9585718526940736\n"
+        "forward_steps=3\n"
+        "terms=0\n"
+    )
+    for _ in range(2):
+        assert run_cli(capsys, "classify", "--state=-1,2,3,-4") == (0, expected, "")
+
+
+def test_classify_has_no_budget_option(capsys):
+    # classify takes no --budget, and does not read it as --budget-iterate
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--state", "1,1,1,1", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gonosomal.invariant_sets import (
     membership,
     verify_invariance,
 )
-from gonosomal.operator import GonosomalOperator, hemophilia_operator
+from gonosomal.operator import GonosomalOperator, StopReason, hemophilia_operator
 from gonosomal.verify import empirical_limits, random_tensor
 
 OP = hemophilia_operator()
@@ -48,15 +48,11 @@ def test_membership_tolerance():
     assert membership([-1e-13, 0.5, 0.5, 0.5]).nonnegative
 
 
-def test_subcritical_and_escaping():
+def test_subcritical_membership():
     assert membership([0.5, 0.5, 0.5, 0.5]).subcritical
     assert not membership([1.0, 1.0, 1.0, 1.0]).subcritical  # product exactly 4
     assert not membership([-0.1, 0.0, 0.1, 0.0]).subcritical  # not nonnegative
-    m = membership([6.0, 0.1, 6.0, 0.1])
-    assert m.escaping
-    assert m.escape_ratios["xu/4"] == pytest.approx(9.0)
-    # large sum but every certifying product vanishes
-    assert not membership([5.0, 0.0, 0.0, 5.0]).escaping
+    assert not membership([6.0, 0.1, 6.0, 0.1]).subcritical
 
 
 def test_membership_rejects_batches_and_wrong_arity():
@@ -72,11 +68,6 @@ def _reference_membership(state, tol=MEMBERSHIP_TOL):
     x, y, u, v = s
     nonneg = s.min() >= -tol
     carrier_free = abs(y) <= tol and abs(v) <= tol
-    ratios = {
-        "xu/4": float(x * u / 4.0),
-        "yu/16": float(y * u / 16.0),
-        "yv/9": float(y * v / 9.0),
-    }
     return dict(
         annihilated=max(abs(x), abs(y)) <= tol or max(abs(u), abs(v)) <= tol,
         carrier_free=carrier_free,
@@ -86,8 +77,7 @@ def _reference_membership(state, tol=MEMBERSHIP_TOL):
         female_nonpositive=max(x, y) <= tol and min(u, v) >= -tol,
         male_nonpositive=max(u, v) <= tol and min(x, y) >= -tol,
         subcritical=nonneg and (x + y) * (u + v) < 4.0,
-        escaping=nonneg and s.sum() > 4.0 and max(ratios.values()) > 1.0,
-    ), float(s.sum()) if nonneg else None, ratios
+    ), float(s.sum()) if nonneg else None
 
 
 _TOL = MEMBERSHIP_TOL
@@ -105,7 +95,7 @@ edge_or_uniform = st.one_of(st.sampled_from(_EDGE), st.floats(-5.0, 5.0))
 @example((2.0**-53, 2.0**-53, 1.0, 0.0))
 def test_membership_matches_numpy_scalar_reference(state):
     m = membership(state)
-    flags, q_level, ratios = _reference_membership(state)
+    flags, q_level = _reference_membership(state)
     assert m.state.tobytes() == np.asarray(state, dtype=float).tobytes()
     for name, expected in flags.items():
         got = getattr(m, name)
@@ -114,9 +104,6 @@ def test_membership_matches_numpy_scalar_reference(state):
         assert m.q_level is None
     else:
         assert m.q_level.hex() == q_level.hex() == float(m.state.sum()).hex()
-    assert m.escape_ratios.keys() == ratios.keys()
-    for name, expected in ratios.items():
-        assert m.escape_ratios[name].hex() == expected.hex(), name
 
 
 @pytest.mark.parametrize(
@@ -132,12 +119,17 @@ def test_non_finite_states_are_rejected_not_classified(state):
         classify_limit(state)
 
 
-def test_forwarding_overflow_is_undecided():
-    # finite, but its first image overflows: no set clause can place it
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = classify_limit([-1e200, -1e200, -1e200, -1e200])
-    assert v.kind is LimitKind.UNDECIDED
-    assert v.rule == "nonpositive-forwarding-failed"
+def test_huge_start_is_prescaled_not_overflowed():
+    # its first image overflows in plain floats; scaled by its sup norm, it
+    # is one step from the nonnegative image of (1, 1, 1, 1) at scale 1e400
+    start = [-1e200, -1e200, -1e200, -1e200]
+    v = classify_limit(start)
+    assert v.kind is LimitKind.INFINITY
+    assert v.forward_steps == 1 and v.terms == 0
+    image = OP.apply_raw([1.0, 1.0, 1.0, 1.0])
+    first = np.log(image[:2].sum() * image[2:].sum() / 4.0)
+    assert v.escape_sum == pytest.approx(4.0 * np.log(1e200) + first, rel=1e-12)
+    assert OP.iterate(start).stop_reason is StopReason.DIVERGED
 
 
 # ---------------------------------------------------------------------------
@@ -192,54 +184,79 @@ def test_trichotomy_on_the_carrier_free_plane():
 
 
 def test_annihilated_and_subcritical_rules():
-    assert classify_limit([0.0, 0.0, 3.0, 3.0]).rule == "annihilated"
+    # an exactly zero block maps to the origin: the sum is log 0
+    v = classify_limit([0.0, 0.0, 3.0, 3.0])
+    assert v.kind is LimitKind.ZERO and v.escape_sum == -np.inf
+    assert classify_limit([0.0, 0.0, -3.0, 3.0]).escape_sum == -np.inf
+    # block-sum product below 4: the first partial sum is already negative
     v = classify_limit([0.5, 0.5, 0.5, 0.5])
-    assert v.kind is LimitKind.ZERO and v.rule == "subcritical"
+    assert v.kind is LimitKind.ZERO
+    assert v.escape_sum == pytest.approx(np.log(1.0 / 4.0)) and v.terms == 0
+    # a block within the set tolerance of zero is not annihilated: the
+    # other block is huge, and the orbit escapes
+    start = [1e-13, 0.0, 1e20, 0.0]
+    assert classify_limit(start).kind is LimitKind.INFINITY
+    assert OP.iterate(start).stop_reason is StopReason.DIVERGED
 
 
-def test_boundary_mixing_probe():
+def test_block_sum_product_four_is_zero_from_the_series():
+    # log(fs·ms/4) = 0, and the first term is negative since carriers are present
     v = classify_limit([1.0, 1.0, 1.0, 1.0])
     assert v.kind is LimitKind.ZERO
-    assert v.rule == "boundary-mixing"
-    assert v.witness_step == 1
+    assert v.forward_steps == 0 and v.terms == 1
+    t = OP.apply_normalized([1.0, 1.0, 1.0, 1.0])
+    assert v.escape_sum == pytest.approx(0.5 * np.log(4.0 * t[:2].sum() * t[2:].sum()))
+    assert v.escape_sum < 0.0
 
 
 def test_pair_point_is_boundary_equilibrium():
     v = classify_limit([2.0, 0.0, 2.0, 0.0])
     assert v.kind is LimitKind.EQUILIBRIUM
+    assert v.escape_sum == 0.0 and v.forward_steps == 0 and v.terms == 0
 
 
 def test_escaping_certificate():
+    # the first partial sum exceeds every possible tail, log(9/8)
     v = classify_limit([6.0, 0.1, 6.0, 0.1])
     assert v.kind is LimitKind.INFINITY
-    assert v.rule == "escaping"
-    name, value = v.witness_ratio
-    assert name == "xu/4" and value == pytest.approx(9.0)
+    assert v.escape_sum == pytest.approx(np.log(6.1 * 6.1 / 4.0))
+    assert v.escape_sum > np.log(9.0 / 8.0) and v.terms == 0
 
 
 def test_sign_pattern_forwarding():
-    v = classify_limit([-1.0, -1.0, -1.0, -1.0])
-    assert v.kind is LimitKind.ZERO
-    assert v.rule == "nonpositive->subcritical"
-    assert v.forwarded is not None and v.forwarded.min() >= 0.0
+    for state, steps in [
+        ([-1.0, -1.0, -1.0, -1.0], 1),
+        ([-1.0, -1.0, 1.0, 1.0], 2),
+        ([1.0, 1.0, -1.0, -1.0], 2),
+    ]:
+        v = classify_limit(state)
+        assert v.kind is LimitKind.ZERO, state
+        assert v.forward_steps == steps and v.escape_sum < 0.0, state
 
-    v = classify_limit([-1.0, -1.0, 1.0, 1.0])
-    assert v.kind is LimitKind.ZERO
-    assert v.rule == "female-nonpositive->subcritical"
-
-    v = classify_limit([1.0, 1.0, -1.0, -1.0])
-    assert v.kind is LimitKind.ZERO
-    assert v.rule == "male-nonpositive->subcritical"
+    # the sum doubles with each step: Λ(W(s)) = 2·Λ(s)
+    once = classify_limit([-1.0, -1.0, -1.0, -1.0])
+    assert once.escape_sum == pytest.approx(2.0 * classify_limit([1.0, 1.0, 1.0, 1.0]).escape_sum)
 
     v = classify_limit([-6.0, -0.1, -6.0, -0.1])
     assert v.kind is LimitKind.INFINITY
-    assert v.rule == "nonpositive->escaping"
+    assert v.forward_steps == 1 and v.escape_sum > 0.0
 
 
-def test_uncharacterized_states_are_undecided():
+# a mixed-sign start that is still mixed-sign after the forward cap of 64 steps
+STILL_SIGNED = [
+    -2.8211426363159307, 1.3599015298514754, 0.7684185564834212, 0.8653637246648396,
+]
+
+
+def test_mixed_sign_state_is_forwarded_then_summed():
     v = classify_limit([-1.0, 2.0, 3.0, -4.0])
+    assert v.kind is LimitKind.ZERO
+    assert v.forward_steps == 3 and v.escape_sum < 0.0
+    assert empirical_limits(OP, [[-1.0, 2.0, 3.0, -4.0]])[0] is LimitKind.ZERO
+
+    v = classify_limit(STILL_SIGNED)
     assert v.kind is LimitKind.UNDECIDED
-    assert v.rule is None
+    assert v.forward_steps == 64 and v.escape_sum is None and v.terms == 0
 
 
 def test_empirical_limits_returns_limit_kinds():
@@ -292,6 +309,35 @@ def test_classifier_agrees_with_iteration_on_decided_cases():
                 final = OP.apply_raw(final)
             assert targets[verdict.kind](final), (s, verdict)
     assert decided > 250
+
+
+def test_verdict_is_the_same_for_a_state_and_its_image():
+    # Λ(W(s)) = 2·Λ(s): a decided state and its decided image share a kind
+    rng = np.random.default_rng(5)
+    states = np.concatenate(
+        [rng.uniform(0.0, 3.0, size=(1000, 4)), rng.uniform(-3.0, 3.0, size=(1000, 4))]
+    )
+    pairs = 0
+    for s, image in zip(states, OP.apply_raw(states)):
+        kind, image_kind = classify_limit(s).kind, classify_limit(image).kind
+        if LimitKind.UNDECIDED in (kind, image_kind):
+            continue
+        pairs += 1
+        assert kind is image_kind, (s, kind, image_kind)
+    assert pairs > 1900
+
+
+def test_classifier_agrees_with_empirical_limits_on_signed_states():
+    states = np.random.default_rng(8).uniform(-3.0, 3.0, size=(4000, 4))
+    observed = empirical_limits(OP, states)
+    decided = 0
+    for s, seen in zip(states, observed):
+        kind = classify_limit(s).kind
+        if kind is LimitKind.UNDECIDED:
+            continue
+        decided += 1
+        assert kind is seen, (s, kind, seen)
+    assert decided > 0.95 * len(states)
 
 
 # ---------------------------------------------------------------------------
