@@ -7,8 +7,8 @@ plane y = v = 0 and its balanced diagonal x = u are invariant, the
 nonnegative orthant is invariant, a coordinate-sum cap of a contracts to
 a²/4, and the sign-pattern sets (all coordinates nonpositive, or one block
 nonpositive and the other nonnegative) feed into the nonnegative orthant
-after one or two steps.  :func:`membership` tests one state against them
-and :func:`verify_invariance` rechecks every clause on random states.
+after one or two steps.  :func:`membership` tests one finite state against
+them and :func:`verify_invariance` rechecks every clause on random states.
 
 :func:`classify_limit` decides the trajectory limit from one series.  Let
 s be nonnegative with block sums fs, ms > 0, T the normalized map and
@@ -87,18 +87,25 @@ class SetMembership:
         return self.nonnegative and (x + y) * (u + v) < 4.0
 
 
+def _single_state(state) -> np.ndarray:
+    """The input check of :func:`membership` and :func:`classify_limit`."""
+    s = as_state_vector(state, 4)
+    if s.ndim != 1:
+        raise ValueError("expected a single state")
+    c = s.tolist()
+    if not all(map(math.isfinite, c)):
+        raise ValueError(f"state has a non-finite coordinate: {c}")
+    return s
+
+
 def membership(state) -> SetMembership:
     """Test a single 4-coordinate state against every structured set.
 
     Raises ValueError on a non-finite coordinate, which no set test can
     place.
     """
-    s = as_state_vector(state, 4)
-    if s.ndim != 1:
-        raise ValueError("expected a single state")
+    s = _single_state(state)
     x, y, u, v = c = s.tolist()
-    if not all(map(math.isfinite, c)):
-        raise ValueError(f"state has a non-finite coordinate: {c}")
     tol = MEMBERSHIP_TOL
     female_zero = max(abs(x), abs(y)) <= tol
     male_zero = max(abs(u), abs(v)) <= tol
@@ -170,40 +177,33 @@ _MAX_TERMS = 64
 # term log(4 g) lies in [-log(9/8), 0].
 _LOG_9_8 = math.log(9.0 / 8.0)
 _LOG4 = math.log(4.0)
-# The hemophilia pair matrix R as one column per output coordinate.
-_COLUMNS = hemophilia_operator().pair_matrix.T.tolist()
-
-
-def _raw_step(x, y, u, v):
-    """The pair-product kernel W(s) = (x ⊗ y)·R on Python floats; the rows
-    of R are the pairs xu, xv, yu, yv."""
-    xu, xv, yu, yv = x * u, x * v, y * u, y * v
-    return [xu * a + xv * b + yu * c + yv * d for a, b, c, d in _COLUMNS]
 
 
 def classify_limit(state) -> LimitVerdict:
     """Decide the trajectory limit of the raw hemophilia dynamics from the
     sign of its escape series Λ (see the module docstring).
 
-    A state with a negative coordinate is first stepped with the
-    pair-product kernel, on Python floats, until it is nonnegative, for at
-    most ``_MAX_FORWARD`` steps.  The state is kept as w·e^L with sup norm
-    |w| = 1 (L -> 2L + log|W(w)| per step), so huge starts and images never
-    overflow.  A state with an exactly zero block maps to the origin: Zero,
-    with sum -inf.  Then the partial sums of Λ decide Zero once below
-    -band and Infinity once above 2^-K·log(9/8) + band, where the band
-    1e-12·(1 + 2|L|) bounds the rounding of a sum that starts from 2L.
+    Every step is the hemophilia operator's ``raw_step`` (``apply_raw`` on
+    Python floats).  A state with a negative coordinate is first stepped
+    until it is nonnegative, for at most ``_MAX_FORWARD`` steps.  The state
+    is kept as w·e^L with sup norm |w| = 1 (L -> 2L + log|W(w)| per step),
+    so huge starts and images never overflow.  A state with an exactly zero
+    block maps to the origin: Zero, with sum -inf.  Then the partial sums of
+    Λ decide Zero once below -band and Infinity once above
+    2^-K·log(9/8) + band, where the band 1e-12·(1 + 2|L|) bounds the
+    rounding of a sum that starts from 2L.
     Equilibrium is claimed only on a carrier-free state (y = v = 0
     exactly), whose normalized image is exactly (1/2, 0, 1/2, 0) so that
     every later term is exactly 0, with |Λ| within the band.  Anything else
     still inside the band after ``_MAX_TERMS`` terms comes back Undecided.
     A state with a non-finite coordinate raises ValueError.
     """
-    x, y, u, v = membership(state).state.tolist()
+    x, y, u, v = _single_state(state).tolist()
+    raw_step = hemophilia_operator().raw_step
     log_scale = 0.0
     for steps in range(_MAX_FORWARD + 1):
         if steps:
-            x, y, u, v = _raw_step(x, y, u, v)
+            x, y, u, v = raw_step([x, y, u, v])
         top = max(abs(x), abs(y), abs(u), abs(v)) or 1.0
         x, y, u, v = x / top, y / top, u / top, v / top
         log_scale = 2.0 * log_scale + math.log(top)
@@ -226,7 +226,7 @@ def classify_limit(state) -> LimitVerdict:
                 kind=LimitKind.UNDECIDED, escape_sum=total, forward_steps=steps, terms=terms
             )
         # the normalized map T(s) = W(x/fs, y/ms): no product of block sums to underflow
-        x, y, u, v = _raw_step(x / fs, y / fs, u / ms, v / ms)
+        x, y, u, v = raw_step([x / fs, y / fs, u / ms, v / ms])
         fs, ms = x + y, u + v
         weight *= 0.5
         total += weight * math.log(4.0 * fs * ms)

@@ -369,6 +369,8 @@ def scan_global_convergence(
         raise ValueError("samples must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if not tol > 0:  # NaN is not positive either
+        raise ValueError("tol must be positive")
     op = hemophilia_operator()
     rng = np.random.default_rng(rng_seed)
     starts = sample_simplex(rng, samples)

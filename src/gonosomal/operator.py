@@ -318,6 +318,14 @@ class GonosomalOperator:
         """One generation of the raw (unnormalized) dynamics."""
         return self._pair_product(*self.split(state))
 
+    def raw_step(self, values) -> list[float]:
+        """:meth:`apply_raw` of one unvalidated state of ``dim`` Python floats,
+        bit for bit, as Python floats: the pair products are formed on floats
+        and go through the same matrix product."""
+        n = self.n
+        pairs = [a * b for a in values[:n] for b in values[n:]]
+        return np.matmul(pairs, self._pair_matrix).tolist()
+
     def _pair_jacobian(self, x, y) -> np.ndarray:
         # with r = R as (n, nu, n+nu): dW_l/dx_i = sum_k r[i,k,l] y_k and
         # dW_l/dy_k = sum_i r[i,k,l] x_i
@@ -386,6 +394,9 @@ class GonosomalOperator:
     ) -> TrajectoryRecord:
         """Run the orbit of ``s0`` until convergence, divergence, or budget.
 
+        The orbit is kept as Python floats and stepped with :meth:`raw_step`,
+        bit for bit as :meth:`apply_raw` or :meth:`apply_normalized` step it.
+
         Args:
             s0: starting state, length n + nu.
             mode: "raw" or "normalized".
@@ -408,51 +419,48 @@ class GonosomalOperator:
             raise DimensionMismatchError("iterate expects a single state")
         n = self.n
 
-        def _step(vec, k):
+        def _step(values, k):
             # apply_raw / apply_normalized without re-validating the state
-            x, y = vec[:n], vec[n:]
+            image = self.raw_step(values)
             if mode == "raw":
-                return self._pair_product(x, y)
-            values = vec.tolist()
+                return image
             fs, ms = _add_floats(values[:n]), _add_floats(values[n:])
             if not can_normalize(fs, ms):
                 raise _annihilated(step=k)
-            return self._pair_product(x, y) / (fs * ms)
+            g = fs * ms
+            return [c / g for c in image]
 
-        kept_steps, kept = [0], [s]  # iterates are never written to: no copies
+        cur = s.tolist()  # iterates are never written to: no copies
+        kept_steps, kept = [0], [cur]
 
-        def _record(reason, k, limit=None):
+        def _record(reason, k):
             if kept_steps[-1] != k:
                 kept_steps.append(k)
-                kept.append(s)
+                kept.append(cur)
             return TrajectoryRecord(
                 iterates=np.array(kept),
                 step_indices=np.array(kept_steps, dtype=int),
                 stop_reason=reason,
                 steps_taken=k,
-                limit=limit,
+                limit=np.array(cur) if reason is StopReason.CONVERGED else None,
                 mode=mode,
             )
 
-        # Tests on Python floats: NaN and inf fail every <=, so non-finite diverges.
-        cur = s.tolist()
+        # NaN and inf fail every <=, so a non-finite iterate diverges.
         if not all(abs(c) <= DIV_THRESHOLD for c in cur):
             return _record(StopReason.DIVERGED, 0)
 
         for k in range(1, budget + 1):
-            s_next = _step(s, k - 1)
-            nxt = s_next.tolist()
-            if not all(abs(c) <= DIV_THRESHOLD for c in nxt):
-                s = s_next
+            nxt = _step(cur, k - 1)
+            settled = all(abs(a - b) <= tol_fp for a, b in zip(nxt, cur))
+            cur = nxt
+            if not all(abs(c) <= DIV_THRESHOLD for c in cur):
                 return _record(StopReason.DIVERGED, k)
-            # both iterates are finite, so no NaN reaches max()
-            settled = max(abs(a - b) for a, b in zip(nxt, cur)) <= tol_fp
-            s, cur = s_next, nxt
             if k <= _THIN_AFTER or k % _THIN_STRIDE == 0:
                 kept_steps.append(k)
-                kept.append(s)
-            if settled and np.abs(_step(s, k) - s).max() <= tol_fp:
-                return _record(StopReason.CONVERGED, k, limit=s)
+                kept.append(cur)
+            if settled and all(abs(a - b) <= tol_fp for a, b in zip(_step(cur, k), cur)):
+                return _record(StopReason.CONVERGED, k)
         return _record(StopReason.BUDGET_EXHAUSTED, budget)
 
 

@@ -206,32 +206,23 @@ def _newton_multistart(fun, jac, seeds, *, tol):
             singular = bad | (np.abs(det) < _SINGULAR_DET * scale)
         dead[active[singular]] = True
         drops["singular"] += int(singular.sum())
-        active, J = active[~singular], J[~singular]
-        if active.size == 0:
-            continue
-
-        step = np.linalg.solve(J, -F[active][..., None])[..., 0]
-        trial = pts[active] + step
-        Ft = fun(trial)
-        rt = np.abs(Ft).max(axis=1)
-        ok = np.isfinite(rt) & (rt < res[active])
-        accept(active[ok], trial[ok], Ft[ok], rt[ok], step[ok])
-        if ok.all():
-            continue
-
-        # every halving of every seed the full step did not improve, at once
-        idx, step = active[~ok], step[~ok]
-        scaled = _ALPHAS[1:, None] * step[:, None, :]
-        trial = pts[idx][:, None, :] + scaled
-        Ft = fun(trial.reshape(-1, d)).reshape(trial.shape)
-        rt = np.abs(Ft).max(axis=2)
-        ok = np.isfinite(rt) & (rt < res[idx][:, None])
-        found = ok.any(axis=1)
-        rows = np.flatnonzero(found)
-        take = rows, ok[rows].argmax(axis=1)  # the first, longest, halving that descends
-        accept(idx[rows], trial[take], Ft[take], rt[take], scaled[take])
-        dead[idx[~found]] = True
-        drops["no_descent"] += int((~found).sum())
+        idx, J = active[~singular], J[~singular]
+        step = np.linalg.solve(J, -F[idx][..., None])[..., 0]
+        for alphas in (_ALPHAS[:1], _ALPHAS[1:]):
+            if idx.size == 0:
+                break
+            scaled = alphas[:, None] * step[:, None, :]
+            trial = pts[idx][:, None, :] + scaled
+            Ft = fun(trial.reshape(-1, d)).reshape(trial.shape)
+            rt = np.abs(Ft).max(axis=2)
+            ok = np.isfinite(rt) & (rt < res[idx][:, None])
+            found = ok.any(axis=1)
+            rows = np.flatnonzero(found)
+            take = rows, ok[rows].argmax(axis=1)  # the first, longest, step that descends
+            accept(idx[rows], trial[take], Ft[take], rt[take], scaled[take])
+            idx, step = idx[~found], step[~found]
+        dead[idx] = True
+        drops["no_descent"] += int(idx.size)
 
     drops["max_steps"] = int((~done & ~dead).sum())
     return _NewtonRun(pts[done], int(done.sum()), iterations, drops)
@@ -294,6 +285,8 @@ def find_fixed_points(
         raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
+    if not tol > 0:  # NaN is not positive either
+        raise ValueError("tol must be positive")
     rng = np.random.default_rng(rng_seed)
     dim = op.dim
 

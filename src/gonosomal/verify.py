@@ -510,6 +510,8 @@ def run_battery(
     estimates, fixed-point values); any other operator gets the algebraic
     and generic-numeric checks only.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     op = hemophilia_operator() if op is None else op
     builtin = np.array_equal(op.pair_matrix, hemophilia_operator().pair_matrix)
     rng = np.random.default_rng(rng_seed)

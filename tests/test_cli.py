@@ -153,6 +153,26 @@ def test_trajectory_bad_state(capsys):
     assert code == 2 and "comma-separated numbers" in err
 
 
+def test_trajectory_names_the_columns_of_other_type_counts(capsys, tmp_path):
+    path = tmp_path / "one_two.tensor"
+    gf = np.full((1, 2, 1), 0.5)
+    gm = np.full((1, 2, 2), 0.25)
+    path.write_text(dump_tensor(InheritanceTensor(gf, gm)))
+    code, out, _ = run_cli(capsys, "trajectory", "--tensor", str(path), "--state", "1,1,1")
+    assert code == 0
+    assert out.splitlines()[0] == "step,f0,m0,m1,sum,block_product"
+
+
+def test_normalized_mode_refuses_a_signed_tensor_file(capsys, tmp_path):
+    path = tmp_path / "signed.tensor"
+    path.write_text("mode raw\n1 1\n1.5 -0.5\n")
+    code, out, err = run_cli(
+        capsys, "trajectory", "--tensor", str(path), "--mode", "normalized", "--state", "0.5,0.5"
+    )
+    assert code == 2 and out == ""
+    assert "nonnegative tensor" in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -335,6 +355,21 @@ def test_verify_corrupted_tensor_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--tensor", str(path))
     assert code == 2
     assert "row" in err and "sum" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["fixed-points", f"--tol={tol}"] for tol in ("0", "-1", "nan", "-inf")),
+        *(["scan", f"--tol={tol}"] for tol in ("0", "-1", "nan", "-inf")),
+        ["verify", "--samples", "0"],
+    ],
+    ids=lambda argv: "_".join(argv),
+)
+def test_malformed_tolerance_or_sample_count_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "must be" in err
 
 
 # ---------------------------------------------------------------------------

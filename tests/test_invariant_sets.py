@@ -259,6 +259,34 @@ def test_mixed_sign_state_is_forwarded_then_summed():
     assert v.forward_steps == 64 and v.escape_sum is None and v.terms == 0
 
 
+# (1, 1/2, 1, 1/2) scaled onto Λ = 0: every partial sum stays inside the band
+ON_THE_BOUNDARY = [
+    1.3339724866900553, 0.6669862433450277, 1.3339724866900553, 0.6669862433450277,
+]
+
+
+def test_series_is_left_undecided_at_the_term_cap():
+    v = classify_limit(ON_THE_BOUNDARY)
+    assert v.kind is LimitKind.UNDECIDED
+    assert v.forward_steps == 0 and v.terms == 64 and abs(v.escape_sum) <= 1e-12
+    # rounding pushes the orbit off the boundary: iteration blows up instead
+    rec = OP.iterate(ON_THE_BOUNDARY)
+    assert rec.stop_reason is StopReason.DIVERGED and rec.steps_taken == 59
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [(np.zeros((3, 4)), "single state"), ([1.0, 2.0], "2 coordinates")],
+    ids=["batch", "arity"],
+)
+def test_classify_limit_validates_as_membership_does(state, message):
+    with pytest.raises(ValueError, match=message) as seen:
+        membership(state)
+    with pytest.raises(type(seen.value), match=message) as err:
+        classify_limit(state)
+    assert str(err.value) == str(seen.value)
+
+
 def test_empirical_limits_returns_limit_kinds():
     starts = [[0.5, 0.5, 0.5, 0.5], [2.0, 0.0, 2.0, 0.0], [3.0, 0.0, 3.0, 0.0]]
     kinds = empirical_limits(OP, starts)

@@ -1,4 +1,5 @@
-"""Modules of the package import only public names from each other."""
+"""Modules of the package import only public names from each other, and
+read no private attribute of an object other than ``self`` or ``cls``."""
 
 import ast
 from pathlib import Path
@@ -18,4 +19,18 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert not found, "; ".join(found)
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                found.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
     assert not found, "; ".join(found)

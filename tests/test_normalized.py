@@ -126,6 +126,13 @@ def test_normalize_fixed_point_validation():
         denormalize_fixed_point([0.5, 0.5, 0.0, 0.0])
 
 
+def test_fixed_point_projections_reject_a_batch():
+    with pytest.raises(ValueError, match="single state"):
+        normalize_fixed_point([[2.0, 0.0, 2.0, 0.0]] * 2)
+    with pytest.raises(ValueError, match="single state"):
+        denormalize_fixed_point([EQUILIBRIUM] * 2)
+
+
 # ---------------------------------------------------------------------------
 # reduced dynamics
 # ---------------------------------------------------------------------------
@@ -311,3 +318,9 @@ def test_scan_validation():
         scan_global_convergence(samples=0)
     with pytest.raises(ValueError):
         scan_global_convergence(budget=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, -np.inf])
+def test_scan_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        scan_global_convergence(samples=10, tol=tol)

@@ -73,6 +73,13 @@ def test_tensor_shape_validation():
         InheritanceTensor(np.full((1, 1, 1), np.nan), np.full((1, 1, 1), 1.0))
 
 
+def test_tensor_rejects_a_wrong_rank_or_no_types():
+    with pytest.raises(ValueError, match="rank-3"):
+        InheritanceTensor(np.ones((1, 1)), np.zeros((1, 1, 1)))
+    with pytest.raises(ValueError, match="at least one female and one male type"):
+        InheritanceTensor(np.zeros((0, 1, 0)), np.zeros((0, 1, 1)))
+
+
 def test_tensor_row_sum_tolerance():
     gf = np.full((1, 1, 1), 0.5)
     gm = np.full((1, 1, 1), 0.5 + 1e-6)
@@ -206,6 +213,27 @@ def test_hemophilia_operator_is_one_shared_immutable_instance():
         op.tensor.gamma_f = np.zeros((2, 2, 2))
     np.testing.assert_array_equal(op.pair_matrix, hemophilia_tensor().rows())
     np.testing.assert_array_equal(op.tensor.gamma_f, hemophilia_tensor().gamma_f)
+
+
+def _raw_step_cases():
+    rng = np.random.default_rng(2024)
+    yield "hemophilia", OP
+    for nonnegative in (False, True):
+        for n in range(1, 5):
+            for nu in range(1, 5):
+                label = f"{'nonnegative' if nonnegative else 'signed'}-{n}x{nu}"
+                yield label, GonosomalOperator(random_tensor(rng, n, nu, nonnegative))
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
+def test_raw_step_is_apply_raw_bit_for_bit(op):
+    rng = np.random.default_rng(7)
+    states = np.concatenate([rng.uniform(-3.0, 3.0, (300, op.dim)),
+                             rng.uniform(0.0, 1.0, (300, op.dim)) * 10.0 ** rng.integers(-8, 9, (300, 1))])
+    for s in states:
+        got = op.raw_step(s.tolist())
+        assert type(got) is list and all(type(c) is float for c in got)
+        assert _same_bits(np.array(got), op.apply_raw(s))
 
 
 def test_wrong_arity_rejected():
@@ -460,6 +488,18 @@ def test_iterate_rejects_thresholds_that_are_not_positive(kw):
         OP.iterate([1.0, 1.0, 1.0, 1.0], **kw)
 
 
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+def test_iterate_matches_reference_loop_on_random_tensors(mode):
+    rng = np.random.default_rng(31)
+    for n in range(1, 5):
+        for nu in range(1, 5):
+            op = GonosomalOperator(random_tensor(rng, n, nu, nonnegative=mode == "normalized"))
+            starts = np.concatenate([rng.uniform(0.0, 1.5, (3, op.dim)),
+                                     rng.uniform(-2.0, 2.0, (3, op.dim))])
+            for s0, tol_fp in zip(starts, [1e-12, 1e-6, 0.2] * 2):
+                _assert_iterate_matches_reference(op, s0, mode=mode, budget=1200, tol_fp=tol_fp)
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 4),
@@ -473,6 +513,20 @@ def test_iterate_matches_reference_loop_on_signed_states(s0, mode, tol_fp):
 # ---------------------------------------------------------------------------
 # state containers
 # ---------------------------------------------------------------------------
+
+
+def test_as_state_vector_rejects_a_scalar():
+    with pytest.raises(DimensionMismatchError, match="scalar"):
+        as_state_vector(1.0)
+
+
+def test_iterate_rejects_a_bad_mode_budget_or_batch():
+    with pytest.raises(ValueError, match="mode must be"):
+        OP.iterate([1.0, 1.0, 1.0, 1.0], mode="both")
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        OP.iterate([1.0, 1.0, 1.0, 1.0], budget=0)
+    with pytest.raises(DimensionMismatchError, match="single state"):
+        OP.iterate(np.ones((2, 4)))
 
 
 def test_as_state_vector_batch_shape():
@@ -544,3 +598,29 @@ def test_load_tensor_rejects_garbage(tmp_path):
     path.write_text("garbage here\n")
     with pytest.raises(TensorFormatError):
         load_tensor(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# a comment only\n\n", "no content lines"),
+        ("mode fancy\n1 1\n0.5 0.5\n", "mode line must read"),
+        ("mode raw\n", "missing 'n nu' header"),
+        ("0 2\n", "counts must be positive"),
+        ("1 1\n0.5 zebra\n", "not whitespace-separated numbers"),
+        ("1 1\n0.5 0.25 0.25\n", "expected 2 coefficients, got 3"),
+        # NaN fails the row-sum comparison, so only the tensor check stops it
+        ("1 1\nnan 1\n", "tensor entries must be finite"),
+    ],
+    ids=["empty", "mode-line", "no-header", "zero-count", "non-numeric", "row-length", "nan"],
+)
+def test_load_tensor_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.tensor"
+    path.write_text(text)
+    with pytest.raises(TensorFormatError, match=message):
+        load_tensor(path)
+
+
+def test_dump_tensor_rejects_a_bad_mode():
+    with pytest.raises(ValueError, match="mode must be"):
+        dump_tensor(hemophilia_tensor(), mode="both")

@@ -124,6 +124,13 @@ def test_raw_search_seed_box_and_validation():
         find_fixed_points(OP, mode="both")
 
 
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, -np.inf])
+def test_search_rejects_a_tolerance_that_is_not_positive(mode, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_fixed_points(OP, mode=mode, n_seeds=10, tol=tol)
+
+
 def test_newton_drops_a_seed_at_a_singular_jacobian():
     # f(x) = x² has Jacobian 0 at the seed: the seed dies there, unperturbed
     roots, n_converged, _, drops = _newton_multistart(

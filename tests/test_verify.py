@@ -57,3 +57,9 @@ def test_every_hemophilia_operator_gets_the_full_battery(monkeypatch, op):
     names = [r.name for r in verify.run_battery(op, samples=50)]
     assert len(names) == 19
     assert names == [r.name for r in verify.run_battery(samples=50)]
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_run_battery_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify.run_battery(samples=samples)
