@@ -25,19 +25,13 @@ import numpy as np
 from .invariant_sets import LimitKind, classify_limit
 from .normalized import require_simplex_state, scan_global_convergence
 from .operator import (
-    GonosomalOperator,
-    StopReason,
-    TensorFormatError,
-    hemophilia_operator,
-    load_tensor,
+    BUDGET, MODES, TOL_FP, GonosomalOperator, StopReason, TensorFormatError,
+    format_float, format_state, hemophilia_operator, load_tensor,
 )
-from .spectral import find_fixed_points, format_float, format_report
+from .spectral import find_fixed_points, format_report
 from .verify import empirical_limits, run_battery
 
 __all__ = ["main"]
-
-def _fmt_state(state) -> str:
-    return ",".join(format_float(c) for c in state)
 
 
 def _parse_state(text: str, dim: int) -> np.ndarray:
@@ -117,7 +111,7 @@ def cmd_trajectory(args) -> int:
         # friendlier tolerance than the solver's: CLI input is hand-typed
         require_simplex_state(s0, op.n, op.nu, tol=1e-9)
     record = op.iterate(s0, mode=mode, budget=args.budget, tol_fp=args.tol)
-    if op.dim == 4:
+    if (op.n, op.nu) == (2, 2):
         names = ["x", "y", "u", "v"]
     else:
         names = [f"f{i}" for i in range(op.n)] + [f"m{i}" for i in range(op.nu)]
@@ -127,7 +121,7 @@ def cmd_trajectory(args) -> int:
     for step, row, total, product in zip(
         record.step_indices, record.iterates, sums, fs * ms
     ):
-        lines.append(f"{step}," + _fmt_state([*row, total, product]))
+        lines.append(f"{step}," + format_state([*row, total, product]))
     lines.append(f"# stop_reason={record.stop_reason.value}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -139,7 +133,7 @@ def cmd_classify(args) -> int:
     escape_sum = "none" if verdict.escape_sum is None else format_float(verdict.escape_sum)
     lines = [
         "command=classify",
-        f"state={_fmt_state(s0)}",
+        f"state={format_state(s0)}",
         f"kind={verdict.kind.value}",
         f"escape_sum={escape_sum}",
         f"forward_steps={verdict.forward_steps}",
@@ -154,7 +148,7 @@ def cmd_classify(args) -> int:
         empirical = [
             "empirical_stop_reason=" + record.stop_reason.value,
             f"empirical_steps={record.steps_taken}",
-            f"empirical_final={_fmt_state(final)}",
+            f"empirical_final={format_state(final)}",
         ]
         if verdict.kind is not LimitKind.UNDECIDED:
             seen = empirical_limits(op, final[None], steps=0)[0]
@@ -214,7 +208,7 @@ def cmd_scan(args) -> int:
     text = "\n".join(lines)
     if len(report.failures):
         dump = ["# non-converged start states (one per line)"]
-        dump += [_fmt_state(row) for row in report.failures]
+        dump += [format_state(row) for row in report.failures]
         text += "\n\n" + "\n".join(dump)
     _emit(text + "\n", args.out)
     return 1 if report.budget_exhausted else 0
@@ -239,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixed-points", help="multistart Newton fixed point search")
     add_tensor(p)
-    p.add_argument("--mode", choices=("raw", "normalized"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--samples", type=int, default=1000, help="number of Newton seeds")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
@@ -248,10 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="orbit of one state as CSV")
     add_tensor(p)
-    p.add_argument("--mode", choices=("raw", "normalized"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--state", required=True, help="comma-separated start state")
-    p.add_argument("--budget", type=int, default=10_000, help="iteration budget")
-    p.add_argument("--tol", type=float, default=1e-12, help="fixed point tolerance")
+    p.add_argument("--budget", type=int, default=BUDGET, help="iteration budget")
+    p.add_argument("--tol", type=float, default=TOL_FP, help="fixed point tolerance")
     add_out(p)
     p.set_defaults(func=cmd_trajectory)
 
@@ -270,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget-iterate",
         type=int,
-        default=10_000,
+        default=BUDGET,
         help="iteration budget for --empirical",
     )
     add_out(p)

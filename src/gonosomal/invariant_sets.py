@@ -39,7 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import GonosomalOperator, as_state_vector, hemophilia_operator
+from .operator import (
+    GonosomalOperator, hemophilia_operator, is_hemophilia, require_finite, require_single_state,
+)
 
 __all__ = [
     "InvarianceReport",
@@ -87,25 +89,15 @@ class SetMembership:
         return self.nonnegative and (x + y) * (u + v) < 4.0
 
 
-def _single_state(state) -> np.ndarray:
-    """The input check of :func:`membership` and :func:`classify_limit`."""
-    s = as_state_vector(state, 4)
-    if s.ndim != 1:
-        raise ValueError("expected a single state")
-    c = s.tolist()
-    if not all(map(math.isfinite, c)):
-        raise ValueError(f"state has a non-finite coordinate: {c}")
-    return s
-
-
 def membership(state) -> SetMembership:
     """Test a single 4-coordinate state against every structured set.
 
     Raises ValueError on a non-finite coordinate, which no set test can
     place.
     """
-    s = _single_state(state)
+    s = require_single_state(state, 4)
     x, y, u, v = c = s.tolist()
+    require_finite(c)
     tol = MEMBERSHIP_TOL
     female_zero = max(abs(x), abs(y)) <= tol
     male_zero = max(abs(u), abs(v)) <= tol
@@ -198,7 +190,8 @@ def classify_limit(state) -> LimitVerdict:
     still inside the band after ``_MAX_TERMS`` terms comes back Undecided.
     A state with a non-finite coordinate raises ValueError.
     """
-    x, y, u, v = _single_state(state).tolist()
+    x, y, u, v = c = require_single_state(state, 4).tolist()
+    require_finite(c)
     raw_step = hemophilia_operator().raw_step
     log_scale = 0.0
     for steps in range(_MAX_FORWARD + 1):
@@ -284,74 +277,59 @@ def verify_invariance(
 ) -> InvarianceReport:
     """Recheck every invariance clause on random states, batched.
 
+    The clauses are results on the hemophilia model, so ``op`` must have
+    exactly its coefficients (:func:`~gonosomal.operator.is_hemophilia`);
+    any other operator, a 2+2 one included, raises ValueError.
     Exact-zero clauses (annihilation, carrier-free, balance, sign
     propagation) are asserted exactly: the images are sums of products each
     carrying a zero or signed factor, so floating point preserves them.
     The sum-cap contraction is checked with slack ``MEMBERSHIP_TOL``.
     """
     op = hemophilia_operator() if op is None else op
-    if op.dim != 4 or op.n != 2:
-        raise ValueError("the invariance battery is specific to the two-type model")
+    if not is_hemophilia(op):
+        raise ValueError("the invariance battery needs the hemophilia coefficients")
     rng = np.random.default_rng(rng_seed)
     checks = []
 
-    def u(lo, hi, cols=4, size=samples):
-        return rng.uniform(lo, hi, size=(size, cols))
+    def u(lo, hi):
+        return rng.uniform(lo, hi, size=(samples, 4))
+
+    def check(name, s, bad):
+        # ``bad`` maps the images of the states ``s`` to the failing rows
+        checks.append(_check(name, s, bad(op.apply_raw(s))))
 
     s = u(-5.0, 5.0)
     half = samples // 2
     s[:half, :2] = 0.0
     s[half:, 2:] = 0.0
-    img = op.apply_raw(s)
-    checks.append(_check("annihilated maps to the origin exactly", s, np.abs(img).max(axis=1) > 0.0))
+    check("annihilated maps to the origin exactly", s, lambda img: np.abs(img).max(axis=1) > 0.0)
 
     s = u(-5.0, 5.0)
     s[:, 1] = 0.0
     s[:, 3] = 0.0
-    img = op.apply_raw(s)
-    checks.append(
-        _check("carrier-free plane is invariant", s, (img[:, 1] != 0.0) | (img[:, 3] != 0.0))
-    )
+    check("carrier-free plane is invariant", s, lambda img: (img[:, 1] != 0.0) | (img[:, 3] != 0.0))
 
     s[:, 2] = s[:, 0]
-    img = op.apply_raw(s)
-    checks.append(
-        _check(
-            "balanced diagonal is invariant",
-            s,
-            (img[:, 1] != 0.0) | (img[:, 3] != 0.0) | (img[:, 0] != img[:, 2]),
-        )
+    check(
+        "balanced diagonal is invariant", s,
+        lambda img: (img[:, 1] != 0.0) | (img[:, 3] != 0.0) | (img[:, 0] != img[:, 2]),
     )
 
-    s = u(0.0, 5.0)
-    img = op.apply_raw(s)
-    checks.append(_check("nonnegative orthant is invariant", s, img.min(axis=1) < 0.0))
+    check("nonnegative orthant is invariant", u(0.0, 5.0), lambda img: img.min(axis=1) < 0.0)
 
     for a in (1.0, 2.0, 3.0, 4.0):
         # Dirichlet over 5 parts, dropping the slack part, is uniform on
         # the solid simplex {nonnegative, sum <= a}
         s = a * rng.dirichlet(np.ones(5), size=samples)[:, :4]
-        img = op.apply_raw(s)
-        checks.append(
-            _check(
-                f"sum cap {a:g} contracts to {a * a / 4:g}",
-                s,
-                img.sum(axis=1) > a * a / 4.0 + MEMBERSHIP_TOL,
-            )
-        )
+        check(f"sum cap {a:g} contracts to {a * a / 4:g}", s,
+              lambda img: img.sum(axis=1) > a * a / 4.0 + MEMBERSHIP_TOL)
 
-    s = u(-5.0, 0.0)
-    img = op.apply_raw(s)
-    checks.append(_check("nonpositive maps into nonnegative", s, img.min(axis=1) < 0.0))
+    check("nonpositive maps into nonnegative", u(-5.0, 0.0), lambda img: img.min(axis=1) < 0.0)
 
     s = u(-5.0, 5.0)
     s[:, :2] = -np.abs(s[:, :2])
     s[:, 2:] = np.abs(s[:, 2:])
-    img = op.apply_raw(s)
-    checks.append(_check("female-nonpositive maps into nonpositive", s, img.max(axis=1) > 0.0))
-
-    s = -s
-    img = op.apply_raw(s)
-    checks.append(_check("male-nonpositive maps into nonpositive", s, img.max(axis=1) > 0.0))
+    check("female-nonpositive maps into nonpositive", s, lambda img: img.max(axis=1) > 0.0)
+    check("male-nonpositive maps into nonpositive", -s, lambda img: img.max(axis=1) > 0.0)
 
     return InvarianceReport(checks=tuple(checks))

@@ -23,11 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import (
-    GonosomalOperator,
-    InheritanceTensor,
-    as_state_vector,
-    fold_columns,
-    hemophilia_operator,
+    GonosomalOperator, InheritanceTensor, as_state_vector, fold_columns, hemophilia_operator,
+    require_finite, require_single_state,
 )
 
 __all__ = [
@@ -70,8 +67,14 @@ def sample_simplex(
 
     Draws exponential spacings and normalizes, which is uniform on the
     simplex; rows whose female or male block sum falls below ``guard`` are
-    redrawn.
+    redrawn.  Needs ``n, nu >= 1`` and ``0 <= guard < 1/2``, else raises
+    ValueError before drawing: with an empty block or ``guard >= 1/2`` no
+    row can pass, and the redraws would never end.
     """
+    if n < 1 or nu < 1:
+        raise ValueError(f"n and nu must be at least 1, got {n} and {nu}")
+    if not 0.0 <= guard < 0.5:  # NaN fails too
+        raise ValueError(f"guard must be in [0, 1/2), got {guard!r}")
     dim = n + nu
     out = np.empty((size, dim))
     need = np.ones(size, dtype=bool)
@@ -90,8 +93,7 @@ def require_simplex_state(state, n: int = 2, nu: int = 2, tol: float = _SLACK) -
     with states along the last axis; every row must pass.
     """
     vec = as_state_vector(state, n + nu)
-    if not np.isfinite(vec).all():  # NaN would pass every test below
-        raise ValueError("state has a non-finite coordinate")
+    require_finite(vec)  # NaN would pass every test below
     if vec.min() < -tol:
         raise ValueError("state has a negative coordinate")
     if np.abs(vec.sum(axis=-1) - 1.0).max() > tol:
@@ -123,11 +125,8 @@ def normalize_fixed_point(s_raw) -> np.ndarray:
     At a raw fixed point the total mass equals the product of block sums,
     and the projected point is a fixed point of the normalized map.
     """
-    vec = as_state_vector(s_raw)
-    if vec.ndim != 1:
-        raise ValueError("expected a single state")
-    if not np.isfinite(vec).all():
-        raise ValueError("raw fixed point has a non-finite coordinate")
+    vec = require_single_state(s_raw)
+    require_finite(vec)
     if vec.min() < 0:
         raise ValueError("raw fixed point has a negative coordinate")
     total = vec.sum()
@@ -142,9 +141,7 @@ def denormalize_fixed_point(s_simplex) -> np.ndarray:
     The inverse of :func:`normalize_fixed_point`: divide by the product of
     the block sums.  The point must pass :func:`require_simplex_state`.
     """
-    vec = require_simplex_state(s_simplex)
-    if vec.ndim != 1:
-        raise ValueError("expected a single state")
+    vec = require_simplex_state(require_single_state(s_simplex))
     fs, ms = hemophilia_operator().block_sums(vec)
     return vec / (fs * ms)
 
@@ -298,14 +295,8 @@ def check_estimates(state) -> EstimateReport:
     cur = s2
     for n in range(2, _PROBE_TO + 1):
         nxt = op.apply_normalized(cur)
-        margin = float(np.min((13.0 / 24.0) * cur[..., 1] - nxt[..., 3]))
-        probes.append(
-            BoundCheck(
-                name=f"carrier contraction v({n + 1}) <= 13/24 y({n})",
-                satisfied=margin >= -_SLACK,
-                margin=margin,
-            )
-        )
+        probes.append(_chain(f"carrier contraction v({n + 1}) <= 13/24 y({n})",
+                             nxt[..., 3], (13.0 / 24.0) * cur[..., 1]))
         mask = cur[..., 1] > _SLACK
         if np.any(mask):
             ratio = float(np.max(nxt[..., 3][mask] / cur[..., 1][mask]))

@@ -15,12 +15,14 @@ sum to one, the total offspring mass equals the product of the block sums:
 ``sum(W(s)) = sum(x) * sum(y)``.
 
 This module provides the tensor and operator types, the built-in hemophilia
-model, trajectory iteration with divergence/convergence detection, and a
-plain-text tensor file format.
+model, trajectory iteration with divergence/convergence detection, a
+plain-text tensor file format, and the state checks and float format that
+every other module uses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -47,6 +49,8 @@ __all__ = [
 TOL_FP = 1e-12
 DIV_THRESHOLD = 1e12
 BUDGET = 10_000
+
+MODES = ("raw", "normalized")  # the raw map W, and W over its block-sum product
 
 # Trajectories store every iterate up to this step, then every tenth.
 _THIN_AFTER = 1_000
@@ -130,7 +134,49 @@ def as_state_vector(state, dim: int | None = None) -> np.ndarray:
     return vec
 
 
-class InheritanceTensor:
+def require_single_state(state, dim: int | None = None) -> np.ndarray:
+    """:func:`as_state_vector` of one state, refusing a batch."""
+    vec = as_state_vector(state, dim)
+    if vec.ndim != 1:
+        raise DimensionMismatchError("expected a single state")
+    return vec
+
+
+def require_finite(values) -> None:
+    """Refuse a NaN or infinite coordinate in ``values``: an array of any
+    shape, or Python floats, which are checked without numpy."""
+    arr = isinstance(values, np.ndarray)
+    if not (np.isfinite(values).all() if arr else all(map(math.isfinite, values))):
+        raise ValueError("state has a non-finite coordinate")
+
+
+def require_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
+
+
+def format_float(value: float) -> str:
+    """The one float format of every report: ``.17g``, exact round trip."""
+    return f"{float(value):.17g}"
+
+
+def format_state(values) -> str:
+    """Coordinates joined by commas, each by :func:`format_float`."""
+    return ",".join(map(format_float, values))
+
+
+class _Immutable:
+    """Base of the value classes, whose ``__init__`` uses ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # called with the name alone
+
+
+class InheritanceTensor(_Immutable):
     """Inheritance coefficients of a gonosomal operator.
 
     ``gamma_f`` has shape (n, nu, n) and ``gamma_m`` shape (n, nu, nu).  For
@@ -161,19 +207,13 @@ class InheritanceTensor:
         if bad.any():
             i, k = np.argwhere(bad)[0]
             raise ValueError(
-                f"coefficient row ({i + 1},{k + 1}) sums to {row_sums[i, k]!r}, "
+                f"coefficient row ({i + 1},{k + 1}) sums to {float(row_sums[i, k])!r}, "
                 f"expected 1 within {rowsum_tol:g}"
             )
         gamma_f.flags.writeable = False
         gamma_m.flags.writeable = False
         object.__setattr__(self, "gamma_f", gamma_f)
         object.__setattr__(self, "gamma_m", gamma_m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
@@ -252,7 +292,7 @@ class TrajectoryRecord:
     mode: str = "raw"
 
 
-class GonosomalOperator:
+class GonosomalOperator(_Immutable):
     """Evolution operator generated by an inheritance tensor.
 
     All state-taking methods accept anything coercible to a float vector of
@@ -271,12 +311,6 @@ class GonosomalOperator:
         rows.flags.writeable = False
         object.__setattr__(self, "_tensor", tensor)
         object.__setattr__(self, "_pair_matrix", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def tensor(self) -> InheritanceTensor:
@@ -408,15 +442,12 @@ class GonosomalOperator:
             AnnihilatedStateError: in normalized mode, when some iterate's
                 block sums fail :func:`can_normalize`; the error names the step.
         """
-        if mode not in ("raw", "normalized"):
-            raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
+        require_mode(mode)
         if budget < 1:
             raise ValueError("budget must be at least 1")
         if not tol_fp > 0:  # NaN is not positive either
             raise ValueError("tol_fp must be positive")
-        s = as_state_vector(s0, self.dim)
-        if s.ndim != 1:
-            raise DimensionMismatchError("iterate expects a single state")
+        s = require_single_state(s0, self.dim)
         n = self.n
 
         def _step(values, k):
@@ -473,6 +504,13 @@ def hemophilia_operator() -> GonosomalOperator:
     return _HEMOPHILIA
 
 
+def is_hemophilia(op: GonosomalOperator) -> bool:
+    """Whether ``op`` has exactly the hemophilia coefficients, the model
+    whose results the invariance battery, the Equilibrium verdict of
+    ``empirical_limits`` and the model checks of ``run_battery`` assume."""
+    return np.array_equal(op.pair_matrix, _HEMOPHILIA.pair_matrix)
+
+
 # ---------------------------------------------------------------------------
 # Tensor file format
 #
@@ -506,7 +544,7 @@ def load_tensor(path) -> tuple[InheritanceTensor, str]:
     pos = 0
     if lines[0][1].split()[0] == "mode":
         parts = lines[0][1].split()
-        if len(parts) != 2 or parts[1] not in ("raw", "normalized"):
+        if len(parts) != 2 or parts[1] not in MODES:
             raise TensorFormatError(
                 f"{path}:{lines[0][0]}: mode line must read 'mode raw' or "
                 "'mode normalized'"
@@ -565,9 +603,8 @@ def load_tensor(path) -> tuple[InheritanceTensor, str]:
 
 def dump_tensor(tensor: InheritanceTensor, mode: str = "raw") -> str:
     """Serialize a tensor to the text format accepted by :func:`load_tensor`."""
-    if mode not in ("raw", "normalized"):
-        raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
+    require_mode(mode)
     out = [f"mode {mode}", f"{tensor.n} {tensor.nu}"]
     for row in tensor.rows():
-        out.append(" ".join(f"{v:.17g}" for v in row))
+        out.append(" ".join(map(format_float, row)))
     return "\n".join(out) + "\n"

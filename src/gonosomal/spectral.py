@@ -22,7 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import GonosomalOperator, can_normalize, hemophilia_operator
+from .operator import (
+    GonosomalOperator, can_normalize, format_float, format_state, hemophilia_operator, require_mode,
+)
 from .normalized import embed_reduced, reduced_jacobian_at, sample_simplex
 
 __all__ = [
@@ -281,8 +283,7 @@ def find_fixed_points(
     residual; reports come back lexicographically sorted.
     """
     op = hemophilia_operator() if op is None else op
-    if mode not in ("raw", "normalized"):
-        raise ValueError(f"mode must be 'raw' or 'normalized', got {mode!r}")
+    require_mode(mode)
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
     if not tol > 0:  # NaN is not positive either
@@ -363,24 +364,18 @@ def find_fixed_points(
     )
 
 
-def format_float(value: float) -> str:
-    """The one float format of every report: ``.17g``, exact round trip."""
-    return f"{float(value):.17g}"
-
-
 def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
+    imag = format_float(z.imag)
+    return f"{format_float(z.real)}{'' if imag[0] == '-' else '+'}{imag}j"
 
 
 def format_report(report: FixedPointReport) -> str:
     """Flat key=value stanza for one fixed point, stable across runs."""
     lines = [
         f"mode={report.mode}",
-        "point=" + ",".join(format_float(c) for c in report.point),
+        f"point={format_state(report.point)}",
         f"residual={format_float(report.residual)}",
-        "jacobian=" + ";".join(
-            ",".join(format_float(c) for c in row) for row in report.jacobian
-        ),
+        "jacobian=" + ";".join(map(format_state, report.jacobian)),
         "eigenvalues=" + ";".join(_fmt_complex(z) for z in report.eigenvalues),
         f"classification={report.classification.value}",
     ]

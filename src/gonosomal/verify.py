@@ -37,10 +37,7 @@ from .normalized import (
     sample_simplex,
 )
 from .operator import (
-    DIV_THRESHOLD,
-    GonosomalOperator,
-    InheritanceTensor,
-    hemophilia_operator,
+    DIV_THRESHOLD, GonosomalOperator, InheritanceTensor, hemophilia_operator, is_hemophilia,
 )
 from .spectral import (
     ATTRACTION_PROBES, ATTRACTION_RADIUS, ATTRACTION_STEPS, Classification, find_fixed_points,
@@ -86,8 +83,9 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
     after ``steps`` raw steps (``steps=0`` judges the rows themselves).
 
     Zero within 1e-6 of the origin, Equilibrium within 1e-6 of
-    ``RAW_EQUILIBRIUM`` (four-coordinate operators only), Infinity when
-    non-finite or above ``DIV_THRESHOLD``, Undecided otherwise.  The raw
+    ``RAW_EQUILIBRIUM`` (only for an operator with exactly the hemophilia
+    coefficients, where that point is the nonzero fixed point), Infinity
+    when non-finite or above ``DIV_THRESHOLD``, Undecided otherwise.  The raw
     dynamics is doubly exponential, so anything not exactly on the critical
     boundary resolves within a few dozen steps.
     """
@@ -99,7 +97,7 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
         out = np.full(len(cur), LimitKind.UNDECIDED, dtype=object)
         out[~np.isfinite(size) | (size > DIV_THRESHOLD)] = LimitKind.INFINITY
         out[size <= 1e-6] = LimitKind.ZERO
-        if op.dim == 4:
+        if is_hemophilia(op):
             out[np.abs(cur - RAW_EQUILIBRIUM).max(axis=1) <= 1e-6] = LimitKind.EQUILIBRIUM
     return out
 
@@ -300,8 +298,7 @@ def _check_closed_form(op: GonosomalOperator) -> CheckResult:
 
 
 def _check_trichotomy(op: GonosomalOperator, rng) -> CheckResult:
-    starts = [(1.0, 3.99, 4.0, 4.01, 9.0)]
-    states = [np.array([x0, 0.0, 1.0, 0.0]) for x0 in starts[0]]
+    states = [np.array([x0, 0.0, 1.0, 0.0]) for x0 in (1.0, 3.99, 4.0, 4.01, 9.0)]
     states += [np.array([-4.0, 0.0, 1.0, 0.0]), np.array([2.0, 0.0, 2.0, 0.0])]
     xs = rng.uniform(-3.0, 3.0, size=194)
     us = rng.uniform(-3.0, 3.0, size=194)
@@ -513,7 +510,7 @@ def run_battery(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     op = hemophilia_operator() if op is None else op
-    builtin = np.array_equal(op.pair_matrix, hemophilia_operator().pair_matrix)
+    builtin = is_hemophilia(op)
     rng = np.random.default_rng(rng_seed)
     results = [
         _check_tensor_rows(op),

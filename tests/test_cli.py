@@ -153,14 +153,24 @@ def test_trajectory_bad_state(capsys):
     assert code == 2 and "comma-separated numbers" in err
 
 
-def test_trajectory_names_the_columns_of_other_type_counts(capsys, tmp_path):
-    path = tmp_path / "one_two.tensor"
-    gf = np.full((1, 2, 1), 0.5)
-    gm = np.full((1, 2, 2), 0.25)
+@pytest.mark.parametrize(
+    "n, nu, header",
+    [
+        (1, 2, "step,f0,m0,m1,sum,block_product"),
+        (1, 3, "step,f0,m0,m1,m2,sum,block_product"),
+        (3, 1, "step,f0,f1,f2,m0,sum,block_product"),
+    ],
+    ids=["1+2", "1+3", "3+1"],
+)
+def test_trajectory_names_the_columns_of_other_type_counts(capsys, tmp_path, n, nu, header):
+    path = tmp_path / "other.tensor"
+    gf = np.full((n, nu, n), 0.5 / n)
+    gm = np.full((n, nu, nu), 0.5 / nu)
     path.write_text(dump_tensor(InheritanceTensor(gf, gm)))
-    code, out, _ = run_cli(capsys, "trajectory", "--tensor", str(path), "--state", "1,1,1")
+    state = ",".join(["1"] * (n + nu))
+    code, out, _ = run_cli(capsys, "trajectory", "--tensor", str(path), "--state", state)
     assert code == 0
-    assert out.splitlines()[0] == "step,f0,m0,m1,sum,block_product"
+    assert out.splitlines()[0] == header
 
 
 def test_normalized_mode_refuses_a_signed_tensor_file(capsys, tmp_path):
@@ -337,6 +347,18 @@ def test_verify_custom_tensor(capsys, tmp_path):
     names = {line.split(":")[0].split(" ", 1)[1] for line in body.splitlines()}
     assert len(names) == 8
     assert not names & HEMOPHILIA_ONLY_CHECKS
+
+
+def test_verify_runs_every_check_on_a_file_of_the_hemophilia_coefficients(capsys, tmp_path):
+    path = tmp_path / "hemophilia.tensor"
+    path.write_text(dump_tensor(hemophilia_tensor()))
+    code, out, _ = run_cli(capsys, "verify", "--tensor", str(path), "--samples", "500")
+    assert code == 0
+    head, body = out.strip().split("\n\n")
+    info = stanza_dict(head)
+    assert info["checks"] == "19" and info["failed"] == "0"
+    names = {line.split(":")[0].split(" ", 1)[1] for line in body.splitlines()}
+    assert HEMOPHILIA_ONLY_CHECKS <= names
 
 
 def test_verify_missing_tensor_file(capsys):

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from gonosomal.invariant_sets import (
     MEMBERSHIP_TOL,
+    RAW_EQUILIBRIUM,
     LimitKind,
     classify_limit,
     closed_form_diagonal,
     membership,
     verify_invariance,
 )
-from gonosomal.operator import GonosomalOperator, StopReason, hemophilia_operator
+from gonosomal.operator import (
+    GonosomalOperator, StopReason, hemophilia_operator, hemophilia_tensor,
+)
 from gonosomal.verify import empirical_limits, random_tensor
 
 OP = hemophilia_operator()
@@ -389,6 +392,21 @@ def test_invariance_battery_rejects_other_dimensions():
     op = GonosomalOperator(random_tensor(rng, 3, 2, nonnegative=True))
     with pytest.raises(ValueError):
         verify_invariance(op)
+
+
+def test_model_results_key_on_the_hemophilia_coefficients_not_the_type_counts():
+    # a 2+2 operator with other coefficients: its clauses fail (400 failures
+    # at 200 samples) and (2, 0, 2, 0) is not its fixed point
+    op = GonosomalOperator(random_tensor(np.random.default_rng(2), 2, 2, nonnegative=True))
+    assert np.abs(op.apply_raw(RAW_EQUILIBRIUM) - RAW_EQUILIBRIUM).max() > 0.5
+    with pytest.raises(ValueError, match="hemophilia coefficients"):
+        verify_invariance(op, samples=200)
+    assert list(empirical_limits(op, [[2.0, 0.0, 2.0, 0.0]], steps=0)) == [LimitKind.UNDECIDED]
+    rebuilt = GonosomalOperator(hemophilia_tensor())
+    assert verify_invariance(rebuilt, samples=200).ok
+    assert list(empirical_limits(rebuilt, [[2.0, 0.0, 2.0, 0.0]], steps=0)) == [
+        LimitKind.EQUILIBRIUM
+    ]
 
 
 @settings(deadline=None, max_examples=200)

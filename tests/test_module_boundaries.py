@@ -4,6 +4,8 @@ read no private attribute of an object other than ``self`` or ``cls``."""
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gonosomal"
 
 
@@ -34,3 +36,19 @@ def test_no_module_reads_a_private_attribute_of_another_object():
             ):
                 found.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
     assert not found, "; ".join(found)
+
+
+@pytest.mark.parametrize("phrase", ["single state", "non-finite coordinate", "is immutable"])
+def test_each_input_rule_is_raised_from_one_place(phrase):
+    # a rule written out twice drifts apart: its message must have one home
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(part, ast.Constant)
+                and isinstance(part.value, str)
+                and phrase in part.value
+                for part in ast.walk(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1, f"{phrase!r} is raised at {', '.join(found) or 'no place'}"

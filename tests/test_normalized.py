@@ -56,6 +56,18 @@ def test_sample_simplex_is_seeded():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [dict(guard=1.0), dict(guard=0.5), dict(guard=-1e-9), dict(guard=np.nan), dict(n=0), dict(nu=0)],
+    ids=["guard-1", "guard-half", "guard-negative", "guard-nan", "no-female", "no-male"],
+)
+def test_sample_simplex_rejects_arguments_no_row_can_pass(kw):
+    # guard >= 1/2 or an empty block once redrew forever; a negative or NaN
+    # guard turned the guard off
+    with pytest.raises(ValueError):
+        sample_simplex(np.random.default_rng(0), 3, **kw)
+
+
 def test_sample_simplex_other_dimensions():
     pts = sample_simplex(np.random.default_rng(1), 100, n=3, nu=2)
     assert pts.shape == (100, 5)

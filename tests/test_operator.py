@@ -20,6 +20,10 @@ from gonosomal.operator import (
     hemophilia_tensor,
     load_tensor,
 )
+from gonosomal.invariant_sets import classify_limit, membership
+from gonosomal.normalized import (
+    denormalize_fixed_point, normalize_fixed_point, require_simplex_state,
+)
 from gonosomal.verify import empirical_limits, random_tensor
 
 OP = hemophilia_operator()
@@ -71,6 +75,9 @@ def test_tensor_shape_validation():
         InheritanceTensor(np.zeros((2, 3, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         InheritanceTensor(np.full((1, 1, 1), np.nan), np.full((1, 1, 1), 1.0))
+    # the sum prints as a plain float, not as a numpy repr
+    with pytest.raises(ValueError, match=r"row \(1,1\) sums to 0\.9, expected 1 within 1e-12$"):
+        InheritanceTensor(np.full((1, 1, 1), 0.5), np.full((1, 1, 1), 0.4))
 
 
 def test_tensor_rejects_a_wrong_rank_or_no_types():
@@ -199,6 +206,21 @@ def test_fold_columns_matches_numpy_reduce(cols, batch, seed):
     np.testing.assert_array_equal(fold_columns(np.maximum, a), a.max(axis=-1))
     if cols == 1 and batch:
         assert not np.shares_memory(fold_columns(np.add, a), a)
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [(hemophilia_tensor(), "gamma_f"), (GonosomalOperator(hemophilia_tensor()), "_tensor")],
+    ids=["InheritanceTensor", "GonosomalOperator"],
+)
+def test_value_classes_refuse_setting_and_deleting_an_attribute(obj, name):
+    message = f"^{type(obj).__name__} is immutable$"
+    with pytest.raises(AttributeError, match=message):
+        setattr(obj, name, None)
+    with pytest.raises(AttributeError, match=message):
+        delattr(obj, name)
+    with pytest.raises(AttributeError, match=message):
+        obj.extra = 1
 
 
 def test_hemophilia_operator_is_one_shared_immutable_instance():
@@ -527,6 +549,31 @@ def test_iterate_rejects_a_bad_mode_budget_or_batch():
         OP.iterate([1.0, 1.0, 1.0, 1.0], budget=0)
     with pytest.raises(DimensionMismatchError, match="single state"):
         OP.iterate(np.ones((2, 4)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [OP.iterate, membership, classify_limit, normalize_fixed_point, denormalize_fixed_point],
+    ids=["iterate", "membership", "classify_limit", "normalize", "denormalize"],
+)
+def test_every_single_state_function_rejects_a_batch_alike(call):
+    batch = np.tile([0.5, 0.0, 0.5, 0.0], (2, 1))
+    with pytest.raises(DimensionMismatchError) as err:
+        call(batch)
+    assert type(err.value) is DimensionMismatchError
+    assert str(err.value) == "expected a single state"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [membership, classify_limit, normalize_fixed_point, require_simplex_state],
+    ids=["membership", "classify_limit", "normalize", "require_simplex_state"],
+)
+def test_every_state_check_rejects_a_nan_coordinate_alike(call):
+    with pytest.raises(ValueError) as err:
+        call([np.nan, 0.5, 0.25, 0.25])
+    assert type(err.value) is ValueError
+    assert str(err.value) == "state has a non-finite coordinate"
 
 
 def test_as_state_vector_batch_shape():
