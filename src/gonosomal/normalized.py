@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import (
-    GonosomalOperator, InheritanceTensor, as_state_vector, fold_columns, hemophilia_operator,
-    require_finite, require_single_state,
+    GonosomalOperator, InheritanceTensor, as_state_vector, hemophilia_operator, require_count,
+    require_finite, require_positive, require_single_state,
 )
 
 __all__ = [
@@ -342,6 +342,15 @@ class ConvergenceScanReport:
         return self.samples - self.converged
 
 
+def _distance_to_equilibrium(states) -> np.ndarray:
+    # sup distance of each row to EQUILIBRIUM: a running maximum over the
+    # columns |c_j - p_j|, with no broadcast over the four-wide state axis
+    dist = np.abs(states[:, 0] - EQUILIBRIUM[0])
+    for j in range(1, len(EQUILIBRIUM)):
+        np.maximum(dist, np.abs(states[:, j] - EQUILIBRIUM[j]), out=dist)
+    return dist
+
+
 def scan_global_convergence(
     samples: int = 10_000,
     rng_seed: int = 42,
@@ -356,22 +365,19 @@ def scan_global_convergence(
     for generic starts), tight tolerances need budgets of order 1/tol;
     non-converged starts are reported, not hidden.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if not tol > 0:  # NaN is not positive either
-        raise ValueError("tol must be positive")
+    require_count("samples", samples)
+    require_count("budget", budget)
+    require_positive("tol", tol)
     op = hemophilia_operator()
     rng = np.random.default_rng(rng_seed)
     starts = sample_simplex(rng, samples)
     steps = np.full(samples, -1, dtype=int)
     current = starts.copy()
-    dist = fold_columns(np.maximum, np.abs(current - EQUILIBRIUM))
+    dist = _distance_to_equilibrium(current)
     steps[dist <= tol] = 0
     for k in range(1, budget + 1):
         current = op.apply_normalized(current)
-        dist = fold_columns(np.maximum, np.abs(current - EQUILIBRIUM))
+        dist = _distance_to_equilibrium(current)
         hit = (steps < 0) & (dist <= tol)
         steps[hit] = k
         if (steps >= 0).all():

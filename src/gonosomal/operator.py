@@ -18,6 +18,10 @@ This module provides the tensor and operator types, the built-in hemophilia
 model, trajectory iteration with divergence/convergence detection, a
 plain-text tensor file format, and the state checks and float format that
 every other module uses.
+
+A per-step bulk path (the kernels, the scan step, Newton's residuals) never
+reduces or broadcasts over a two- to four-wide trailing axis, which numpy
+does row by row; it works one column at a time (see :func:`fold_columns`).
 """
 
 from __future__ import annotations
@@ -94,6 +98,10 @@ def fold_columns(ufunc, a):
     batch of two to four columns is about 20x slower than this.  Maximum
     gives the same result; add sums left to right, as numpy itself does
     below eight columns.
+
+    The same holds for broadcasting: a per-step bulk path neither reduces
+    nor broadcasts over a two- to four-wide trailing axis, but works column
+    by column, as this function and ``GonosomalOperator._pair_product`` do.
     """
     out = a[..., 0]
     for j in range(1, a.shape[-1]):
@@ -148,6 +156,18 @@ def require_finite(values) -> None:
     arr = isinstance(values, np.ndarray)
     if not (np.isfinite(values).all() if arr else all(map(math.isfinite, values))):
         raise ValueError("state has a non-finite coordinate")
+
+
+def require_count(name: str, value) -> None:
+    """Refuse a count (``samples``, ``budget``, ``n_seeds``) below one."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def require_positive(name: str, value) -> None:
+    """Refuse a tolerance that is not positive, NaN included."""
+    if not value > 0:  # NaN is not positive either
+        raise ValueError(f"{name} must be positive")
 
 
 def require_mode(mode: str) -> None:
@@ -345,8 +365,14 @@ class GonosomalOperator(_Immutable):
         return fold_columns(np.add, x), fold_columns(np.add, y)
 
     def _pair_product(self, x, y) -> np.ndarray:
-        pairs = x[..., :, None] * y[..., None, :]
-        return pairs.reshape(pairs.shape[:-2] + self._pair_matrix.shape[:1]) @ self._pair_matrix
+        # the (..., n*nu) pair products x_i * y_k at column i*nu + k, one
+        # column product each, then the one matrix product
+        nu = self.nu
+        pairs = np.empty(x.shape[:-1] + self._pair_matrix.shape[:1])
+        for i in range(self.n):
+            for k in range(nu):
+                np.multiply(x[..., i], y[..., k], out=pairs[..., i * nu + k])
+        return pairs @ self._pair_matrix
 
     def apply_raw(self, state) -> np.ndarray:
         """One generation of the raw (unnormalized) dynamics."""
@@ -400,7 +426,11 @@ class GonosomalOperator(_Immutable):
         """
         x, y = self.split(state)
         fs, ms = self._guarded_block_sums(x, y)
-        return self._pair_product(x, y) / (fs * ms)[..., np.newaxis]
+        out = self._pair_product(x, y)
+        g = fs * ms
+        for j in range(self.dim):
+            np.divide(out[..., j], g, out=out[..., j])
+        return out
 
     def jacobian_normalized(self, state) -> np.ndarray:
         """Analytic Jacobian of the normalized map."""
@@ -443,10 +473,8 @@ class GonosomalOperator(_Immutable):
                 block sums fail :func:`can_normalize`; the error names the step.
         """
         require_mode(mode)
-        if budget < 1:
-            raise ValueError("budget must be at least 1")
-        if not tol_fp > 0:  # NaN is not positive either
-            raise ValueError("tol_fp must be positive")
+        require_count("budget", budget)
+        require_positive("tol_fp", tol_fp)
         s = require_single_state(s0, self.dim)
         n = self.n
 
@@ -581,6 +609,8 @@ def load_tensor(path) -> tuple[InheritanceTensor, str]:
             raise TensorFormatError(
                 f"{path}:{lineno}: expected {n + nu} coefficients, got {len(values)}"
             )
+        if not all(map(math.isfinite, values)):
+            raise TensorFormatError(f"{path}:{lineno}: tensor entries must be finite")
         total = sum(values)
         if abs(total - 1.0) > _FILE_ROWSUM_TOL:
             raise TensorFormatError(

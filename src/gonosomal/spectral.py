@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .operator import (
-    GonosomalOperator, can_normalize, format_float, format_state, hemophilia_operator, require_mode,
+    GonosomalOperator, can_normalize, fold_columns, format_float, format_state, hemophilia_operator,
+    require_count, require_mode, require_positive,
 )
 from .normalized import embed_reduced, reduced_jacobian_at, sample_simplex
 
@@ -179,7 +180,7 @@ def _newton_multistart(fun, jac, seeds, *, tol):
     pts = np.array(seeds, dtype=float)
     k, d = pts.shape
     F = fun(pts)
-    res = np.abs(F).max(axis=1)
+    res = fold_columns(np.maximum, np.abs(F))
     res = np.where(np.isfinite(res), res, np.inf)
     last_step = np.full(k, np.inf)
     done = np.zeros(k, dtype=bool)
@@ -191,7 +192,7 @@ def _newton_multistart(fun, jac, seeds, *, tol):
         pts[tgt] = trial
         F[tgt] = Ft
         res[tgt] = rt
-        last_step[tgt] = np.abs(alpha_step).max(axis=1)
+        last_step[tgt] = fold_columns(np.maximum, np.abs(alpha_step))
 
     iterations = 0
     while True:
@@ -216,7 +217,7 @@ def _newton_multistart(fun, jac, seeds, *, tol):
             scaled = alphas[:, None] * step[:, None, :]
             trial = pts[idx][:, None, :] + scaled
             Ft = fun(trial.reshape(-1, d)).reshape(trial.shape)
-            rt = np.abs(Ft).max(axis=2)
+            rt = fold_columns(np.maximum, np.abs(Ft))
             ok = np.isfinite(rt) & (rt < res[idx][:, None])
             found = ok.any(axis=1)
             rows = np.flatnonzero(found)
@@ -284,10 +285,8 @@ def find_fixed_points(
     """
     op = hemophilia_operator() if op is None else op
     require_mode(mode)
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be at least 1")
-    if not tol > 0:  # NaN is not positive either
-        raise ValueError("tol must be positive")
+    require_count("n_seeds", n_seeds)
+    require_positive("tol", tol)
     rng = np.random.default_rng(rng_seed)
     dim = op.dim
 

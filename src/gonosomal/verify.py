@@ -38,6 +38,7 @@ from .normalized import (
 )
 from .operator import (
     DIV_THRESHOLD, GonosomalOperator, InheritanceTensor, hemophilia_operator, is_hemophilia,
+    require_count,
 )
 from .spectral import (
     ATTRACTION_PROBES, ATTRACTION_RADIUS, ATTRACTION_STEPS, Classification, find_fixed_points,
@@ -507,8 +508,7 @@ def run_battery(
     estimates, fixed-point values); any other operator gets the algebraic
     and generic-numeric checks only.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    require_count("samples", samples)
     op = hemophilia_operator() if op is None else op
     builtin = is_hemophilia(op)
     rng = np.random.default_rng(rng_seed)

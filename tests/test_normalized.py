@@ -325,6 +325,38 @@ def test_scan_counts_are_consistent():
     assert len(report.failures) == report.budget_exhausted
 
 
+def _reference_scan(samples, rng_seed, tol, budget):
+    # the scan loop with the kernel and the sup distance written as numpy
+    # broadcasts over the state axis, as they were before they moved to one
+    # column at a time
+    starts = sample_simplex(np.random.default_rng(rng_seed), samples)
+    steps = np.full(samples, -1, dtype=int)
+    current = starts.copy()
+    dist = np.abs(current - EQUILIBRIUM).max(axis=1)
+    steps[dist <= tol] = 0
+    for k in range(1, budget + 1):
+        x, y = current[:, :2], current[:, 2:]
+        pairs = (x[:, :, None] * y[:, None, :]).reshape(samples, 4) @ OP.pair_matrix
+        current = pairs / ((x[:, 0] + x[:, 1]) * (y[:, 0] + y[:, 1]))[:, None]
+        dist = np.abs(current - EQUILIBRIUM).max(axis=1)
+        steps[(steps < 0) & (dist <= tol)] = k
+        if (steps >= 0).all():
+            break
+    return steps, float(dist.max()), starts[steps < 0]
+
+
+# 8e-3: every sample converges and the loop stops early, at step 276;
+# 5e-3: one converges and the rest run the whole budget
+@pytest.mark.parametrize("tol", [8e-3, 5e-3])
+def test_scan_matches_the_broadcast_reference_loop(tol):
+    report = scan_global_convergence(samples=500, tol=tol, budget=300)
+    steps, worst, failures = _reference_scan(500, 42, tol, 300)
+    np.testing.assert_array_equal(report.steps, steps)
+    assert report.worst_final_distance == worst
+    assert report.failures.tobytes() == failures.tobytes()
+    assert report.converged == {8e-3: 500, 5e-3: 1}[tol]
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan_global_convergence(samples=0)

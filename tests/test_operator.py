@@ -169,7 +169,8 @@ def _einsum_jacobian(gf, gm, s):
 
 batch_shape = st.one_of(
     st.just(()),
-    st.tuples(st.integers(1, 6)),
+    st.just((0,)),
+    st.tuples(st.integers(1, 40)),
     st.tuples(st.integers(1, 4), st.integers(1, 4)),
 )
 
@@ -196,6 +197,54 @@ def test_kernel_matches_einsum_definition(n, nu, batch, nonnegative, seed):
     jac_scale = _einsum_jacobian(np.abs(gf), np.abs(gm), np.abs(s))
     assert (np.abs(raw - _einsum_raw(gf, gm, s)) <= 1e-12 * raw_scale).all()
     assert (np.abs(jac - _einsum_jacobian(gf, gm, s)) <= 1e-12 * jac_scale).all()
+
+
+# The kernels as numpy broadcasts over the pair and state axes, the form they
+# had before they moved to one column at a time; the operator must keep every
+# bit of them.
+def _broadcast_raw(op, s):
+    x, y = s[..., : op.n], s[..., op.n :]
+    pairs = x[..., :, None] * y[..., None, :]
+    return pairs.reshape(pairs.shape[:-2] + (op.n * op.nu,)) @ op.pair_matrix
+
+
+def _broadcast_normalized(op, s):
+    fs, ms = fold_columns(np.add, s[..., : op.n]), fold_columns(np.add, s[..., op.n :])
+    return _broadcast_raw(op, s) / (fs * ms)[..., None]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    batch_shape,
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernels_are_the_broadcast_formulas_bit_for_bit(n, nu, batch, nonnegative, seed):
+    rng = np.random.default_rng(seed)
+    op = GonosomalOperator(random_tensor(rng, n, nu, nonnegative=nonnegative))
+    shape = batch + (n + nu,)
+    spread = 10.0 ** rng.integers(-6, 7, size=shape)
+    signed = rng.uniform(-3.0, 3.0, size=shape) * spread
+    assert _same_bits(op.apply_raw(signed), _broadcast_raw(op, signed))
+    # positive states, so that both block sums can be divided by
+    positive = rng.uniform(0.01, 1.0, size=shape) * spread
+    assert _same_bits(op.apply_raw(positive), _broadcast_raw(op, positive))
+    assert _same_bits(op.apply_normalized(positive), _broadcast_normalized(op, positive))
+
+
+@pytest.mark.parametrize("n, nu", [(2, 2), (1, 3), (3, 2)])
+def test_apply_raw_is_the_broadcast_formula_on_special_values(n, nu):
+    rng = np.random.default_rng(11)
+    op = OP if (n, nu) == (2, 2) else GonosomalOperator(random_tensor(rng, n, nu))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.0])
+    states = rng.choice(special, size=(200, n + nu))
+    states[0] = -0.0
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(op.apply_raw(states), _broadcast_raw(op, states))
+        for s in states[:20]:
+            assert _same_bits(op.apply_raw(s), _broadcast_raw(op, s))
 
 
 @settings(deadline=None, max_examples=100)
@@ -656,10 +705,13 @@ def test_load_tensor_rejects_garbage(tmp_path):
         ("0 2\n", "counts must be positive"),
         ("1 1\n0.5 zebra\n", "not whitespace-separated numbers"),
         ("1 1\n0.5 0.25 0.25\n", "expected 2 coefficients, got 3"),
-        # NaN fails the row-sum comparison, so only the tensor check stops it
-        ("1 1\nnan 1\n", "tensor entries must be finite"),
+        # NaN fails the row-sum comparison: the row loop must catch it itself
+        ("1 1\nnan 1\n", "bad.tensor:2: tensor entries must be finite"),
+        ("1 1\n# a comment\n0.5 inf\n", "bad.tensor:3: tensor entries must be finite"),
+        ("1 1\n-inf inf\n", "bad.tensor:2: tensor entries must be finite"),
     ],
-    ids=["empty", "mode-line", "no-header", "zero-count", "non-numeric", "row-length", "nan"],
+    ids=["empty", "mode-line", "no-header", "zero-count", "non-numeric", "row-length", "nan",
+         "inf", "inf-minus-inf"],
 )
 def test_load_tensor_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.tensor"

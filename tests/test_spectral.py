@@ -131,6 +131,19 @@ def test_search_rejects_a_tolerance_that_is_not_positive(mode, tol):
         find_fixed_points(OP, mode=mode, n_seeds=10, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "mode, n_seeds, converged, iterations, drops",
+    [
+        ("raw", 1000, 874, 200, dict(non_finite=0, singular=0, no_descent=54, max_steps=72)),
+        ("normalized", 400, 371, 96, dict(non_finite=0, singular=5, no_descent=24, max_steps=0)),
+    ],
+)
+def test_search_bookkeeping_at_a_pinned_seed(mode, n_seeds, converged, iterations, drops):
+    # the 1000-seed raw and 400-seed simplex searches of the verify battery
+    found = find_fixed_points(OP, mode=mode, n_seeds=n_seeds, rng_seed=73411)
+    assert (found.n_converged, found.iterations, found.drops) == (converged, iterations, drops)
+
+
 def test_newton_drops_a_seed_at_a_singular_jacobian():
     # f(x) = x² has Jacobian 0 at the seed: the seed dies there, unperturbed
     roots, n_converged, _, drops = _newton_multistart(
