@@ -22,6 +22,7 @@ from .invariant_sets import (
     verify_invariance,
 )
 from .normalized import (
+    ALGEBRAIC_RATE,
     EQUILIBRIUM,
     BoundCheck,
     ConvergenceScanReport,
@@ -64,6 +65,7 @@ from .verify import CheckResult, empirical_limits, random_tensor, run_battery
 __version__ = "0.1.0"
 
 __all__ = [
+    "ALGEBRAIC_RATE",
     "AnnihilatedStateError",
     "BoundCheck",
     "CheckResult",

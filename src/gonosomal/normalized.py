@@ -12,8 +12,9 @@ eliminating one coordinate through the simplex constraint.
 
 A note on rates: the reduced Jacobian at p has eigenvalues {-1/2, 0, 1}.
 The unit eigenvalue lies in the carrier directions, so the approach to p is
-algebraic (empirically ||s_n - p|| ~ 2.25/n for generic starts), not
-geometric.  Carrier-free states map to p in a single step.
+algebraic, not geometric: for generic starts n * ||s_n - p|| (sup norm)
+tends to :data:`ALGEBRAIC_RATE` = 9/4.  Carrier-free states map to p in a
+single step.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .operator import (
 )
 
 __all__ = [
+    "ALGEBRAIC_RATE",
     "BoundCheck",
     "ConvergenceScanReport",
     "EQUILIBRIUM",
@@ -47,6 +49,11 @@ __all__ = [
 # The unique fixed point of the normalized hemophilia dynamics.
 EQUILIBRIUM = np.array([0.5, 0.0, 0.5, 0.0])
 EQUILIBRIUM.flags.writeable = False
+
+# n * (sup distance of s_n to EQUILIBRIUM) tends to 9/4 for generic starts:
+# on the centre manifold the carrier fraction b = y/(x + y) steps to
+# b - (2/9) b^2 + O(b^3), so b ~ 9/(2n), and the distance is about b/2.
+ALGEBRAIC_RATE = 9 / 4
 
 # Sampler guard: reject simplex draws whose female or male block holds less
 # than this much mass, since the normalized map divides by the block sums.
@@ -267,9 +274,10 @@ def check_estimates(state) -> EstimateReport:
     s = require_simplex_state(state)
     x, y, u, v = (s[..., i] for i in range(4))
     fs, ms = x + y, u + v
-    s1 = op.apply_normalized(s)
+    # s(1) to s(_PROBE_TO + 1); each iterate lives until two steps later
+    orbit = op.orbit(s, "normalized", _PROBE_TO + 1)
+    s1, s2 = next(orbit), next(orbit)
     x1, y1, u1, v1 = (s1[..., i] for i in range(4))
-    s2 = op.apply_normalized(s1)
 
     checks = [
         _chain("image x in [u/(4(u+v)), u/(2(u+v))] cap 1/2",
@@ -293,8 +301,7 @@ def check_estimates(state) -> EstimateReport:
     probes = []
     worst_ratio = None
     cur = s2
-    for n in range(2, _PROBE_TO + 1):
-        nxt = op.apply_normalized(cur)
+    for n, nxt in enumerate(orbit, start=2):
         probes.append(_chain(f"carrier contraction v({n + 1}) <= 13/24 y({n})",
                              nxt[..., 3], (13.0 / 24.0) * cur[..., 1]))
         mask = cur[..., 1] > _SLACK
@@ -361,8 +368,9 @@ def scan_global_convergence(
 
     Each sample is run up to ``budget`` steps and marked converged the first
     time its sup-norm distance to the equilibrium drops to ``tol``.  Because
-    the approach to the equilibrium is algebraic (distance of order 2.25/n
-    for generic starts), tight tolerances need budgets of order 1/tol;
+    the approach to the equilibrium is algebraic (distance about
+    ``ALGEBRAIC_RATE / n`` for generic starts), tight tolerances need budgets
+    of order 1/tol;
     non-converged starts are reported, not hidden.
     """
     require_count("samples", samples)
@@ -372,11 +380,9 @@ def scan_global_convergence(
     rng = np.random.default_rng(rng_seed)
     starts = sample_simplex(rng, samples)
     steps = np.full(samples, -1, dtype=int)
-    current = starts.copy()
-    dist = _distance_to_equilibrium(current)
+    dist = _distance_to_equilibrium(starts)
     steps[dist <= tol] = 0
-    for k in range(1, budget + 1):
-        current = op.apply_normalized(current)
+    for k, current in enumerate(op.orbit(starts, "normalized", budget), start=1):
         dist = _distance_to_equilibrium(current)
         hit = (steps < 0) & (dist <= tol)
         steps[hit] = k

@@ -22,11 +22,20 @@ every other module uses.
 A per-step bulk path (the kernels, the scan step, Newton's residuals) never
 reduces or broadcasts over a two- to four-wide trailing axis, which numpy
 does row by row; it works one column at a time (see :func:`fold_columns`).
+
+Many steps go one of two ways.  :meth:`GonosomalOperator.orbit` is the one
+multi-step batch path: it checks its input once and steps between buffers
+allocated up front, bit for bit as repeated ``apply_raw`` or
+``apply_normalized``; the scan, the attraction probe, the estimate probes and
+``empirical_limits`` step with it.  :meth:`GonosomalOperator.raw_step` is the
+single-state path, on Python floats, which ``iterate`` and ``classify_limit``
+step with.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -431,6 +440,47 @@ class GonosomalOperator(_Immutable):
         for j in range(self.dim):
             np.divide(out[..., j], g, out=out[..., j])
         return out
+
+    def orbit(self, states, mode: str, steps: int) -> Iterator[np.ndarray]:
+        """Yield iterates 1 to ``steps`` of a batch (or of one state), bit
+        for bit as repeated :meth:`apply_raw` or :meth:`apply_normalized`.
+
+        The input is checked once, when iteration starts.  Each step forms
+        its pair products and its image in buffers allocated up front, and
+        each yielded iterate is a view into one of two buffers taken in
+        turn: it stays valid until the iterate two steps later is formed.
+        Copy what must outlive that.  ``steps=0`` yields nothing.
+
+        Raises:
+            AnnihilatedStateError: in normalized mode, before the division,
+                when the block sums of iterate ``k`` fail
+                :func:`can_normalize`; ``step`` is ``k`` (0 for the input).
+        """
+        require_mode(mode)
+        normalized = mode == "normalized"
+        vec = as_state_vector(states, self.dim)
+        n, nu = self.n, self.nu
+        bufs = (np.empty(vec.shape), np.empty(vec.shape))
+        pairs = np.empty(vec.shape[:-1] + (n * nu,))
+        # column views, made once: the pair (i, k) goes to column i*nu + k
+        buf_cols = [[b[..., j] for j in range(self.dim)] for b in bufs]
+        pair_cols = [(divmod(c, nu), pairs[..., c]) for c in range(n * nu)]
+        cur, cols = vec, [vec[..., j] for j in range(self.dim)]
+        for step in range(steps):
+            out = bufs[step % 2]
+            if normalized:
+                fs, ms = self._block_sums(cur[..., :n], cur[..., n:])
+                if not can_normalize(fs, ms).all():
+                    raise _annihilated(step=step)
+            for (i, k), pair_col in pair_cols:
+                np.multiply(cols[i], cols[n + k], out=pair_col)
+            np.matmul(pairs, self._pair_matrix, out=out)
+            cur, cols = out, buf_cols[step % 2]
+            if normalized:
+                g = fs * ms
+                for col in cols:
+                    np.divide(col, g, out=col)
+            yield out
 
     def jacobian_normalized(self, state) -> np.ndarray:
         """Analytic Jacobian of the normalized map."""

@@ -251,16 +251,16 @@ def attraction_probe(op, point, rng):
     Convex blends toward uniform simplex draws, scaled to a common sup-norm
     radius, stay on the simplex.  At the hemophilia equilibrium the carrier
     block of the linearization has sup norm 3/2, so the horizon must outlast
-    transient growth plus an algebraic (about 2.25/n) tail.
+    transient growth plus an algebraic tail (about ``ALGEBRAIC_RATE / n``
+    at the hemophilia equilibrium).
     """
     z = sample_simplex(rng, ATTRACTION_PROBES, op.n, op.nu)
     offset = z - point
     scale = ATTRACTION_RADIUS / np.abs(offset).max(axis=1, keepdims=True)
     probes = point + np.minimum(scale, 1.0) * offset
     before = np.abs(probes - point).max(axis=1)
-    cur = probes
-    for _ in range(ATTRACTION_STEPS):
-        cur = op.apply_normalized(cur)
+    for cur in op.orbit(probes, "normalized", ATTRACTION_STEPS):
+        pass
     return before, np.abs(cur - point).max(axis=1)
 
 
@@ -333,14 +333,14 @@ def find_fixed_points(
         residuals = np.abs(fun(roots)).max(axis=1)
         roots = _deduplicate(roots, residuals)
 
+    # each root maps on its own: on some tensors a batch product rounds
+    # differently from the one-state product, and residuals print in full
     reports = []
-    for root in roots:
+    for point in roots if mode == "raw" else embed_reduced(roots, eliminate, dim):
         if mode == "raw":
-            point = root
             residual = float(np.abs(op.apply_raw(point) - point).max())
             jacobian = op.jacobian_raw(point)
         else:
-            point = embed_reduced(root, eliminate, dim)
             residual = float(np.abs(op.apply_normalized(point) - point).max())
             jacobian = reduced_jacobian_at(point, eliminate, op)
         eigs = eigenvalues(jacobian)

@@ -90,10 +90,10 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
     dynamics is doubly exponential, so anything not exactly on the critical
     boundary resolves within a few dozen steps.
     """
-    cur = np.array(states, dtype=float)
+    cur = np.asarray(states, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            cur = op.apply_raw(cur)
+        for cur in op.orbit(cur, "raw", steps):
+            pass
         size = np.abs(cur).max(axis=1)
         out = np.full(len(cur), LimitKind.UNDECIDED, dtype=object)
         out[~np.isfinite(size) | (size > DIV_THRESHOLD)] = LimitKind.INFINITY
@@ -275,10 +275,11 @@ def _check_invariance(op, rng_seed: int, samples: int) -> CheckResult:
 def _check_closed_form(op: GonosomalOperator) -> CheckResult:
     worst = 0.0
     for x0 in np.linspace(-3.0, 3.0, 25):
-        direct = np.array([x0, 0.0, x0, 0.0])
-        for k in range(0, 13):
+        start = np.array([x0, 0.0, x0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = [x0] + [cur[0] for cur in op.orbit(start, "raw", 12)]  # x at steps 0-12
+        for k, d in enumerate(direct):
             cf = closed_form_diagonal(float(x0), k)
-            d = direct[0]
             if not np.isfinite(d):
                 # direct iteration has overflowed; the closed form must agree
                 # that the value left the representable range
@@ -289,8 +290,6 @@ def _check_closed_form(op: GonosomalOperator) -> CheckResult:
                 worst = max(worst, abs(cf - d) / max(abs(d), 1.0))
             else:
                 worst = np.inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                direct = op.apply_raw(direct)
     return CheckResult(
         name="diagonal-closed-form",
         ok=worst <= 1e-10,
@@ -321,10 +320,8 @@ def _check_growth_bound(op: GonosomalOperator, rng, samples: int) -> CheckResult
 
     s = _refill(rng, draw, lambda b: b[:, 0] * b[:, 2] > 4.0, m)
     ratio = s[:, 0] * s[:, 2] / 4.0
-    cur = s
     worst = np.inf
-    for k in range(0, 5):
-        cur = op.apply_raw(cur)
+    for k, cur in enumerate(op.orbit(s, "raw", 5)):
         floor = 2.0 * ratio ** (2.0**k)
         worst = min(worst, float((cur[:, 0] / floor).min()))
     return CheckResult(

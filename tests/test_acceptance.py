@@ -15,8 +15,8 @@ measured worst ratio and the violated steps.
 Guarantee 8's zero-failure expectation for the tight-tolerance scan is
 unreachable for a different reason: the equilibrium has a unit
 eigenvalue along the carrier direction, so trajectories approach it
-algebraically (distance about 2.25/n) and no budget of 500 steps can
-pass a 1e-8 tolerance.  The scan's contract is that every non-converged
+algebraically (distance about ALGEBRAIC_RATE/n = 2.25/n) and no budget of
+500 steps can pass a 1e-8 tolerance.  The scan's contract is that every non-converged
 start is reported verbatim as a potential counterexample; the test
 verifies exactly that, checks that no start actually escaped (all end
 within 1e-2 of the equilibrium, consistent with slow convergence rather
@@ -35,6 +35,7 @@ from gonosomal.invariant_sets import (
     verify_invariance,
 )
 from gonosomal.normalized import (
+    ALGEBRAIC_RATE,
     EQUILIBRIUM,
     check_estimates,
     reduced_apply,
@@ -278,7 +279,8 @@ def test_criterion_08_convergence_scan_reports_counterexample_candidates():
             f"scan at tol 1e-8 / budget 500: {report.budget_exhausted} of 10000 "
             f"starts did not converge (expected zero); worst final distance "
             f"{report.worst_final_distance:.3e}; the unit-eigenvalue direction "
-            f"decays like 2.25/n, so 500 steps stop near distance 4.5e-3; every "
+            f"decays like {ALGEBRAIC_RATE:g}/n, so 500 steps stop near distance "
+            f"{ALGEBRAIC_RATE / 500:.1e}; every "
             f"such start is reported verbatim",
             stacklevel=1,
         )

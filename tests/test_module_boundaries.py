@@ -55,3 +55,43 @@ def test_each_input_rule_is_raised_from_one_place(phrase):
             if isinstance(node, ast.Raise) and phrase in ast.unparse(node):
                 found.append(f"{path.name}:{node.lineno}")
     assert len(found) == 1, f"{phrase!r} is raised at {', '.join(found) or 'no place'}"
+
+
+def _written_names(body):
+    # names the statements rebind, or write an item or attribute of
+    names = set()
+    for node in (node for stmt in body for node in ast.walk(stmt)):
+        if isinstance(getattr(node, "ctx", None), ast.Store):
+            while isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
+                node = node.value
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+    return names
+
+
+def test_only_orbit_steps_a_batch_in_a_loop():
+    # a loop that feeds an image of apply_raw or apply_normalized back into
+    # the map re-checks its input every step: GonosomalOperator.orbit, which
+    # checks it once, is the one stepping loop.  Applying the map once to
+    # each item a loop walks over (a root, a test point) is not stepping.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [ast.parse(path.read_text(), filename=str(path))]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.FunctionDef) and node.name == "orbit":
+                continue
+            if isinstance(node, (ast.For, ast.While)):
+                written = _written_names(node.body + node.orelse)
+                found += [
+                    f"{path.name}:{call.lineno} steps {ast.unparse(call)} in a loop"
+                    for stmt in node.body + node.orelse
+                    for call in ast.walk(stmt)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("apply_raw", "apply_normalized")
+                    and written & {n.id for a in call.args for n in ast.walk(a)
+                                   if isinstance(n, ast.Name)}
+                ]
+            stack.extend(ast.iter_child_nodes(node))
+    assert not found, "; ".join(sorted(set(found)))

@@ -3,11 +3,12 @@ Jacobians, the estimate battery, and the convergence scan.
 
 Two facts about the equilibrium p = (1/2, 0, 1/2, 0) shape several tests
 here.  The reduced Jacobian at p has a unit eigenvalue along the carrier
-direction, so generic trajectories approach p algebraically (distance of
-order 2.25/n), not geometrically; and the probed carrier contraction
-v(n+1)/y(n) exceeds 13/24 at early steps (worst measured ratio is about
-0.70 at n = 2, with 13/24 holding only from n of order 10; the exact
-witness (0, 1/2, 0, 1/2) has ratio 7/10 at n = 2).  Tests assert
+direction, so generic trajectories approach p algebraically (distance
+about ALGEBRAIC_RATE/n, with ALGEBRAIC_RATE = 9/4), not geometrically;
+and the probed carrier contraction v(n+1)/y(n) exceeds 13/24 at early
+steps (worst measured ratio is about 0.70 at n = 2, with 13/24 holding
+only from n of order 10; the exact witness (0, 1/2, 0, 1/2) has ratio
+7/10 at n = 2).  Tests assert
 the measured behavior; claims known to be false are marked xfail(strict)
 so a change in behavior shows up loudly.
 """
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from gonosomal.normalized import (
+    ALGEBRAIC_RATE,
     EQUILIBRIUM,
     check_estimates,
     denormalize_fixed_point,
@@ -222,6 +224,53 @@ def test_estimates_scalar_agrees_with_batch():
             assert check.margin == pytest.approx(worst, rel=1e-12, abs=1e-300)
 
 
+def _estimates_by_apply(s):
+    # check_estimates as it was before it stepped with orbit: one
+    # apply_normalized call per step, checks and probes as (name, margin)
+    def chain(name, *values):
+        return name, min(float(np.min(b - a)) for a, b in zip(values, values[1:]))
+
+    x, y, u, v = (s[..., i] for i in range(4))
+    fs, ms = x + y, u + v
+    s1 = OP.apply_normalized(s)
+    x1, y1, u1, v1 = (s1[..., i] for i in range(4))
+    s2 = OP.apply_normalized(s1)
+    checks = [
+        chain("x", u / (4 * ms), x1, u / (2 * ms), 0.5),
+        chain("y", v / (3 * ms), y1, (u + 2 * v) / (4 * ms), 0.5),
+        chain("u", 0.25, (2 * x + y) / (4 * fs), u1, (3 * x + 2 * y) / (6 * fs), 0.5),
+        chain("v", y / (4 * fs), v1, y / (3 * fs), 1.0 / 3.0),
+        chain("female", 1.0 / 3.0 + u / (6 * ms), x1 + y1, 0.5),
+        chain("male", 0.5, u1 + v1, 0.5 + y * v / (6 * fs * ms), 2.0 / 3.0),
+        chain("v'y'u'", v1, y1, u1),
+        chain("x'u'", x1, u1),
+        chain("second", 5.0 / 12.0, s2[..., 0] + s2[..., 1], 0.5),
+    ]
+    probes, worst_ratio, cur = [], None, s2
+    for n in range(2, 21):
+        nxt = OP.apply_normalized(cur)
+        probes.append(chain(f"carrier contraction v({n + 1}) <= 13/24 y({n})",
+                            nxt[..., 3], (13.0 / 24.0) * cur[..., 1]))
+        mask = cur[..., 1] > 1e-12
+        if np.any(mask):
+            ratio = float(np.max(nxt[..., 3][mask] / cur[..., 1][mask]))
+            worst_ratio = ratio if worst_ratio is None else max(worst_ratio, ratio)
+        cur = nxt
+    return checks, probes, worst_ratio
+
+
+@pytest.mark.parametrize("rows", [None, 2000], ids=["one-state", "batch"])
+def test_estimates_match_the_apply_loop(rows):
+    states = sample_simplex(np.random.default_rng(73411), rows or 1)
+    states = states if rows else states[0]
+    report = check_estimates(states)
+    checks, probes, worst_ratio = _estimates_by_apply(states)
+    assert [c.margin for c in report.checks] == [margin for _, margin in checks]
+    assert [(c.name, c.margin) for c in report.contraction_probes] == probes
+    assert report.contraction_worst_ratio == worst_ratio
+    assert len(probes) == 19
+
+
 def test_estimates_reject_states_off_the_simplex():
     with pytest.raises(ValueError):
         check_estimates([0.5, 0.5, 0.5, 0.5])
@@ -281,16 +330,17 @@ def test_carrier_free_neighborhood_lands_exactly():
 
 
 def test_algebraic_approach_rate():
-    # n * distance settles near 2.25 along the unit-eigenvalue direction
-    state = np.array([0.3, 0.2, 0.4, 0.1])
-    for _ in range(2000):
-        state = OP.apply_normalized(state)
-    d2000 = np.abs(state - EQUILIBRIUM).max()
-    for _ in range(2000):
-        state = OP.apply_normalized(state)
-    d4000 = np.abs(state - EQUILIBRIUM).max()
-    assert 1.8 < 2000 * d2000 < 2.7
-    assert 1.8 < 4000 * d4000 < 2.7
+    # n * distance rises toward 9/4 along the unit-eigenvalue direction:
+    # 2.2348, 2.2422 and 2.2468 at n = 2000, 4000 and 10^4
+    marks = (2000, 4000, 10_000)
+    orbit = OP.orbit([0.3, 0.2, 0.4, 0.1], "normalized", marks[-1])
+    rates = [
+        n * np.abs(state - EQUILIBRIUM).max()
+        for n, state in enumerate(orbit, start=1)
+        if n in marks
+    ]
+    assert rates == sorted(rates)
+    assert abs(rates[-1] - ALGEBRAIC_RATE) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +364,7 @@ def test_scan_converges_at_reachable_tolerance():
     assert report.converged == 100
     assert len(report.failures) == 0
     assert (report.steps >= 0).all()
-    # the algebraic law puts the slowest starts near 2.25/tol steps
+    # the algebraic law puts the slowest starts near ALGEBRAIC_RATE/tol steps
     assert 2000 < report.max_steps_observed < 3000
 
 
@@ -355,6 +405,36 @@ def test_scan_matches_the_broadcast_reference_loop(tol):
     assert report.worst_final_distance == worst
     assert report.failures.tobytes() == failures.tobytes()
     assert report.converged == {8e-3: 500, 5e-3: 1}[tol]
+
+
+def _scan_by_apply(samples, rng_seed, tol, budget):
+    # the scan loop as it was before it stepped with orbit: one
+    # apply_normalized call per step
+    starts = sample_simplex(np.random.default_rng(rng_seed), samples)
+    steps = np.full(samples, -1, dtype=int)
+    current = starts.copy()
+    dist = np.abs(current - EQUILIBRIUM).max(axis=1)
+    steps[dist <= tol] = 0
+    for k in range(1, budget + 1):
+        current = OP.apply_normalized(current)
+        dist = np.abs(current - EQUILIBRIUM).max(axis=1)
+        steps[(steps < 0) & (dist <= tol)] = k
+        if (steps >= 0).all():
+            break
+    return steps, float(dist.max()), starts[steps < 0]
+
+
+# 8e-3 stops at step 276; at 5e-3 one sample converges; at 1 every start is
+# within tol at step 0 and the loop still takes one step
+@pytest.mark.parametrize("tol", [8e-3, 5e-3, 1.0])
+def test_scan_matches_the_apply_loop(tol):
+    report = scan_global_convergence(samples=1000, rng_seed=73411, tol=tol, budget=300)
+    steps, worst, failures = _scan_by_apply(1000, 73411, tol, 300)
+    assert report.steps.tobytes() == steps.tobytes()
+    assert report.worst_final_distance == worst
+    assert report.failures.tobytes() == failures.tobytes()
+    assert report.converged == int((steps >= 0).sum())
+    assert report.max_steps_observed == (int(steps.max()) if report.converged else 0)
 
 
 def test_scan_validation():

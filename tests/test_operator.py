@@ -1,5 +1,7 @@
 """Core operator tests: tensor validation, the bilinear map, Jacobians,
-iteration, and the tensor file format."""
+iteration, the batch orbit, and the tensor file format."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from gonosomal.operator import (
 )
 from gonosomal.invariant_sets import classify_limit, membership
 from gonosomal.normalized import (
-    denormalize_fixed_point, normalize_fixed_point, require_simplex_state,
+    EQUILIBRIUM, denormalize_fixed_point, normalize_fixed_point, require_simplex_state,
+    sample_simplex,
 )
 from gonosomal.verify import empirical_limits, random_tensor
 
@@ -579,6 +582,137 @@ def test_iterate_matches_reference_loop_on_random_tensors(mode):
 )
 def test_iterate_matches_reference_loop_on_signed_states(s0, mode, tol_fp):
     _assert_iterate_matches_reference(OP, s0, mode=mode, budget=300, tol_fp=tol_fp)
+
+
+# ---------------------------------------------------------------------------
+# batch orbit
+# ---------------------------------------------------------------------------
+
+
+def _apply_loop(op, states, mode, steps):
+    # the loop orbit replaced: one public map call per step, each checking
+    # its input and allocating its output afresh
+    step = op.apply_raw if mode == "raw" else op.apply_normalized
+    cur = states
+    for _ in range(steps):
+        cur = step(cur)
+        yield cur
+
+
+def _assert_orbit_is_the_apply_loop(op, states, mode, steps):
+    compared = 0
+    # in step: each iterate is compared before orbit reuses its buffer
+    for got, want in zip(op.orbit(states, mode, steps), _apply_loop(op, states, mode, steps)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        compared += 1
+    assert compared == steps
+
+
+def _probes_near(point, rng, count=32, radius=1e-3):
+    # the attraction probe's starts: blends toward simplex draws at one radius
+    z = sample_simplex(rng, count)
+    offset = z - point
+    scale = radius / np.abs(offset).max(axis=1, keepdims=True)
+    return point + np.minimum(scale, 1.0) * offset
+
+
+@pytest.mark.parametrize("seed", [0, 73411])
+def test_orbit_is_the_apply_loop_on_the_attraction_probe(seed):
+    probes = _probes_near(EQUILIBRIUM, np.random.default_rng(seed))
+    _assert_orbit_is_the_apply_loop(OP, probes, "normalized", 5000)
+
+
+def test_orbit_is_the_apply_loop_on_a_large_simplex_batch():
+    batch = sample_simplex(np.random.default_rng(3), 10_000)
+    _assert_orbit_is_the_apply_loop(OP, batch, "normalized", 50)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_orbit_is_the_apply_loop_through_overflow():
+    batch = np.random.default_rng(4).uniform(-3.0, 3.0, size=(2000, 4))
+    _assert_orbit_is_the_apply_loop(OP, batch, "raw", 80)
+    # the batch does leave the finite range: to inf, then to NaN
+    seen = [(np.isinf(c).any(), np.isnan(c).any()) for c in OP.orbit(batch, "raw", 80)]
+    assert any(inf for inf, _ in seen) and seen[-1][1]
+
+
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+def test_orbit_is_the_apply_loop_on_one_state(mode):
+    state = np.array([0.3, 0.2, 0.4, 0.1])
+    _assert_orbit_is_the_apply_loop(OP, state, mode, 60)
+    assert next(OP.orbit(list(state), mode, 1)).shape == (4,)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    batch_shape,
+    st.sampled_from(["raw", "normalized"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_orbit_is_the_apply_loop_on_any_tensor(n, nu, batch, mode, seed):
+    rng = np.random.default_rng(seed)
+    nonnegative = mode == "normalized"
+    op = GonosomalOperator(random_tensor(rng, n, nu, nonnegative=nonnegative))
+    states = rng.uniform(0.01 if nonnegative else -1.0, 1.0, size=batch + (n + nu,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_orbit_is_the_apply_loop(op, states, mode, 12)
+
+
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+def test_orbit_of_zero_steps_yields_nothing(mode):
+    assert list(OP.orbit(np.full((3, 4), 0.25), mode, 0)) == []
+
+
+def test_orbit_keeps_two_iterates_and_never_writes_its_input():
+    start = sample_simplex(np.random.default_rng(5), 8)
+    kept = start.copy()
+    orbit = OP.orbit(start, "normalized", 3)
+    first = next(orbit)
+    first_bits = first.tobytes()
+    second = next(orbit)
+    # the previous iterate holds while the next is in hand
+    assert first.tobytes() == first_bits
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(second, OP.apply_normalized(OP.apply_normalized(kept)))
+    next(orbit)
+    assert start.tobytes() == kept.tobytes()
+
+
+def test_orbit_checks_its_input():
+    with pytest.raises(DimensionMismatchError):
+        next(OP.orbit([1.0, 2.0, 3.0], "raw", 1))
+    with pytest.raises(ValueError, match="mode must be"):
+        next(OP.orbit([0.25] * 4, "other", 1))
+
+
+def test_normalized_orbit_refuses_an_annihilated_start_at_step_0():
+    # a zero block in one row refuses the batch before any division, so no
+    # RuntimeWarning escapes
+    batch = np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnnihilatedStateError, match="at step 0") as err:
+            next(OP.orbit(batch, "normalized", 5))
+    assert err.value.step == 0
+
+
+def test_normalized_orbit_names_a_later_annihilation_step():
+    # every pair has only sons: step 0 maps (1, 1) to (0, 1), which step 1
+    # cannot divide by; iterate names the same step
+    op = GonosomalOperator(InheritanceTensor([[[0.0]]], [[[1.0]]]))
+    orbit = op.orbit([[1.0, 1.0], [2.0, 0.5]], "normalized", 5)
+    np.testing.assert_array_equal(next(orbit), [[0.0, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AnnihilatedStateError, match="at step 1") as err:
+            next(orbit)
+    assert err.value.step == 1
+    with pytest.raises(AnnihilatedStateError) as err:
+        op.iterate([1.0, 1.0], mode="normalized")
+    assert err.value.step == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from gonosomal.normalized import sample_simplex
+from gonosomal.normalized import EQUILIBRIUM, sample_simplex
 from gonosomal.operator import GonosomalOperator, hemophilia_operator
 from gonosomal import spectral
 from gonosomal.spectral import (
     ATTRACTION_PROBES,
     ATTRACTION_RADIUS,
+    ATTRACTION_STEPS,
     DROP_REASONS,
     Classification,
     FixedPointReport,
@@ -353,6 +354,27 @@ def test_normalized_attraction_probe_depends_only_on_the_seed():
     before, after = attraction_probe(OP, found[0].point, rng)
     np.testing.assert_array_equal(found[0].attraction[0], before)
     np.testing.assert_array_equal(found[0].attraction[1], after)
+
+
+def _attraction_by_apply(op, point, rng):
+    # attraction_probe as it was before it stepped with orbit: one
+    # apply_normalized call per step
+    z = sample_simplex(rng, ATTRACTION_PROBES, op.n, op.nu)
+    offset = z - point
+    scale = ATTRACTION_RADIUS / np.abs(offset).max(axis=1, keepdims=True)
+    probes = point + np.minimum(scale, 1.0) * offset
+    before = np.abs(probes - point).max(axis=1)
+    cur = probes
+    for _ in range(ATTRACTION_STEPS):
+        cur = op.apply_normalized(cur)
+    return before, np.abs(cur - point).max(axis=1)
+
+
+def test_attraction_probe_matches_the_apply_loop():
+    before, after = attraction_probe(OP, EQUILIBRIUM, np.random.default_rng(73411))
+    want_before, want_after = _attraction_by_apply(OP, EQUILIBRIUM, np.random.default_rng(73411))
+    assert before.tobytes() == want_before.tobytes()
+    assert after.tobytes() == want_after.tobytes()
 
 
 def test_normalized_search_point_is_on_simplex():

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from gonosomal import spectral, verify
-from gonosomal.operator import GonosomalOperator, hemophilia_operator, hemophilia_tensor
+from gonosomal.invariant_sets import RAW_EQUILIBRIUM, LimitKind, closed_form_diagonal
+from gonosomal.operator import (
+    DIV_THRESHOLD, GonosomalOperator, hemophilia_operator, hemophilia_tensor,
+)
 from gonosomal.spectral import DROP_REASONS, FixedPointSearchResult
+
+OP = hemophilia_operator()
 
 
 def _rootless(n_seeds):
@@ -63,3 +68,77 @@ def test_every_hemophilia_operator_gets_the_full_battery(monkeypatch, op):
 def test_run_battery_rejects_fewer_than_one_sample(samples):
     with pytest.raises(ValueError, match="samples must be at least 1"):
         verify.run_battery(samples=samples)
+
+
+# The stepping loops of the battery as they were before they stepped with
+# orbit: one apply_raw call per step.  The new code must keep every bit.
+
+
+def _empirical_by_apply(op, states, steps):
+    cur = np.array(states, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            cur = op.apply_raw(cur)
+        size = np.abs(cur).max(axis=1)
+        out = np.full(len(cur), LimitKind.UNDECIDED, dtype=object)
+        out[~np.isfinite(size) | (size > DIV_THRESHOLD)] = LimitKind.INFINITY
+        out[size <= 1e-6] = LimitKind.ZERO
+        out[np.abs(cur - RAW_EQUILIBRIUM).max(axis=1) <= 1e-6] = LimitKind.EQUILIBRIUM
+    return out
+
+
+@pytest.mark.parametrize("steps", [0, 1, 80])
+def test_empirical_limits_match_the_apply_loop(steps):
+    states = np.random.default_rng(73411).uniform(-3.0, 3.0, size=(5000, 4))
+    states[:50] = RAW_EQUILIBRIUM
+    states[50:100] = 0.0
+    states[100:150] = 2 * DIV_THRESHOLD
+    got = verify.empirical_limits(OP, states, steps)
+    want = _empirical_by_apply(OP, states, steps)
+    assert list(got) == list(want)
+    assert len(set(want)) >= 3  # several verdicts, so the match means something
+
+
+def _closed_form_by_apply(op):
+    worst = 0.0
+    for x0 in np.linspace(-3.0, 3.0, 25):
+        direct = np.array([x0, 0.0, x0, 0.0])
+        for k in range(0, 13):
+            cf = closed_form_diagonal(float(x0), k)
+            d = direct[0]
+            if not np.isfinite(d):
+                if not np.isinf(cf):
+                    worst = np.inf
+                break
+            if np.isfinite(cf):
+                worst = max(worst, abs(cf - d) / max(abs(d), 1.0))
+            else:
+                worst = np.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                direct = op.apply_raw(direct)
+    return worst
+
+
+def _growth_by_apply(op, rng, samples):
+    m = min(samples, 5000)
+    s = verify._refill(
+        rng, lambda r, c: r.uniform(0.0, 4.0, size=(c, 4)), lambda b: b[:, 0] * b[:, 2] > 4.0, m
+    )
+    ratio = s[:, 0] * s[:, 2] / 4.0
+    cur = s
+    worst = np.inf
+    for k in range(0, 5):
+        cur = op.apply_raw(cur)
+        floor = 2.0 * ratio ** (2.0**k)
+        worst = min(worst, float((cur[:, 0] / floor).min()))
+    return worst
+
+
+def test_closed_form_and_growth_checks_match_the_apply_loop():
+    closed = verify._check_closed_form(OP)
+    assert closed.detail == (
+        f"25 starts x 13 steps, worst relative error = {_closed_form_by_apply(OP):.3g}"
+    )
+    growth = verify._check_growth_bound(OP, np.random.default_rng(73411), 10_000)
+    worst = _growth_by_apply(OP, np.random.default_rng(73411), 10_000)
+    assert growth.detail == f"5000 states x 5 steps, min x_k over its floor = {worst:.6g}"
