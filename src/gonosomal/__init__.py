@@ -17,6 +17,7 @@ from .invariant_sets import (
     SetCheck,
     SetMembership,
     classify_limit,
+    classify_limits,
     closed_form_diagonal,
     membership,
     verify_invariance,
@@ -90,6 +91,7 @@ __all__ = [
     "check_estimates",
     "classify",
     "classify_limit",
+    "classify_limits",
     "closed_form_diagonal",
     "denormalize_fixed_point",
     "dump_tensor",

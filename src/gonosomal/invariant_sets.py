@@ -29,6 +29,16 @@ in [8/9, 1] and every term is in [-log(9/8), 0]: a partial sum after K
 terms is an upper bound on Λ, and exceeds it by at most 2^-K·log(9/8).
 Since Λ(W(s)) = 2·Λ(s), a signed state that some raw step makes
 nonnegative has the verdict of that image.
+
+The classifier has two paths.  :func:`classify_limit` is the single-state
+path: it steps with ``raw_step`` on Python floats and reports the sum, the
+forward steps and the terms.  :func:`classify_limits` is the batch path:
+it gives the same kind for each row of a batch, stepping with ``orbit``.
+Its products and logarithms may round differently in the last bits, so
+it hands to :func:`classify_limit` every row it cannot decide with a
+margin: still signed after 8 forward steps, an image that gains a zero
+block, turns carrier-free or has a sup norm outside [1e-100, 1e100], or a
+partial sum within a quarter band of a band edge.
 """
 
 from __future__ import annotations
@@ -40,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import (
-    GonosomalOperator, hemophilia_operator, is_hemophilia, require_finite, require_single_state,
+    DimensionMismatchError, GonosomalOperator, as_state_vector, fold_columns, hemophilia_operator,
+    is_hemophilia, require_finite, require_single_state,
 )
 
 __all__ = [
@@ -51,6 +62,7 @@ __all__ = [
     "SetCheck",
     "SetMembership",
     "classify_limit",
+    "classify_limits",
     "closed_form_diagonal",
     "membership",
     "verify_invariance",
@@ -226,6 +238,106 @@ def classify_limit(state) -> LimitVerdict:
         terms += 1
     kind = LimitKind.ZERO if total < 0.0 else LimitKind.INFINITY
     return LimitVerdict(kind=kind, escape_sum=total, forward_steps=steps, terms=terms)
+
+
+# The batch takes at most this many raw steps forward, and hands on a row
+# whose image's sup norm leaves [1e-100, 1e100].
+_BATCH_FORWARD = 8
+_BATCH_RANGE = (1e-100, 1e100)
+# A batch verdict needs its partial sum a quarter band off each edge.  The
+# batch and single-state sums differed by at most 1.3% of the band on
+# about 98,000 states, and a sum of exactly 0 stays clear of that zone.
+_EDGE_MARGIN = 0.25
+
+
+def _zero_block(w) -> np.ndarray:
+    return ((w[:, 0] == 0.0) & (w[:, 1] == 0.0)) | ((w[:, 2] == 0.0) & (w[:, 3] == 0.0))
+
+
+def classify_limits(states) -> np.ndarray:
+    """The :func:`classify_limit` kind of each row of a (k, 4) batch, as an
+    object array of :class:`LimitKind` members.
+
+    The batch takes the steps of :func:`classify_limit` with
+    :meth:`~gonosomal.operator.GonosomalOperator.orbit`: each row is scaled
+    to sup norm 1, a signed row takes raw steps until it is nonnegative
+    (at most ``_BATCH_FORWARD``), and the escape series is summed over a
+    normalized orbit of the block-normalized rows, which stops once every
+    row is decided.  Its products and logarithms may round differently
+    from the single-state ones, so a row it cannot decide with a margin
+    goes to :func:`classify_limit` itself: a row still signed after the
+    forward steps, one whose image gains a zero block, turns carrier-free
+    or has a sup norm outside ``_BATCH_RANGE``, and one whose partial sum
+    comes within ``_EDGE_MARGIN``·band of a band edge.  A non-finite
+    coordinate raises ValueError, and anything but a (k, 4) array
+    DimensionMismatchError.
+    """
+    s = as_state_vector(states, 4)
+    if s.ndim != 2:
+        raise DimensionMismatchError("expected a batch of states, one per row")
+    require_finite(s)
+    op = hemophilia_operator()
+    kinds = np.full(len(s), LimitKind.UNDECIDED, dtype=object)
+    hard = np.zeros(len(s), dtype=bool)  # rows left to classify_limit
+
+    top = fold_columns(np.maximum, np.abs(s))
+    top[top == 0.0] = 1.0
+    w = s / top[:, None]
+    log_scale = np.log(top)
+    zero = _zero_block(w)
+    carrier_free = (w[:, 1] == 0.0) & (w[:, 3] == 0.0)
+    kinds[zero] = LimitKind.ZERO
+
+    # forward: raw steps of the signed rows; W^k(w) is w_k·e^(L_k - 2^k·L_0)
+    idx = np.flatnonzero(~zero & (fold_columns(np.minimum, w) < 0.0))
+    base, left = log_scale[idx], np.ones(len(idx), dtype=bool)
+    for k, z in enumerate(op.orbit(w[idx], "raw", _BATCH_FORWARD), start=1):
+        size = fold_columns(np.maximum, np.abs(z))
+        off = ~((size >= _BATCH_RANGE[0]) & (size <= _BATCH_RANGE[1])) | _zero_block(z)
+        done = left & ~off & (fold_columns(np.minimum, z) >= 0.0)
+        hard[idx[left & off]] = True
+        w[idx[done]] = z[done] / size[done, None]
+        log_scale[idx[done]] = 2.0**k * base[done] + np.log(size[done])
+        left &= ~off & ~done
+        if not left.any():
+            break
+    hard[idx[left]] = True
+
+    # the series, as classify_limit sums it, on the rows now nonnegative
+    rows = np.flatnonzero(~zero & ~hard)
+    v, scale = w[rows], log_scale[rows]
+    fs, ms = v[:, 0] + v[:, 1], v[:, 2] + v[:, 3]
+    total = 2.0 * scale + np.log(fs) + np.log(ms) - _LOG4
+    band = 1e-12 * (1.0 + 2.0 * np.abs(scale))
+    margin = _EDGE_MARGIN * band
+    out = np.full(len(rows), LimitKind.UNDECIDED, dtype=object)
+    free = (v[:, 1] == 0.0) & (v[:, 3] == 0.0)
+    unsure = free & (~carrier_free[rows] | (np.abs(np.abs(total) - band) <= margin))
+    equilibrium = free & ~unsure & (np.abs(total) <= band)
+    out[equilibrium] = LimitKind.EQUILIBRIUM
+    pending = ~unsure & ~equilibrium
+    weight = 1.0
+    for terms in range(_MAX_TERMS + 1):
+        high = weight * _LOG_9_8 + band
+        near = pending & ((np.abs(total + band) <= margin) | (np.abs(total - high) <= margin))
+        below, above = pending & ~near & (total < -band), pending & ~near & (total > high)
+        out[below], out[above] = LimitKind.ZERO, LimitKind.INFINITY
+        unsure |= near
+        pending &= ~(near | below | above)
+        if terms == _MAX_TERMS or not pending.any():
+            break
+        if terms == 0:  # most rows settle on log(fs·ms/4): step only the rest
+            sub = np.flatnonzero(pending)
+            sums = np.stack([fs[sub], fs[sub], ms[sub], ms[sub]], axis=1)
+            series = op.orbit(v[sub] / sums, "normalized", _MAX_TERMS)
+        t = next(series)
+        weight *= 0.5
+        total[sub] += weight * np.log(4.0 * (t[:, 0] + t[:, 1]) * (t[:, 2] + t[:, 3]))
+    kinds[rows] = out
+    hard[rows[unsure]] = True
+    for i in np.flatnonzero(hard):
+        kinds[i] = classify_limit(s[i]).kind
+    return kinds
 
 
 # ---------------------------------------------------------------------------

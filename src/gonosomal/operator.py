@@ -26,10 +26,10 @@ does row by row; it works one column at a time (see :func:`fold_columns`).
 Many steps go one of two ways.  :meth:`GonosomalOperator.orbit` is the one
 multi-step batch path: it checks its input once and steps between buffers
 allocated up front, bit for bit as repeated ``apply_raw`` or
-``apply_normalized``; the scan, the attraction probe, the estimate probes and
-``empirical_limits`` step with it.  :meth:`GonosomalOperator.raw_step` is the
-single-state path, on Python floats, which ``iterate`` and ``classify_limit``
-step with.
+``apply_normalized``; the scan, the attraction probe, the estimate probes,
+``empirical_limits`` and ``classify_limits`` step with it.
+:meth:`GonosomalOperator.raw_step` is the single-state path, on Python
+floats, which ``iterate`` and ``classify_limit`` step with.
 """
 
 from __future__ import annotations
@@ -384,7 +384,14 @@ class GonosomalOperator(_Immutable):
         return pairs @ self._pair_matrix
 
     def apply_raw(self, state) -> np.ndarray:
-        """One generation of the raw (unnormalized) dynamics."""
+        """One generation of the raw (unnormalized) dynamics.
+
+        A batch and the same rows taken one at a time may differ in the
+        last bit: a batch goes through a matrix-matrix product and a single
+        state through a matrix-vector product, which round differently.
+        So code whose output must not depend on how states were grouped
+        maps them one call per state, or compares with a margin.
+        """
         return self._pair_product(*self.split(state))
 
     def raw_step(self, values) -> list[float]:

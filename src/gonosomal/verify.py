@@ -15,14 +15,15 @@ for any tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .invariant_sets import (
     RAW_EQUILIBRIUM,
     LimitKind,
-    classify_limit,
+    classify_limits,
     closed_form_diagonal,
     verify_invariance,
 )
@@ -49,9 +50,16 @@ __all__ = ["CheckResult", "random_tensor", "run_battery", "empirical_limits"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named check.  ``seconds`` is the wall time :func:`run_battery`
+    spent from the end of the check before (for the first check, from the
+    battery's start) to the end of this one, so the times add up to the
+    battery's.  It is not part of the result's value, and no report
+    prints it."""
+
     name: str
     ok: bool
     detail: str
+    seconds: float | None = field(default=None, compare=False)
 
 
 def random_tensor(
@@ -104,12 +112,11 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
 
 
 def _agreement(op: GonosomalOperator, batch) -> tuple[int, int]:
-    """Rows of ``batch`` that :func:`classify_limit` decides, and how many
+    """Rows of ``batch`` that :func:`classify_limits` decides, and how many
     of those verdicts :func:`empirical_limits` confirms."""
-    kinds = [classify_limit(row).kind for row in batch]
-    decided = [(k, e) for k, e in zip(kinds, empirical_limits(op, batch))
-               if k is not LimitKind.UNDECIDED]
-    return len(decided), sum(k is e for k, e in decided)
+    kinds = classify_limits(batch)
+    decided = kinds != LimitKind.UNDECIDED
+    return int(decided.sum()), int((kinds == empirical_limits(op, batch))[decided].sum())
 
 
 def _refill(rng, draw, accept, count) -> np.ndarray:
@@ -503,33 +510,44 @@ def run_battery(
     whose pair matrix equals the hemophilia one also gets the
     model-specific checks (invariant sets, closed form, trichotomy,
     estimates, fixed-point values); any other operator gets the algebraic
-    and generic-numeric checks only.
+    and generic-numeric checks only.  Each result carries its wall time in
+    ``seconds``; the two estimate checks come from one call, whose time the
+    first of them carries.
     """
     require_count("samples", samples)
     op = hemophilia_operator() if op is None else op
     builtin = is_hemophilia(op)
     rng = np.random.default_rng(rng_seed)
-    results = [
-        _check_tensor_rows(op),
-        _check_sum_product(op, rng, samples),
-        _check_sum_product_random(rng, samples),
-        _check_bilinearity(op, rng, samples),
-        _check_scale_invariance(op, rng, samples),
-        _check_jacobian_raw(op, rng, samples),
-        _check_jacobian_reduced(op, rng, samples),
-    ]
+    results = []
+    last = time.perf_counter()
+
+    def record(*checks):
+        nonlocal last
+        for check in checks:
+            now = time.perf_counter()
+            results.append(replace(check, seconds=now - last))
+            last = now
+
+    record(_check_tensor_rows(op))
+    record(_check_sum_product(op, rng, samples))
+    record(_check_sum_product_random(rng, samples))
+    record(_check_bilinearity(op, rng, samples))
+    record(_check_scale_invariance(op, rng, samples))
+    record(_check_jacobian_raw(op, rng, samples))
+    record(_check_jacobian_reduced(op, rng, samples))
     if op.tensor.is_nonnegative() and preserves_simplex(op.tensor):
-        results.append(_check_simplex_preservation(op, rng, samples))
+        record(_check_simplex_preservation(op, rng, samples))
     if builtin:
-        results.append(_check_invariance(op, rng_seed, samples))
-        results.append(_check_closed_form(op))
-        results.append(_check_trichotomy(op, rng))
-        results.append(_check_growth_bound(op, rng, samples))
-        results.append(_check_classifier_mc(op, rng, samples))
-        results.extend(_check_estimates(rng, samples))
-        results.append(_check_correspondence(op, rng))
-        results.append(_check_raw_roots(op, rng_seed))
+        record(_check_invariance(op, rng_seed, samples))
+        record(_check_closed_form(op))
+        record(_check_trichotomy(op, rng))
+        record(_check_growth_bound(op, rng, samples))
+        record(_check_classifier_mc(op, rng, samples))
+        record(*_check_estimates(rng, samples))
+        record(_check_correspondence(op, rng))
+        record(_check_raw_roots(op, rng_seed))
+        # the normalized search is the next check's time; the probe reuses it
         found = find_fixed_points(op, mode="normalized", n_seeds=400, rng_seed=rng_seed)
-        results.append(_check_normalized_root(op, found))
-        results.append(_check_local_attraction(op, found, rng))
+        record(_check_normalized_root(op, found))
+        record(_check_local_attraction(op, found, rng))
     return results

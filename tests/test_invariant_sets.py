@@ -1,6 +1,10 @@
 """Invariant set membership, the diagonal closed form, limit
 classification, and the sampling battery."""
 
+import importlib.util
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,13 +15,16 @@ from gonosomal.invariant_sets import (
     RAW_EQUILIBRIUM,
     LimitKind,
     classify_limit,
+    classify_limits,
     closed_form_diagonal,
     membership,
     verify_invariance,
 )
+from gonosomal import invariant_sets, verify
 from gonosomal.operator import (
-    GonosomalOperator, StopReason, hemophilia_operator, hemophilia_tensor,
+    DimensionMismatchError, GonosomalOperator, StopReason, hemophilia_operator, hemophilia_tensor,
 )
+from gonosomal.spectral import DROP_REASONS, FixedPointSearchResult
 from gonosomal.verify import empirical_limits, random_tensor
 
 OP = hemophilia_operator()
@@ -369,6 +376,152 @@ def test_classifier_agrees_with_empirical_limits_on_signed_states():
         decided += 1
         assert kind is seen, (s, kind, seen)
     assert decided > 0.95 * len(states)
+
+
+# ---------------------------------------------------------------------------
+# batch limit classification
+# ---------------------------------------------------------------------------
+
+
+def _assert_batch_matches_single(states):
+    states = np.asarray(states, dtype=float)
+    kinds = classify_limits(states)
+    assert kinds.dtype == object and kinds.shape == (len(states),)
+    want = [classify_limit(s).kind for s in states]
+    bad = [(s, k, w) for s, k, w in zip(states, kinds, want) if k is not w]
+    assert not bad, bad[:5]
+    return kinds
+
+
+def _orbit_inputs(seed):
+    # the start states of the `orbit` benchmark workload, eight families
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    families = module._orbit_families(np.random.default_rng(seed), 250)
+    return np.stack(families, axis=1).reshape(-1, 4)
+
+
+def _carrier_free(rng, count):
+    s = np.zeros((count, 4))
+    s[:, [0, 2]] = rng.uniform(-3.0, 3.0, (count, 2))
+    return s
+
+
+def _diagonal(rng, count):
+    s = np.zeros((count, 4))
+    s[:, 0] = s[:, 2] = rng.uniform(-3.0, 3.0, count)
+    return s
+
+
+BATCHES = {
+    "orbit-73411": lambda: _orbit_inputs(73411),
+    "orbit-90017": lambda: _orbit_inputs(90017),
+    "signed": lambda: np.random.default_rng(0).uniform(-3.0, 3.0, (20_000, 4)),
+    "nonnegative": lambda: np.random.default_rng(1).uniform(0.0, 3.0, (20_000, 4)),
+    "times-1e200": lambda: np.random.default_rng(2).uniform(-3.0, 3.0, (2000, 4)) * 1e200,
+    "times-1e-200": lambda: np.random.default_rng(3).uniform(-3.0, 3.0, (2000, 4)) * 1e-200,
+    "carrier-free": lambda: _carrier_free(np.random.default_rng(4), 2000),
+    "diagonal": lambda: _diagonal(np.random.default_rng(5), 2000),
+    # exact cancellations and zero blocks, at every step
+    "grid": lambda: np.array(list(itertools.product([-2, -1, -0.5, 0, 0.5, 1, 2], repeat=4))),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCHES))
+def test_batch_kinds_are_the_single_state_kinds(name):
+    kinds = _assert_batch_matches_single(BATCHES[name]())
+    assert len(set(kinds)) >= 2  # several verdicts, so the match means something
+
+
+@pytest.mark.parametrize("seed", [0, 42, 73411, 90017])
+def test_batch_kinds_match_on_the_battery_batches(monkeypatch, seed):
+    # the two classifier batches of run_battery; the Newton searches, which
+    # run after them, are stubbed out
+    sizes = []
+
+    def checking(states):
+        sizes.append(len(states))
+        return _assert_batch_matches_single(states)
+
+    def rootless(op, mode, n_seeds, rng_seed):
+        drops = dict.fromkeys(DROP_REASONS, 0) | {"non_finite": n_seeds}
+        return FixedPointSearchResult([], n_seeds, 0, iterations=0, drops=drops)
+
+    monkeypatch.setattr(verify, "classify_limits", checking)
+    monkeypatch.setattr(verify, "find_fixed_points", rootless)
+    verify.run_battery(rng_seed=seed)
+    assert sizes == [201, 10_000]
+
+
+def test_batch_kinds_on_the_special_states():
+    special = [
+        [0.0, 0.0, 3.0, 3.0],  # exact zero blocks: Zero
+        [0.0, 0.0, -3.0, 3.0],
+        [3.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [2.0, 0.0, 2.0, 0.0],  # the raw fixed point: Equilibrium
+        [4.0, 0.0, 1.0, 0.0],
+        [-4.0, 0.0, 1.0, 0.0],
+        STILL_SIGNED,  # Undecided: signed after the forward cap
+        ON_THE_BOUNDARY,  # Undecided: in the band after the term cap
+        [-1e200, -1e200, -1e200, -1e200],
+        [1.0, 1.0, 1.0, 1.0],
+        [-1.0, 2.0, 3.0, -4.0],
+    ]
+    kinds = _assert_batch_matches_single(special)
+    assert list(kinds[:4]) == [LimitKind.ZERO] * 4
+    assert list(kinds[4:7]) == [LimitKind.EQUILIBRIUM] * 3
+    assert list(kinds[7:9]) == [LimitKind.UNDECIDED] * 2
+
+
+def test_a_sum_on_a_band_edge_goes_to_the_single_state_classifier(monkeypatch):
+    # log(x/4) on the band 1e-12·(1 + 2 log x): rounding alone tells
+    # Equilibrium from Infinity there, so classify_limit decides the row
+    band = 1e-12 * (1.0 + 2.0 * np.log(4.0))
+    edge = [4.0 * np.exp(band), 0.0, 1.0, 0.0]
+    calls = []
+    real = invariant_sets.classify_limit
+    monkeypatch.setattr(invariant_sets, "classify_limit", lambda s: calls.append(s) or real(s))
+    kinds = classify_limits([edge, [4.0, 0.0, 1.0, 0.0]])
+    assert len(calls) == 1 and list(calls[0]) == edge
+    assert kinds[0] is real(edge).kind and kinds[1] is LimitKind.EQUILIBRIUM
+
+
+def test_empty_batch_gives_no_kinds():
+    kinds = classify_limits(np.zeros((0, 4)))
+    assert kinds.shape == (0,) and kinds.dtype == object
+
+
+@pytest.mark.parametrize(
+    "states", [np.zeros(4), np.zeros((3, 3)), np.zeros((2, 3, 4)), [[1.0, 2.0]]],
+    ids=["one-state", "three-columns", "three-axes", "arity"],
+)
+def test_batch_classifier_refuses_other_shapes(states):
+    with pytest.raises(DimensionMismatchError):
+        classify_limits(states)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_classifier_refuses_non_finite_rows(bad):
+    states = np.ones((3, 4))
+    states[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        classify_limits(states)
+
+
+scaled_coord = st.builds(
+    lambda c, e: c * 10.0**e,
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.integers(min_value=-60, max_value=60),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(scaled_coord, min_size=4, max_size=4), min_size=1, max_size=8))
+def test_batch_kinds_match_on_signed_states_at_mixed_scales(rows):
+    _assert_batch_matches_single(rows)
 
 
 # ---------------------------------------------------------------------------

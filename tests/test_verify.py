@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gonosomal import spectral, verify
+from gonosomal import invariant_sets, spectral, verify
 from gonosomal.invariant_sets import RAW_EQUILIBRIUM, LimitKind, closed_form_diagonal
 from gonosomal.operator import (
     DIV_THRESHOLD, GonosomalOperator, hemophilia_operator, hemophilia_tensor,
@@ -38,6 +38,44 @@ def test_run_battery_runs_the_attraction_probe_once(monkeypatch):
     np.testing.assert_allclose(points[0], [0.5, 0.0, 0.5, 0.0], rtol=0, atol=1e-10)
     assert results["normalized-fixed-point"].ok
     assert results["local-attraction"].ok
+
+
+def test_the_battery_classifies_each_batch_in_one_call(monkeypatch):
+    # the classifier checks go through classify_limits, once per batch; only
+    # rows it cannot decide with a margin reach the single-state classifier
+    single, batches, agreements = [], [], []
+    real_single, real_batch, real_agreement = (
+        invariant_sets.classify_limit, verify.classify_limits, verify._agreement,
+    )
+
+    def counting_single(state):
+        single.append(state)
+        return real_single(state)
+
+    def counting_batch(states):
+        batches.append(len(states))
+        return real_batch(states)
+
+    def counting_agreement(op, batch):
+        agreements.append(len(batch))
+        return real_agreement(op, batch)
+
+    monkeypatch.setattr(invariant_sets, "classify_limit", counting_single)
+    monkeypatch.setattr(verify, "classify_limits", counting_batch)
+    monkeypatch.setattr(verify, "_agreement", counting_agreement)
+    results = {r.name: r for r in verify.run_battery(rng_seed=73411)}
+    assert len(single) <= 100
+    assert batches == agreements == [201, 10_000]
+    assert results["carrier-free-trichotomy"].ok and results["limit-classifier-agreement"].ok
+
+
+def test_every_check_carries_its_time_outside_its_value():
+    results = verify.run_battery(samples=200)
+    assert all(r.seconds is not None and r.seconds >= 0.0 for r in results)
+    again = verify.run_battery(samples=200)
+    # equal results whatever the clock read: the time is not compared
+    assert results == again
+    assert verify.CheckResult("a", True, "d", seconds=1.0) == verify.CheckResult("a", True, "d")
 
 
 def test_local_attraction_fails_plainly_without_a_unique_root():
