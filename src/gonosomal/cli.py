@@ -4,8 +4,7 @@ Five subcommands: ``fixed-points`` (multistart Newton search with
 stability reports), ``trajectory`` (orbit of one state as a CSV table),
 ``classify`` (limit verdict for one state from the sign of its escape
 series, with the sum, forward steps and terms it took, optionally
-cross-checked by actual iteration), ``verify`` (the named check battery;
-``--timings`` adds each check's time on stderr),
+cross-checked by actual iteration), ``verify`` (the named check battery),
 and ``scan`` (Monte Carlo convergence scan of the normalized dynamics).
 
 Reports are flat key=value lines in blank-line-separated stanzas; tables
@@ -177,8 +176,6 @@ def cmd_verify(args) -> int:
     ]
     body = [f"{'ok' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
     _emit("\n".join(lines) + "\n\n" + "\n".join(body) + "\n", args.out)
-    if args.timings:  # stderr only: the report bytes stay deterministic
-        sys.stderr.write("".join(f"time {r.name}={r.seconds:.6f}\n" for r in results))
     return 1 if failed else 0
 
 
@@ -277,11 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_tensor(p)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--timings",
-        action="store_true",
-        help="write each check's wall time in seconds to stderr",
-    )
     add_out(p)
     p.set_defaults(func=cmd_verify)
 

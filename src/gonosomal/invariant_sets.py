@@ -37,8 +37,9 @@ it gives the same kind for each row of a batch, stepping with ``orbit``.
 Its products and logarithms may round differently in the last bits, so
 it hands to :func:`classify_limit` every row it cannot decide with a
 margin: still signed after 8 forward steps, an image that gains a zero
-block, turns carrier-free or has a sup norm outside [1e-100, 1e100], or a
-partial sum within a quarter band of a band edge.
+block or has a sup norm outside [1e-100, 1e100], or a partial sum within
+a quarter band of a band edge.  It hands on every carrier-free row as
+well, so only :func:`classify_limit` claims Equilibrium.
 """
 
 from __future__ import annotations
@@ -241,12 +242,16 @@ def classify_limit(state) -> LimitVerdict:
 
 
 # The batch takes at most this many raw steps forward, and hands on a row
-# whose image's sup norm leaves [1e-100, 1e100].
+# whose image's sup norm leaves [1e-100, 1e100].  The raw orbit keeps
+# squaring the rows already done or handed on: from sup norm 1 a raw step
+# at most squares the norm and multiplies it by 4 (four pair products, each
+# pair's coefficients summing to 1), so |W^k(w)| <= 4^(2^k - 1), which is
+# 2^510 (about 3e153) at k = 8 and overflows after k = 9.
 _BATCH_FORWARD = 8
 _BATCH_RANGE = (1e-100, 1e100)
 # A batch verdict needs its partial sum a quarter band off each edge.  The
 # batch and single-state sums differed by at most 1.3% of the band on
-# about 98,000 states, and a sum of exactly 0 stays clear of that zone.
+# about 98,000 states.
 _EDGE_MARGIN = 0.25
 
 
@@ -266,11 +271,12 @@ def classify_limits(states) -> np.ndarray:
     row is decided.  Its products and logarithms may round differently
     from the single-state ones, so a row it cannot decide with a margin
     goes to :func:`classify_limit` itself: a row still signed after the
-    forward steps, one whose image gains a zero block, turns carrier-free
-    or has a sup norm outside ``_BATCH_RANGE``, and one whose partial sum
-    comes within ``_EDGE_MARGIN``·band of a band edge.  A non-finite
-    coordinate raises ValueError, and anything but a (k, 4) array
-    DimensionMismatchError.
+    forward steps, one whose image gains a zero block or has a sup norm
+    outside ``_BATCH_RANGE``, and one whose partial sum comes within
+    ``_EDGE_MARGIN``·band of a band edge.  A carrier-free row goes there
+    too, so the Equilibrium verdict, which only such a row can get, keeps
+    its one rule.  A non-finite coordinate raises ValueError, and anything
+    but a (k, 4) array DimensionMismatchError.
     """
     s = as_state_vector(states, 4)
     if s.ndim != 2:
@@ -285,7 +291,6 @@ def classify_limits(states) -> np.ndarray:
     w = s / top[:, None]
     log_scale = np.log(top)
     zero = _zero_block(w)
-    carrier_free = (w[:, 1] == 0.0) & (w[:, 3] == 0.0)
     kinds[zero] = LimitKind.ZERO
 
     # forward: raw steps of the signed rows; W^k(w) is w_k·e^(L_k - 2^k·L_0)
@@ -304,6 +309,8 @@ def classify_limits(states) -> np.ndarray:
     hard[idx[left]] = True
 
     # the series, as classify_limit sums it, on the rows now nonnegative
+    # and not carrier-free
+    hard |= ~zero & (w[:, 1] == 0.0) & (w[:, 3] == 0.0)
     rows = np.flatnonzero(~zero & ~hard)
     v, scale = w[rows], log_scale[rows]
     fs, ms = v[:, 0] + v[:, 1], v[:, 2] + v[:, 3]
@@ -311,18 +318,14 @@ def classify_limits(states) -> np.ndarray:
     band = 1e-12 * (1.0 + 2.0 * np.abs(scale))
     margin = _EDGE_MARGIN * band
     out = np.full(len(rows), LimitKind.UNDECIDED, dtype=object)
-    free = (v[:, 1] == 0.0) & (v[:, 3] == 0.0)
-    unsure = free & (~carrier_free[rows] | (np.abs(np.abs(total) - band) <= margin))
-    equilibrium = free & ~unsure & (np.abs(total) <= band)
-    out[equilibrium] = LimitKind.EQUILIBRIUM
-    pending = ~unsure & ~equilibrium
+    pending = np.ones(len(rows), dtype=bool)
     weight = 1.0
     for terms in range(_MAX_TERMS + 1):
         high = weight * _LOG_9_8 + band
         near = pending & ((np.abs(total + band) <= margin) | (np.abs(total - high) <= margin))
         below, above = pending & ~near & (total < -band), pending & ~near & (total > high)
         out[below], out[above] = LimitKind.ZERO, LimitKind.INFINITY
-        unsure |= near
+        hard[rows[near]] = True
         pending &= ~(near | below | above)
         if terms == _MAX_TERMS or not pending.any():
             break
@@ -334,7 +337,6 @@ def classify_limits(states) -> np.ndarray:
         weight *= 0.5
         total[sub] += weight * np.log(4.0 * (t[:, 0] + t[:, 1]) * (t[:, 2] + t[:, 3]))
     kinds[rows] = out
-    hard[rows[unsure]] = True
     for i in np.flatnonzero(hard):
         kinds[i] = classify_limit(s[i]).kind
     return kinds

@@ -15,8 +15,7 @@ for any tensor.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,16 +49,9 @@ __all__ = ["CheckResult", "random_tensor", "run_battery", "empirical_limits"]
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named check.  ``seconds`` is the wall time :func:`run_battery`
-    spent from the end of the check before (for the first check, from the
-    battery's start) to the end of this one, so the times add up to the
-    battery's.  It is not part of the result's value, and no report
-    prints it."""
-
     name: str
     ok: bool
     detail: str
-    seconds: float | None = field(default=None, compare=False)
 
 
 def random_tensor(
@@ -510,44 +502,33 @@ def run_battery(
     whose pair matrix equals the hemophilia one also gets the
     model-specific checks (invariant sets, closed form, trichotomy,
     estimates, fixed-point values); any other operator gets the algebraic
-    and generic-numeric checks only.  Each result carries its wall time in
-    ``seconds``; the two estimate checks come from one call, whose time the
-    first of them carries.
+    and generic-numeric checks only.
     """
     require_count("samples", samples)
     op = hemophilia_operator() if op is None else op
     builtin = is_hemophilia(op)
     rng = np.random.default_rng(rng_seed)
-    results = []
-    last = time.perf_counter()
-
-    def record(*checks):
-        nonlocal last
-        for check in checks:
-            now = time.perf_counter()
-            results.append(replace(check, seconds=now - last))
-            last = now
-
-    record(_check_tensor_rows(op))
-    record(_check_sum_product(op, rng, samples))
-    record(_check_sum_product_random(rng, samples))
-    record(_check_bilinearity(op, rng, samples))
-    record(_check_scale_invariance(op, rng, samples))
-    record(_check_jacobian_raw(op, rng, samples))
-    record(_check_jacobian_reduced(op, rng, samples))
+    results = [
+        _check_tensor_rows(op),
+        _check_sum_product(op, rng, samples),
+        _check_sum_product_random(rng, samples),
+        _check_bilinearity(op, rng, samples),
+        _check_scale_invariance(op, rng, samples),
+        _check_jacobian_raw(op, rng, samples),
+        _check_jacobian_reduced(op, rng, samples),
+    ]
     if op.tensor.is_nonnegative() and preserves_simplex(op.tensor):
-        record(_check_simplex_preservation(op, rng, samples))
+        results.append(_check_simplex_preservation(op, rng, samples))
     if builtin:
-        record(_check_invariance(op, rng_seed, samples))
-        record(_check_closed_form(op))
-        record(_check_trichotomy(op, rng))
-        record(_check_growth_bound(op, rng, samples))
-        record(_check_classifier_mc(op, rng, samples))
-        record(*_check_estimates(rng, samples))
-        record(_check_correspondence(op, rng))
-        record(_check_raw_roots(op, rng_seed))
-        # the normalized search is the next check's time; the probe reuses it
+        results.append(_check_invariance(op, rng_seed, samples))
+        results.append(_check_closed_form(op))
+        results.append(_check_trichotomy(op, rng))
+        results.append(_check_growth_bound(op, rng, samples))
+        results.append(_check_classifier_mc(op, rng, samples))
+        results.extend(_check_estimates(rng, samples))
+        results.append(_check_correspondence(op, rng))
+        results.append(_check_raw_roots(op, rng_seed))
         found = find_fixed_points(op, mode="normalized", n_seeds=400, rng_seed=rng_seed)
-        record(_check_normalized_root(op, found))
-        record(_check_local_attraction(op, found, rng))
+        results.append(_check_normalized_root(op, found))
+        results.append(_check_local_attraction(op, found, rng))
     return results

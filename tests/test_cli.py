@@ -324,24 +324,6 @@ def test_verify_builtin_battery_passes(capsys):
     assert any(line.startswith("ok sum-product-identity:") for line in lines)
 
 
-def test_verify_timings_go_to_stderr_only(capsys, tmp_path):
-    code, plain, err = run_cli(capsys, "verify", "--samples", "500")
-    assert code == 0 and err == ""
-    code, timed, err = run_cli(capsys, "verify", "--samples", "500", "--timings")
-    assert code == 0 and timed == plain
-    body = plain.strip().split("\n\n")[1]
-    names = [line.split(":")[0].split(" ", 1)[1] for line in body.splitlines()]
-    lines = err.splitlines()
-    assert [line.split("=")[0] for line in lines] == [f"time {name}" for name in names]
-    assert all(float(line.split("=")[1]) >= 0.0 for line in lines)
-    # --out gets the same bytes with and without the flag
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    run_cli(capsys, "verify", "--samples", "500", "--out", str(a))
-    code, out, err = run_cli(capsys, "verify", "--samples", "500", "--timings", "--out", str(b))
-    assert code == 0 and out == "" and len(err.splitlines()) == len(names)
-    assert a.read_bytes() == b.read_bytes() == plain.encode()
-
-
 HEMOPHILIA_ONLY_CHECKS = {
     "invariant-sets", "diagonal-closed-form", "carrier-free-trichotomy",
     "escape-growth-bound", "limit-classifier-agreement", "estimate-bounds",

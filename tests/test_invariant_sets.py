@@ -476,17 +476,25 @@ def test_batch_kinds_on_the_special_states():
     assert list(kinds[7:9]) == [LimitKind.UNDECIDED] * 2
 
 
-def test_a_sum_on_a_band_edge_goes_to_the_single_state_classifier(monkeypatch):
-    # log(x/4) on the band 1e-12·(1 + 2 log x): rounding alone tells
-    # Equilibrium from Infinity there, so classify_limit decides the row
-    band = 1e-12 * (1.0 + 2.0 * np.log(4.0))
-    edge = [4.0 * np.exp(band), 0.0, 1.0, 0.0]
+def test_band_edges_and_carrier_free_rows_go_to_the_single_state_classifier(monkeypatch):
+    # (a, a, a, a) sums to 2·log(a) at once.  On the band edges -band and
+    # log(9/8) + band rounding alone tells the verdicts apart, and only
+    # classify_limit claims Equilibrium, so it decides those rows and every
+    # carrier-free row; (2, 2, 2, 2) is well clear of both edges.
+    low = np.exp(-1e-12 / 2.0)  # band = 1e-12·(1 + 2|log a|), about 1e-12 here
+    high = np.sqrt(9.0 / 8.0)
+    for _ in range(3):
+        high = np.sqrt(9.0 / 8.0) * np.exp(1e-12 * (1.0 + 2.0 * np.log(high)) / 2.0)
+    states = [[low] * 4, [high] * 4, [2.0] * 4, [4.0, 0.0, 1.0, 0.0], [-4.0, 0.0, 1.0, 0.0]]
     calls = []
     real = invariant_sets.classify_limit
     monkeypatch.setattr(invariant_sets, "classify_limit", lambda s: calls.append(s) or real(s))
-    kinds = classify_limits([edge, [4.0, 0.0, 1.0, 0.0]])
-    assert len(calls) == 1 and list(calls[0]) == edge
-    assert kinds[0] is real(edge).kind and kinds[1] is LimitKind.EQUILIBRIUM
+    kinds = classify_limits(states)
+    assert [list(c) for c in calls] == [states[0], states[1], states[3], states[4]]
+    assert list(kinds) == [real(s).kind for s in states] == [
+        LimitKind.ZERO, LimitKind.INFINITY, LimitKind.INFINITY,
+        LimitKind.EQUILIBRIUM, LimitKind.EQUILIBRIUM,
+    ]
 
 
 def test_empty_batch_gives_no_kinds():

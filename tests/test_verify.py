@@ -42,7 +42,8 @@ def test_run_battery_runs_the_attraction_probe_once(monkeypatch):
 
 def test_the_battery_classifies_each_batch_in_one_call(monkeypatch):
     # the classifier checks go through classify_limits, once per batch; only
-    # rows it cannot decide with a margin reach the single-state classifier
+    # the trichotomy's 201 carrier-free rows and rows it cannot decide with a
+    # margin reach the single-state classifier
     single, batches, agreements = [], [], []
     real_single, real_batch, real_agreement = (
         invariant_sets.classify_limit, verify.classify_limits, verify._agreement,
@@ -64,18 +65,10 @@ def test_the_battery_classifies_each_batch_in_one_call(monkeypatch):
     monkeypatch.setattr(verify, "classify_limits", counting_batch)
     monkeypatch.setattr(verify, "_agreement", counting_agreement)
     results = {r.name: r for r in verify.run_battery(rng_seed=73411)}
-    assert len(single) <= 100
+    free = [state for state in single if state[1] == state[3] == 0.0]
+    assert len(free) == 201 and len(single) - len(free) <= 100
     assert batches == agreements == [201, 10_000]
     assert results["carrier-free-trichotomy"].ok and results["limit-classifier-agreement"].ok
-
-
-def test_every_check_carries_its_time_outside_its_value():
-    results = verify.run_battery(samples=200)
-    assert all(r.seconds is not None and r.seconds >= 0.0 for r in results)
-    again = verify.run_battery(samples=200)
-    # equal results whatever the clock read: the time is not compared
-    assert results == again
-    assert verify.CheckResult("a", True, "d", seconds=1.0) == verify.CheckResult("a", True, "d")
 
 
 def test_local_attraction_fails_plainly_without_a_unique_root():
