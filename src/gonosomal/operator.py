@@ -27,7 +27,11 @@ Many steps go one of two ways.  :meth:`GonosomalOperator.orbit` is the one
 multi-step batch path: it checks its input once and steps between buffers
 allocated up front, bit for bit as repeated ``apply_raw`` or
 ``apply_normalized``; the scan, the attraction probe, the estimate probes,
-``empirical_limits`` and ``classify_limits`` step with it.
+``empirical_limits`` and ``classify_limits`` step with it.  Its buffers are
+column-major (``order="F"``), so each per-column multiply, add and divide
+runs over contiguous memory, while shapes and indexing stay ``(..., dim)``;
+its per-step guard is :func:`can_normalize_all`, a few reductions in place
+of an element-wise mask.
 :meth:`GonosomalOperator.raw_step` is the single-state path, on Python
 floats, which ``iterate`` and ``classify_limit`` step with.
 """
@@ -134,6 +138,18 @@ def can_normalize(fs, ms):
     give a mask; Python floats give a bool."""
     g = fs * ms
     return (fs > _BLOCK_SUM_GUARD) & (ms > _BLOCK_SUM_GUARD) & (g >= _NORMAL_MIN) & (g < np.inf)
+
+
+def can_normalize_all(fs, ms) -> bool:
+    """``can_normalize(fs, ms).all()`` for arrays, from one element-wise
+    minimum and three reductions instead of a full mask.  NaN fails each
+    comparison, and an empty batch passes."""
+    if fs.size == 0:
+        return True
+    g = fs * ms
+    return bool(
+        np.minimum(fs, ms).min() > _BLOCK_SUM_GUARD and g.min() >= _NORMAL_MIN and g.max() < np.inf
+    )
 
 
 def as_state_vector(state, dim: int | None = None) -> np.ndarray:
@@ -429,7 +445,7 @@ class GonosomalOperator(_Immutable):
 
     def _guarded_block_sums(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         fs, ms = self._block_sums(x, y)
-        if not can_normalize(fs, ms).all():
+        if not can_normalize_all(fs, ms):
             raise _annihilated()
         return fs, ms
 
@@ -458,17 +474,22 @@ class GonosomalOperator(_Immutable):
         turn: it stays valid until the iterate two steps later is formed.
         Copy what must outlive that.  ``steps=0`` yields nothing.
 
+        The buffers are column-major (``order="F"``): an iterate is indexed
+        ``(..., dim)`` like its input, but each column ``[..., j]`` is
+        contiguous, so the per-column products, sums and divisions stream
+        through memory.  Any input layout is accepted.
+
         Raises:
             AnnihilatedStateError: in normalized mode, before the division,
                 when the block sums of iterate ``k`` fail
-                :func:`can_normalize`; ``step`` is ``k`` (0 for the input).
+                :func:`can_normalize_all`; ``step`` is ``k`` (0 for the input).
         """
         require_mode(mode)
         normalized = mode == "normalized"
         vec = as_state_vector(states, self.dim)
         n, nu = self.n, self.nu
-        bufs = (np.empty(vec.shape), np.empty(vec.shape))
-        pairs = np.empty(vec.shape[:-1] + (n * nu,))
+        bufs = (np.empty(vec.shape, order="F"), np.empty(vec.shape, order="F"))
+        pairs = np.empty(vec.shape[:-1] + (n * nu,), order="F")
         # column views, made once: the pair (i, k) goes to column i*nu + k
         buf_cols = [[b[..., j] for j in range(self.dim)] for b in bufs]
         pair_cols = [(divmod(c, nu), pairs[..., c]) for c in range(n * nu)]
@@ -477,7 +498,7 @@ class GonosomalOperator(_Immutable):
             out = bufs[step % 2]
             if normalized:
                 fs, ms = self._block_sums(cur[..., :n], cur[..., n:])
-                if not can_normalize(fs, ms).all():
+                if not can_normalize_all(fs, ms):
                     raise _annihilated(step=step)
             for (i, k), pair_col in pair_cols:
                 np.multiply(cols[i], cols[n + k], out=pair_col)

@@ -214,8 +214,13 @@ def _newton_multistart(fun, jac, seeds, *, tol):
         for alphas in (_ALPHAS[:1], _ALPHAS[1:]):
             if idx.size == 0:
                 break
-            scaled = alphas[:, None] * step[:, None, :]
-            trial = pts[idx][:, None, :] + scaled
+            # each seed's trial points pts + alpha * step, one column at a time
+            scaled = np.empty((idx.size, alphas.size, d))
+            trial = np.empty_like(scaled)
+            base = pts[idx]
+            for j in range(d):
+                np.multiply(alphas, step[:, j, None], out=scaled[..., j])
+                np.add(base[:, j, None], scaled[..., j], out=trial[..., j])
             Ft = fun(trial.reshape(-1, d)).reshape(trial.shape)
             rt = fold_columns(np.maximum, np.abs(Ft))
             ok = np.isfinite(rt) & (rt < res[idx][:, None])
@@ -313,9 +318,11 @@ def find_fixed_points(
         def fun(r):
             full = embed_reduced(r, eliminate, dim)
             fs, ms = op.block_sums(full)
-            raw = op.apply_raw(full)
+            img = op.apply_raw(full)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                img = raw / (fs * ms)[..., None]
+                g = fs * ms
+                for j in range(dim):
+                    np.divide(img[..., j], g, out=img[..., j])
             return np.delete(img, eliminate, axis=-1) - r
 
         def jac(r):

@@ -95,3 +95,18 @@ def test_only_orbit_steps_a_batch_in_a_loop():
                 ]
             stack.extend(ast.iter_child_nodes(node))
     assert not found, "; ".join(sorted(set(found)))
+
+
+def test_the_block_sum_guard_has_one_home():
+    # the normalized map's division rule reads its two thresholds in
+    # can_normalize (a mask) and can_normalize_all (its batch-wide .all())
+    # alone; every caller goes through one of the two
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Name) and node.id in ("_BLOCK_SUM_GUARD", "_NORMAL_MIN"):
+                        readers.add(f"{path.name}:{func.name}")
+    assert readers == {"operator.py:can_normalize", "operator.py:can_normalize_all"}

@@ -16,6 +16,8 @@ from gonosomal.operator import (
     StopReason,
     TensorFormatError,
     as_state_vector,
+    can_normalize,
+    can_normalize_all,
     dump_tensor,
     fold_columns,
     hemophilia_operator,
@@ -377,6 +379,38 @@ def test_block_product_outside_the_normal_range_raises(state):
     assert err.value.step == 0
 
 
+# Block sums at and around every edge of the guard: NaN, the infinities,
+# both zeros, the guard 1e-300 and the next double up, factors whose product
+# underflows (1e-160) or overflows (1e200), and ordinary values.
+_GUARD_EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, np.nextafter(1e-300, 1.0),
+                1e-160, 1e200, 0.5, 1.0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_the_batch_guard_is_can_normalize_all():
+    pairs = [(f, m) for f in _GUARD_EDGES for m in _GUARD_EDGES]
+    outcomes = set()
+    for f, m in pairs:
+        fs, ms = np.array([f]), np.array([m])
+        want = bool(can_normalize(fs, ms).all())
+        assert can_normalize_all(fs, ms) is want, (f, m)
+        # the same pair beside a row that passes: one bad row refuses all
+        fs, ms = np.array([0.5, f]), np.array([0.5, m])
+        assert can_normalize_all(fs, ms) is bool(can_normalize(fs, ms).all()), (f, m)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    fs, ms = (np.array(c) for c in zip(*pairs))
+    assert can_normalize_all(fs, ms) is False
+    # the 1e-300 edge, the underflowing and the overflowing product, one each
+    assert can_normalize_all(np.array([np.nextafter(1e-300, 1.0)]), np.array([1.0]))
+    assert not can_normalize_all(np.array([1e-300]), np.array([1.0]))
+    assert not can_normalize_all(np.array([1e-160]), np.array([1e-160]))
+    assert not can_normalize_all(np.array([1e200]), np.array([1e200]))
+    # an empty batch passes, as the .all() of an empty mask does
+    assert can_normalize_all(np.empty(0), np.empty(0)) is True
+    assert can_normalize_all(np.empty((0, 3)), np.empty((0, 3))) is True
+
+
 # ---------------------------------------------------------------------------
 # Jacobians
 # ---------------------------------------------------------------------------
@@ -659,6 +693,32 @@ def test_orbit_is_the_apply_loop_on_any_tensor(n, nu, batch, mode, seed):
     states = rng.uniform(0.01 if nonnegative else -1.0, 1.0, size=batch + (n + nu,))
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_orbit_is_the_apply_loop(op, states, mode, 12)
+
+
+def _layouts(dim, rng):
+    # the same kind of batch as C-order, F-order, a strided view and 3-D
+    big = rng.uniform(0.05, 1.0, size=(30, 2 * dim))
+    c_order = rng.uniform(0.05, 1.0, size=(30, dim))
+    return {
+        "C": c_order,
+        "F": np.asfortranarray(c_order),
+        "strided": big[:, ::2],
+        "3-D": rng.uniform(0.05, 1.0, size=(2, 3, dim)),
+    }
+
+
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+@pytest.mark.parametrize("n, nu", [(2, 2), (3, 2)])
+def test_orbit_is_the_apply_loop_on_every_input_layout(n, nu, mode):
+    rng = np.random.default_rng(17)
+    op = OP if (n, nu) == (2, 2) else GonosomalOperator(random_tensor(rng, n, nu, nonnegative=True))
+    layouts = _layouts(op.dim, rng)
+    assert layouts["F"].flags.f_contiguous and not layouts["strided"].flags.contiguous
+    for name, states in layouts.items():
+        _assert_orbit_is_the_apply_loop(op, states, mode, 40)
+    # the iterates are column-major: each column of a 2-D batch is contiguous
+    first = next(op.orbit(layouts["C"], mode, 1))
+    assert all(first[:, j].flags.c_contiguous for j in range(op.dim))
 
 
 @pytest.mark.parametrize("mode", ["raw", "normalized"])
