@@ -695,29 +695,19 @@ def test_orbit_is_the_apply_loop_on_any_tensor(n, nu, batch, mode, seed):
         _assert_orbit_is_the_apply_loop(op, states, mode, 12)
 
 
-def _layouts(dim, rng):
-    # the same kind of batch as C-order, F-order, a strided view and 3-D
-    big = rng.uniform(0.05, 1.0, size=(30, 2 * dim))
-    c_order = rng.uniform(0.05, 1.0, size=(30, dim))
-    return {
-        "C": c_order,
-        "F": np.asfortranarray(c_order),
-        "strided": big[:, ::2],
-        "3-D": rng.uniform(0.05, 1.0, size=(2, 3, dim)),
-    }
-
-
 @pytest.mark.parametrize("mode", ["raw", "normalized"])
 @pytest.mark.parametrize("n, nu", [(2, 2), (3, 2)])
 def test_orbit_is_the_apply_loop_on_every_input_layout(n, nu, mode):
     rng = np.random.default_rng(17)
     op = OP if (n, nu) == (2, 2) else GonosomalOperator(random_tensor(rng, n, nu, nonnegative=True))
-    layouts = _layouts(op.dim, rng)
-    assert layouts["F"].flags.f_contiguous and not layouts["strided"].flags.contiguous
-    for name, states in layouts.items():
+    c_order = rng.uniform(0.05, 1.0, size=(30, op.dim))
+    f_order = np.asfortranarray(c_order)
+    strided = rng.uniform(0.05, 1.0, size=(30, 2 * op.dim))[:, ::2]
+    assert f_order.flags.f_contiguous and not strided.flags.contiguous
+    for states in (c_order, f_order, strided, rng.uniform(0.05, 1.0, size=(2, 3, op.dim))):
         _assert_orbit_is_the_apply_loop(op, states, mode, 40)
     # the iterates are column-major: each column of a 2-D batch is contiguous
-    first = next(op.orbit(layouts["C"], mode, 1))
+    first = next(op.orbit(c_order, mode, 1))
     assert all(first[:, j].flags.c_contiguous for j in range(op.dim))
 
 
