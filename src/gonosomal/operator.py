@@ -27,13 +27,17 @@ Many steps go one of two ways.  :meth:`GonosomalOperator.orbit` is the one
 multi-step batch path: it checks its input once and steps between buffers
 allocated up front, bit for bit as repeated ``apply_raw`` or
 ``apply_normalized``; the scan, the attraction probe, the estimate probes,
-``empirical_limits`` and ``classify_limits`` step with it.  Its buffers are
-column-major (``order="F"``), so each per-column multiply, add and divide
-runs over contiguous memory, while shapes and indexing stay ``(..., dim)``;
-its per-step guard is :func:`can_normalize_all`, a few reductions in place
-of an element-wise mask.
-:meth:`GonosomalOperator.raw_step` is the single-state path, on Python
-floats, which ``iterate`` and ``classify_limit`` step with.
+``empirical_limits`` and ``classify_limits`` step with it.  The buffers of
+a batch are column-major (``order="F"``), so each per-column multiply, add
+and divide runs over contiguous memory, while shapes and indexing stay
+``(..., dim)``; its per-step guard is :func:`can_normalize_all`, a few
+reductions in place of an element-wise mask, which shares with the division
+the one product of the block sums.
+:meth:`GonosomalOperator.raw_step` is the single-state path: pair products
+formed on Python floats, then one ``np.matmul`` against the pair matrix (a
+BLAS matrix-vector product), bit for bit ``apply_raw``.  ``iterate`` and
+``classify_limit`` step with it; ``iterate`` makes its per-step divergence
+and convergence tests as ``all(map(...))`` over ``abs``, in C.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from operator import ge, sub
 from pathlib import Path
 
 import numpy as np
@@ -140,13 +146,15 @@ def can_normalize(fs, ms):
     return (fs > _BLOCK_SUM_GUARD) & (ms > _BLOCK_SUM_GUARD) & (g >= _NORMAL_MIN) & (g < np.inf)
 
 
-def can_normalize_all(fs, ms) -> bool:
+def can_normalize_all(fs, ms, g=None) -> bool:
     """``can_normalize(fs, ms).all()`` for arrays, from one element-wise
     minimum and three reductions instead of a full mask.  NaN fails each
-    comparison, and an empty batch passes."""
+    comparison, and an empty batch passes.  A caller that divides by the
+    product ``fs * ms`` passes it as ``g``, so that it is formed once."""
     if fs.size == 0:
         return True
-    g = fs * ms
+    if g is None:
+        g = fs * ms
     return bool(
         np.minimum(fs, ms).min() > _BLOCK_SUM_GUARD and g.min() >= _NORMAL_MIN and g.max() < np.inf
     )
@@ -349,13 +357,14 @@ class GonosomalOperator(_Immutable):
     ``W(x, y) = (x ⊗ y) · R``.
     """
 
-    __slots__ = ("_tensor", "_pair_matrix")
+    __slots__ = ("_tensor", "_pair_matrix", "_n")
 
     def __init__(self, tensor: InheritanceTensor):
         rows = tensor.rows()
         rows.flags.writeable = False
         object.__setattr__(self, "_tensor", tensor)
         object.__setattr__(self, "_pair_matrix", rows)
+        object.__setattr__(self, "_n", tensor.n)
 
     @property
     def tensor(self) -> InheritanceTensor:
@@ -413,8 +422,10 @@ class GonosomalOperator(_Immutable):
     def raw_step(self, values) -> list[float]:
         """:meth:`apply_raw` of one unvalidated state of ``dim`` Python floats,
         bit for bit, as Python floats: the pair products are formed on floats
-        and go through the same matrix product."""
-        n = self.n
+        and go through the same matrix product, one BLAS call."""
+        n = self._n
+        # not np.dot, which is faster but multiplies the one product of a
+        # 1x1 tensor as a scalar: -0.0 where the matrix product gives 0.0
         pairs = [a * b for a in values[:n] for b in values[n:]]
         return np.matmul(pairs, self._pair_matrix).tolist()
 
@@ -474,10 +485,12 @@ class GonosomalOperator(_Immutable):
         turn: it stays valid until the iterate two steps later is formed.
         Copy what must outlive that.  ``steps=0`` yields nothing.
 
-        The buffers are column-major (``order="F"``): an iterate is indexed
-        ``(..., dim)`` like its input, but each column ``[..., j]`` is
-        contiguous, so the per-column products, sums and divisions stream
-        through memory.  Any input layout is accepted.
+        The buffers of one state or a 2-D batch are column-major
+        (``order="F"``): an iterate is indexed ``(..., dim)`` like its
+        input, but each column ``[..., j]`` is contiguous, so the per-column
+        products, sums and divisions stream through memory.  A stack of
+        batches (three or more axes) is stepped row-major, as ``apply_raw``
+        lays it out.  Any input layout is accepted.
 
         Raises:
             AnnihilatedStateError: in normalized mode, before the division,
@@ -488,8 +501,12 @@ class GonosomalOperator(_Immutable):
         normalized = mode == "normalized"
         vec = as_state_vector(states, self.dim)
         n, nu = self.n, self.nu
-        bufs = (np.empty(vec.shape, order="F"), np.empty(vec.shape, order="F"))
-        pairs = np.empty(vec.shape[:-1] + (n * nu,), order="F")
+        # a stack of batches stays row-major: numpy multiplies a column-major
+        # stack slice by slice outside BLAS, which can round differently from
+        # the BLAS product apply_raw makes
+        order = "F" if vec.ndim <= 2 else "C"
+        bufs = (np.empty(vec.shape, order=order), np.empty(vec.shape, order=order))
+        pairs = np.empty(vec.shape[:-1] + (n * nu,), order=order)
         # column views, made once: the pair (i, k) goes to column i*nu + k
         buf_cols = [[b[..., j] for j in range(self.dim)] for b in bufs]
         pair_cols = [(divmod(c, nu), pairs[..., c]) for c in range(n * nu)]
@@ -498,14 +515,14 @@ class GonosomalOperator(_Immutable):
             out = bufs[step % 2]
             if normalized:
                 fs, ms = self._block_sums(cur[..., :n], cur[..., n:])
-                if not can_normalize_all(fs, ms):
+                g = fs * ms
+                if not can_normalize_all(fs, ms, g):
                     raise _annihilated(step=step)
             for (i, k), pair_col in pair_cols:
                 np.multiply(cols[i], cols[n + k], out=pair_col)
             np.matmul(pairs, self._pair_matrix, out=out)
             cur, cols = out, buf_cols[step % 2]
             if normalized:
-                g = fs * ms
                 for col in cols:
                     np.divide(col, g, out=col)
             yield out
@@ -538,6 +555,10 @@ class GonosomalOperator(_Immutable):
 
         The orbit is kept as Python floats and stepped with :meth:`raw_step`,
         bit for bit as :meth:`apply_raw` or :meth:`apply_normalized` step it.
+        The step function is chosen once for the mode, and each step's
+        divergence and convergence tests run in C, as ``all(map(...))``
+        over ``abs``: the same comparisons as ``abs(d) <= tol_fp``, which
+        NaN fails.
 
         Args:
             s0: starting state, length n + nu.
@@ -554,18 +575,25 @@ class GonosomalOperator(_Immutable):
         require_count("budget", budget)
         require_positive("tol_fp", tol_fp)
         s = require_single_state(s0, self.dim)
-        n = self.n
+        n, raw_step = self._n, self.raw_step
 
-        def _step(values, k):
-            # apply_raw / apply_normalized without re-validating the state
-            image = self.raw_step(values)
-            if mode == "raw":
-                return image
-            fs, ms = _add_floats(values[:n]), _add_floats(values[n:])
-            if not can_normalize(fs, ms):
-                raise _annihilated(step=k)
-            g = fs * ms
-            return [c / g for c in image]
+        if mode == "raw":
+            def _step(values, k):
+                return raw_step(values)
+        else:
+            def _step(values, k):
+                # apply_normalized without re-validating the state
+                fs, ms = _add_floats(values[:n]), _add_floats(values[n:])
+                if not can_normalize(fs, ms):
+                    raise _annihilated(step=k)
+                g = fs * ms
+                return [c / g for c in raw_step(values)]
+
+        # tol_fp >= d, which Python evaluates as d <= tol_fp whatever the
+        # type of tol_fp; NaN and inf fail every such test, so a non-finite
+        # iterate diverges
+        within_tol = partial(ge, tol_fp)
+        within_bound = partial(ge, DIV_THRESHOLD)
 
         cur = s.tolist()  # iterates are never written to: no copies
         kept_steps, kept = [0], [cur]
@@ -583,20 +611,19 @@ class GonosomalOperator(_Immutable):
                 mode=mode,
             )
 
-        # NaN and inf fail every <=, so a non-finite iterate diverges.
-        if not all(abs(c) <= DIV_THRESHOLD for c in cur):
+        if not all(map(within_bound, map(abs, cur))):
             return _record(StopReason.DIVERGED, 0)
 
         for k in range(1, budget + 1):
-            nxt = _step(cur, k - 1)
-            settled = all(abs(a - b) <= tol_fp for a, b in zip(nxt, cur))
-            cur = nxt
-            if not all(abs(c) <= DIV_THRESHOLD for c in cur):
+            prev, cur = cur, _step(cur, k - 1)
+            if not all(map(within_bound, map(abs, cur))):
                 return _record(StopReason.DIVERGED, k)
             if k <= _THIN_AFTER or k % _THIN_STRIDE == 0:
                 kept_steps.append(k)
                 kept.append(cur)
-            if settled and all(abs(a - b) <= tol_fp for a, b in zip(_step(cur, k), cur)):
+            if all(map(within_tol, map(abs, map(sub, cur, prev)))) and all(
+                map(within_tol, map(abs, map(sub, _step(cur, k), cur)))
+            ):
                 return _record(StopReason.CONVERGED, k)
         return _record(StopReason.BUDGET_EXHAUSTED, budget)
 

@@ -301,15 +301,32 @@ def _raw_step_cases():
                 yield label, GonosomalOperator(random_tensor(rng, n, nu, nonnegative))
 
 
-@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
-def test_raw_step_is_apply_raw_bit_for_bit(op):
-    rng = np.random.default_rng(7)
-    states = np.concatenate([rng.uniform(-3.0, 3.0, (300, op.dim)),
-                             rng.uniform(0.0, 1.0, (300, op.dim)) * 10.0 ** rng.integers(-8, 9, (300, 1))])
+def _assert_raw_step_is_apply_raw(op, states):
     for s in states:
         got = op.raw_step(s.tolist())
         assert type(got) is list and all(type(c) is float for c in got)
-        assert _same_bits(np.array(got), op.apply_raw(s))
+        assert _same_bits(np.array(got), op.apply_raw(s)), s
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
+def test_raw_step_is_apply_raw_bit_for_bit(op):
+    rng = np.random.default_rng(7)
+    dim = op.dim
+    _assert_raw_step_is_apply_raw(op, np.concatenate([
+        rng.uniform(-3.0, 3.0, (300, dim)),
+        rng.uniform(0.0, 1.0, (300, dim)) * 10.0 ** rng.integers(-8, 9, (300, 1)),
+        # signed zeros, and subnormals beside zeros and ones
+        rng.choice([0.0, -0.0, 1.0, -1.0], (100, dim)),
+        rng.choice([5e-324, -5e-324, 1e-310, -2.5e-308, 0.0, -0.0, 1.0], (100, dim)),
+        # coordinates near 1e150 and near 1e-150: pair products near 1e±300
+        rng.uniform(-1.0, 1.0, (200, dim)) * 10.0 ** rng.choice([-150, 150], (200, 1)),
+    ]))
+    # pair products that overflow to inf, and inf against -inf in the sum
+    overflowing = rng.choice([1e200, -1e200, 1e160, -3.0, 0.5, 0.0], (200, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_raw_step_is_apply_raw(op, overflowing)
+        images = op.apply_raw(overflowing)
+    assert np.isinf(images).any() and (dim == 2 or np.isnan(images).any())
 
 
 def test_wrong_arity_rejected():
@@ -579,6 +596,13 @@ def _assert_iterate_matches_reference(op, s0, **kw):
         (OP, [1e-200, 0.0, 1e-200, 0.0], dict(mode="normalized")),
         # settled at step 1 (step 0.105 <= 0.2), but the residual 0.226 is not
         (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=0.2)),
+        (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=np.float64(0.2))),
+        # an int threshold, which both tests compare with float differences
+        (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=1)),
+        (OP, [0.3, 0.2, 0.4, 0.1], dict(mode="normalized", tol_fp=1)),
+        # a start of Python ints
+        (OP, [1, 1, 1, 1], {}),
+        (OP, [3, 0, 3, 0], dict(mode="normalized")),
         # annihilation at step 0 and at a later named step
         (OP, [0.0, 0.0, 0.5, 0.5], dict(mode="normalized")),
         (GonosomalOperator(InheritanceTensor([[[0.0]]], [[[1.0]]])), [1.0, 1.0],
@@ -693,6 +717,21 @@ def test_orbit_is_the_apply_loop_on_any_tensor(n, nu, batch, mode, seed):
     states = rng.uniform(0.01 if nonnegative else -1.0, 1.0, size=batch + (n + nu,))
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_orbit_is_the_apply_loop(op, states, mode, 12)
+
+
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+def test_orbit_is_the_apply_loop_on_stacked_batches(mode):
+    # a 3-D stack used to be stepped column-major, which numpy multiplies
+    # outside BLAS: at n = 1, nu = 3 and shape (2, 1, 4) the first raw
+    # iterate differed from apply_raw in the last bit
+    rng = np.random.default_rng(0)
+    nonnegative = mode == "normalized"
+    for n, nu in [(1, 3), (2, 2), (3, 1), (4, 4)]:
+        op = GonosomalOperator(random_tensor(rng, n, nu, nonnegative=nonnegative))
+        for batch in [(2, 1), (3, 4), (1, 5), (2, 2, 3)]:
+            states = rng.uniform(0.01 if nonnegative else -1.0, 1.0, size=batch + (op.dim,))
+            with np.errstate(over="ignore", invalid="ignore"):
+                _assert_orbit_is_the_apply_loop(op, states, mode, 12)
 
 
 @pytest.mark.parametrize("mode", ["raw", "normalized"])
