@@ -583,11 +583,12 @@ class GonosomalOperator(_Immutable):
         else:
             def _step(values, k):
                 # apply_normalized without re-validating the state
+                image = raw_step(values)
                 fs, ms = _add_floats(values[:n]), _add_floats(values[n:])
                 if not can_normalize(fs, ms):
                     raise _annihilated(step=k)
                 g = fs * ms
-                return [c / g for c in raw_step(values)]
+                return [c / g for c in image]
 
         # tol_fp >= d, which Python evaluates as d <= tol_fp whatever the
         # type of tol_fp; NaN and inf fail every such test, so a non-finite
