@@ -19,9 +19,14 @@ model, trajectory iteration with divergence/convergence detection, a
 plain-text tensor file format, and the state checks and float format that
 every other module uses.
 
-A per-step bulk path (the kernels, the scan step, Newton's residuals) never
-reduces or broadcasts over a two- to four-wide trailing axis, which numpy
-does row by row; it works one column at a time (see :func:`fold_columns`).
+A per-step bulk path (the kernels, the scan step, Newton's residuals, its
+Jacobians and singular screen, the reduced chart) never reduces or
+broadcasts over a two- to four-wide trailing axis, which numpy does row by
+row; it works one column at a time (see :func:`fold_columns`).
+:meth:`GonosomalOperator.jacobian_normalized` forms its entries in a buffer
+whose (dim, dim) axes lead, so each operation runs along the batch, and
+``normalized.reduced_jacobian_at`` takes the kept rows of every state's
+Jacobian through one 2-D product with the chart.
 
 Many steps go one of two ways.  :meth:`GonosomalOperator.orbit` is the one
 multi-step batch path: it checks its input once and steps between buffers
@@ -30,9 +35,10 @@ allocated up front, bit for bit as repeated ``apply_raw`` or
 ``empirical_limits`` and ``classify_limits`` step with it.  The buffers of
 a batch are column-major (``order="F"``), so each per-column multiply, add
 and divide runs over contiguous memory, while shapes and indexing stay
-``(..., dim)``; its per-step guard is :func:`can_normalize_all`, a few
-reductions in place of an element-wise mask, which shares with the division
-the one product of the block sums.
+``(..., dim)``; its per-step block sums fold the column views the step
+already holds, and its guard is :func:`can_normalize_all`, a few
+whole-array reductions in place of an element-wise mask, which shares with
+the division the one product of the block sums.
 :meth:`GonosomalOperator.raw_step` is the single-state path: pair products
 formed on Python floats, then one ``np.matmul`` against the pair matrix (a
 BLAS matrix-vector product), bit for bit ``apply_raw``.  ``iterate`` and
@@ -113,20 +119,22 @@ def _annihilated(step: int | None = None) -> AnnihilatedStateError:
 def fold_columns(ufunc, a):
     """``ufunc.reduce`` over the trailing axis, one column at a time.
 
-    numpy reduces a short trailing axis row by row, which on a 1e4-row
-    batch of two to four columns is about 20x slower than this.  Maximum
-    gives the same result; add sums left to right, as numpy itself does
-    below eight columns.
+    ``a`` is an array, or the list of its column views ``a[..., j]`` when
+    the caller already holds them.  numpy reduces a short trailing axis row
+    by row, which on a 1e4-row batch of two to four columns is about 20x
+    slower than this.  Maximum gives the same result; add sums left to
+    right, as numpy itself does below eight columns.
 
     The same holds for broadcasting: a per-step bulk path neither reduces
     nor broadcasts over a two- to four-wide trailing axis, but works column
     by column, as this function and ``GonosomalOperator._pair_product`` do.
     """
-    out = a[..., 0]
-    for j in range(1, a.shape[-1]):
-        out = ufunc(out, a[..., j])
+    cols = a if isinstance(a, list) else [a[..., j] for j in range(a.shape[-1])]
+    out = cols[0]
+    for col in cols[1:]:
+        out = ufunc(out, col)
     # one column must not come back as a view of the input
-    return out if a.shape[-1] > 1 else np.positive(out)
+    return out if len(cols) > 1 else np.positive(out)
 
 
 def _add_floats(values):
@@ -147,16 +155,21 @@ def can_normalize(fs, ms):
 
 
 def can_normalize_all(fs, ms, g=None) -> bool:
-    """``can_normalize(fs, ms).all()`` for arrays, from one element-wise
-    minimum and three reductions instead of a full mask.  NaN fails each
-    comparison, and an empty batch passes.  A caller that divides by the
-    product ``fs * ms`` passes it as ``g``, so that it is formed once."""
+    """``can_normalize(fs, ms).all()`` for arrays of any shape, from one
+    element-wise minimum and three whole-array reductions instead of a full
+    mask.  The reductions call ``np.minimum.reduce`` and
+    ``np.maximum.reduce`` with ``axis=None`` (over every axis, as ``.min()``
+    does, without its Python-level wrapper).  NaN fails each comparison,
+    and an empty batch passes.  A caller that divides by the product
+    ``fs * ms`` passes it as ``g``, so that it is formed once."""
     if fs.size == 0:
         return True
     if g is None:
         g = fs * ms
     return bool(
-        np.minimum(fs, ms).min() > _BLOCK_SUM_GUARD and g.min() >= _NORMAL_MIN and g.max() < np.inf
+        np.minimum.reduce(np.minimum(fs, ms), axis=None) > _BLOCK_SUM_GUARD
+        and np.minimum.reduce(g, axis=None) >= _NORMAL_MIN
+        and np.maximum.reduce(g, axis=None) < np.inf
     )
 
 
@@ -357,7 +370,7 @@ class GonosomalOperator(_Immutable):
     ``W(x, y) = (x ⊗ y) · R``.
     """
 
-    __slots__ = ("_tensor", "_pair_matrix", "_n")
+    __slots__ = ("_tensor", "_pair_matrix", "_n", "_dim")
 
     def __init__(self, tensor: InheritanceTensor):
         rows = tensor.rows()
@@ -365,6 +378,7 @@ class GonosomalOperator(_Immutable):
         object.__setattr__(self, "_tensor", tensor)
         object.__setattr__(self, "_pair_matrix", rows)
         object.__setattr__(self, "_n", tensor.n)
+        object.__setattr__(self, "_dim", tensor.dim)
 
     @property
     def tensor(self) -> InheritanceTensor:
@@ -385,11 +399,12 @@ class GonosomalOperator(_Immutable):
 
     @property
     def dim(self) -> int:
-        return self._tensor.dim
+        return self._dim
 
     def split(self, state) -> tuple[np.ndarray, np.ndarray]:
-        vec = as_state_vector(state, self.dim)
-        return vec[..., : self.n], vec[..., self.n :]
+        n = self._n
+        vec = as_state_vector(state, self._dim)
+        return vec[..., :n], vec[..., n:]
 
     def block_sums(self, state) -> tuple[np.ndarray, np.ndarray]:
         return self._block_sums(*self.split(state))
@@ -499,8 +514,9 @@ class GonosomalOperator(_Immutable):
         """
         require_mode(mode)
         normalized = mode == "normalized"
-        vec = as_state_vector(states, self.dim)
-        n, nu = self.n, self.nu
+        dim, n = self._dim, self._n
+        nu = dim - n
+        vec = as_state_vector(states, dim)
         # a stack of batches stays row-major: numpy multiplies a column-major
         # stack slice by slice outside BLAS, which can round differently from
         # the BLAS product apply_raw makes
@@ -508,13 +524,14 @@ class GonosomalOperator(_Immutable):
         bufs = (np.empty(vec.shape, order=order), np.empty(vec.shape, order=order))
         pairs = np.empty(vec.shape[:-1] + (n * nu,), order=order)
         # column views, made once: the pair (i, k) goes to column i*nu + k
-        buf_cols = [[b[..., j] for j in range(self.dim)] for b in bufs]
+        buf_cols = [[b[..., j] for j in range(dim)] for b in bufs]
         pair_cols = [(divmod(c, nu), pairs[..., c]) for c in range(n * nu)]
-        cur, cols = vec, [vec[..., j] for j in range(self.dim)]
+        cur, cols = vec, [vec[..., j] for j in range(dim)]
         for step in range(steps):
             out = bufs[step % 2]
             if normalized:
-                fs, ms = self._block_sums(cur[..., :n], cur[..., n:])
+                # the block sums of cur, from the column views already held
+                fs, ms = fold_columns(np.add, cols[:n]), fold_columns(np.add, cols[n:])
                 g = fs * ms
                 if not can_normalize_all(fs, ms, g):
                     raise _annihilated(step=step)
@@ -528,21 +545,32 @@ class GonosomalOperator(_Immutable):
             yield out
 
     def jacobian_normalized(self, state) -> np.ndarray:
-        """Analytic Jacobian of the normalized map."""
+        """Analytic Jacobian of the normalized map: entry ``[..., l, j]`` is
+        ``jw[l, j] / g - v[l] * (dg_j / g)``, with ``jw`` the raw Jacobian,
+        ``g = fs * ms``, ``v = W / g`` the normalized image and ``dg_j`` the
+        derivative of ``g`` along input ``j``.
+
+        The entries are formed in a buffer whose two (dim, dim) axes lead,
+        so each division, product and difference runs along the batch, one
+        entry column at a time, with no broadcast over a trailing axis.  The
+        result is a view of that buffer, indexed ``(..., dim, dim)``.
+        """
         x, y = self.split(state)
         fs, ms = self._guarded_block_sums(x, y)
-        g = (fs * ms)[..., np.newaxis]
-        v = self._pair_product(x, y) / g
+        g = fs * ms
+        nb = np.ndim(g)
+        batch_axes = tuple(range(nb))
+        jw = self._pair_jacobian(x, y).transpose((nb, nb + 1) + batch_axes)
+        out = np.empty(jw.shape)
+        np.divide(jw, g, out=out)
+        v = self._pair_product(x, y).transpose((nb,) + batch_axes)
+        np.divide(v, g, out=v)
         # d(fs*ms)/ds_j is ms on the female block and fs on the male block
-        dg = np.concatenate(
-            [
-                np.broadcast_to(ms[..., np.newaxis], fs.shape + (self.n,)),
-                np.broadcast_to(fs[..., np.newaxis], fs.shape + (self.nu,)),
-            ],
-            axis=-1,
-        )
-        jw = self._pair_jacobian(x, y)
-        return jw / g[..., np.newaxis] - v[..., :, np.newaxis] * (dg / g)[..., np.newaxis, :]
+        dg = np.empty(v.shape)
+        np.divide(ms, g, out=dg[: self._n])
+        np.divide(fs, g, out=dg[self._n :])
+        np.subtract(out, v[:, np.newaxis] * dg, out=out)
+        return out.transpose(tuple(range(2, nb + 2)) + (0, 1))
 
     def iterate(
         self,
@@ -574,7 +602,7 @@ class GonosomalOperator(_Immutable):
         require_mode(mode)
         require_count("budget", budget)
         require_positive("tol_fp", tol_fp)
-        s = require_single_state(s0, self.dim)
+        s = require_single_state(s0, self._dim)
         n, raw_step = self._n, self.raw_step
 
         if mode == "raw":

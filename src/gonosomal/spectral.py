@@ -8,6 +8,14 @@ simplex, in the :func:`~gonosomal.normalized.embed_reduced` chart that
 eliminates one coordinate through the sum constraint (which removes the
 trivial unit eigenvalue the constraint would otherwise contribute).
 
+Each Newton iteration works one column at a time, as the operator's bulk
+kernels do: the normalized residual divides the kept image columns straight
+into its output, the Jacobians come from
+:meth:`~gonosomal.operator.GonosomalOperator.jacobian_normalized` and
+:func:`~gonosomal.normalized.reduced_jacobian_at` without a broadcast over
+the (dim, dim) block, and the singular screen folds the largest entry of
+each matrix over its d*d columns.
+
 Stability is read off the spectrum of the Jacobian at the root: strictly
 inside the unit circle is attracting, strictly outside repelling, mixed is
 a saddle, and anything on the circle (within tolerance) is flagged
@@ -163,6 +171,28 @@ class _NewtonRun(NamedTuple):
     drops: dict[str, int]
 
 
+def _singular(J) -> np.ndarray:
+    """Which matrices of the (k, d, d) stack ``J`` Newton drops as singular:
+    those with a non-finite entry, and those whose determinant is below
+    ``_SINGULAR_DET`` times ``max(1, max|entry|) ** d``.
+
+    The largest ``|entry|`` of each matrix is a fold over the d*d columns of
+    ``|J|`` as (k, d*d).  NaN and inf both survive the maximum, so it also
+    flags the non-finite matrices, and the copy of ``J`` with their entries
+    zeroed for the determinant is made only when there is one.
+    """
+    d = J.shape[-1]
+    top = fold_columns(np.maximum, np.abs(J).reshape(-1, d * d))
+    bad = ~np.isfinite(top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(top, 1.0) ** d
+        if bad.any():
+            det = np.where(bad, 0.0, np.linalg.det(np.where(np.isfinite(J), J, 0.0)))
+        else:
+            det = np.linalg.det(J)
+        return bad | (np.abs(det) < _SINGULAR_DET * scale)
+
+
 def _newton_multistart(fun, jac, seeds, *, tol):
     """Damped Newton from every seed at once.
 
@@ -202,11 +232,7 @@ def _newton_multistart(fun, jac, seeds, *, tol):
             break
         iterations += 1
         J = jac(pts[active])
-        scale = np.maximum(np.abs(J).max(axis=(1, 2)), 1.0) ** d
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~np.isfinite(J).all(axis=(1, 2))
-            det = np.where(bad, 0.0, np.linalg.det(np.where(np.isfinite(J), J, 0.0)))
-            singular = bad | (np.abs(det) < _SINGULAR_DET * scale)
+        singular = _singular(J)
         dead[active[singular]] = True
         drops["singular"] += int(singular.sum())
         idx, J = active[~singular], J[~singular]
@@ -315,15 +341,19 @@ def find_fixed_points(
         # Newton paths may leave the simplex; evaluate the chart map without
         # the annihilation guard (division blowups surface as non-finite
         # residuals and kill the seed) and refuse a Jacobian off the domain.
+        kept = [j for j in range(dim) if j != eliminate]
+
         def fun(r):
             full = embed_reduced(r, eliminate, dim)
             fs, ms = op.block_sums(full)
             img = op.apply_raw(full)
+            out = np.empty(r.shape)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 g = fs * ms
-                for j in range(dim):
-                    np.divide(img[..., j], g, out=img[..., j])
-            return np.delete(img, eliminate, axis=-1) - r
+                # the kept image columns, divided straight into the residual
+                for c, j in enumerate(kept):
+                    np.divide(img[..., j], g, out=out[..., c])
+            return np.subtract(out, r, out=out)
 
         def jac(r):
             full = embed_reduced(r, eliminate, dim)

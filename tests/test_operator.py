@@ -428,6 +428,25 @@ def test_the_batch_guard_is_can_normalize_all():
     assert can_normalize_all(np.empty((0, 3)), np.empty((0, 3))) is True
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 1, 5)])
+@np.errstate(over="ignore", invalid="ignore")
+def test_can_normalize_all_reduces_every_axis_of_a_stack(shape):
+    # block sums of stacked batches: the guard must reduce over all axes,
+    # not only the first, and agree with the full mask
+    rng = np.random.default_rng(len(shape))
+    size = int(np.prod(shape))
+    for _ in range(200):
+        fs = rng.choice(_GUARD_EDGES, size=size).reshape(shape)
+        ms = rng.choice(_GUARD_EDGES, size=size).reshape(shape)
+        assert can_normalize_all(fs, ms) is bool(can_normalize(fs, ms).all())
+    ok = rng.uniform(0.5, 1.0, size=shape)
+    assert can_normalize_all(ok, ok) is True
+    for f in _GUARD_EDGES:
+        fs = ok.copy()
+        fs.flat[size - 1] = f  # one bad entry in the last row of the last batch
+        assert can_normalize_all(fs, ok) is bool(can_normalize(fs, ok).all()), f
+
+
 # ---------------------------------------------------------------------------
 # Jacobians
 # ---------------------------------------------------------------------------

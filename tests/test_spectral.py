@@ -2,6 +2,7 @@
 
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,37 @@ def test_newton_drops_a_seed_at_a_singular_jacobian():
     assert n_converged == 0
     assert roots.shape == (0, 1)
     assert drops == dict.fromkeys(DROP_REASONS, 0) | {"singular": 1}
+
+
+def test_newton_drops_non_finite_jacobians_as_singular_without_a_warning():
+    # f(x) = x - 1 with the identity as its Jacobian, except at the seeds
+    # whose first coordinate is 10, 20 or 30, whose Jacobian has a NaN, +inf
+    # or -inf entry; the other seeds lie within 1e-12 of the root (1, 1, 1)
+    poison = {10.0: np.nan, 20.0: np.inf, 30.0: -np.inf}
+    seeds = np.array([
+        [10.0, 0.0, 0.0],
+        [1.0 + 2.0**-40, 1.0, 1.0 - 2.0**-41],
+        [20.0, 0.0, 0.0],
+        [30.0, 0.0, 0.0],
+        [1.0 - 2.0**-42, 1.0 + 2.0**-43, 1.0],
+    ])
+
+    def fun(x):
+        return x - 1.0
+
+    def jac(x):
+        J = np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy()
+        for row, first in enumerate(x[:, 0]):
+            if first in poison:
+                J[row, row % 3, 1] = poison[first]
+        return J
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = _newton_multistart(fun, jac, seeds, tol=1e-10)
+    assert run.drops == dict.fromkeys(DROP_REASONS, 0) | {"singular": 3}
+    assert run.n_converged == 2
+    np.testing.assert_array_equal(run.points, np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
