@@ -28,7 +28,9 @@ the female mass fs is in [1/3, 1/2] (the lemma of
 in [8/9, 1] and every term is in [-log(9/8), 0]: a partial sum after K
 terms is an upper bound on Λ, and exceeds it by at most 2^-K·log(9/8).
 Since Λ(W(s)) = 2·Λ(s), a signed state that some raw step makes
-nonnegative has the verdict of that image.
+nonnegative has the verdict of that image.  W maps (x, 0, u, 0) to
+(a, 0, a, 0) with a = x·u/2, then a -> a²/2: a carrier-free start has the
+sign of |x·u| - 4, which decides it exactly where the float sum cannot.
 
 The classifier has two paths.  :func:`classify_limit` is the single-state
 path: it steps with ``raw_step`` on Python floats and reports the sum, the
@@ -47,6 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -166,6 +169,7 @@ class LimitVerdict:
     it to the origin, None when it was still signed after the forward cap.
     ``forward_steps`` counts the raw steps taken to make the state
     nonnegative, and ``terms`` the series terms summed after log(fs·ms/4).
+    ``kind`` is Equilibrium only for a carrier-free start with |x·u| = 4.
     """
 
     kind: LimitKind
@@ -197,10 +201,11 @@ def classify_limit(state) -> LimitVerdict:
     Λ decide Zero once below -band and Infinity once above
     2^-K·log(9/8) + band, where the band 1e-12·(1 + 2|L|) bounds the
     rounding of a sum that starts from 2L.
-    Equilibrium is claimed only on a carrier-free state (y = v = 0
-    exactly), whose normalized image is exactly (1/2, 0, 1/2, 0) so that
-    every later term is exactly 0, with |Λ| within the band.  Anything else
-    still inside the band after ``_MAX_TERMS`` terms comes back Undecided.
+    A carrier-free start (x, 0, u, 0) whose sum is within the band takes
+    Equilibrium, Zero or Infinity from the exact sign (0, -, +) of
+    |x·u| - 4, in ``Fraction``s of the input floats.  Anything else still
+    inside the band after ``_MAX_TERMS`` terms, such as a state that is
+    carrier-free only after forward steps, comes back Undecided.
     A state with a non-finite coordinate raises ValueError.
     """
     x, y, u, v = c = require_single_state(state, 4).tolist()
@@ -223,8 +228,10 @@ def classify_limit(state) -> LimitVerdict:
     fs, ms = x + y, u + v
     total = 2.0 * log_scale + math.log(fs) + math.log(ms) - _LOG4
     band = 1e-12 * (1.0 + 2.0 * abs(log_scale))
-    if y == 0.0 and v == 0.0 and abs(total) <= band:
-        return LimitVerdict(kind=LimitKind.EQUILIBRIUM, escape_sum=total, forward_steps=steps)
+    if c[1] == 0.0 and c[3] == 0.0 and abs(total) <= band:
+        gap = abs(Fraction(c[0]) * Fraction(c[2])) - 4
+        kind = LimitKind.ZERO if gap < 0 else LimitKind.INFINITY if gap else LimitKind.EQUILIBRIUM
+        return LimitVerdict(kind=kind, escape_sum=total, forward_steps=steps)
     weight, terms = 1.0, 0
     while -band <= total <= weight * _LOG_9_8 + band:
         if terms == _MAX_TERMS:

@@ -13,8 +13,8 @@ kernels do: the normalized residual divides the kept image columns straight
 into its output, the Jacobians come from
 :meth:`~gonosomal.operator.GonosomalOperator.jacobian_normalized` and
 :func:`~gonosomal.normalized.reduced_jacobian_at` without a broadcast over
-the (dim, dim) block, and the singular screen folds the largest entry of
-each matrix over its d*d columns.
+the (dim, dim) block.  The singular screen takes the largest entry of
+each matrix with numpy's maximum over both matrix axes.
 
 Stability is read off the spectrum of the Jacobian at the root: strictly
 inside the unit circle is attracting, strictly outside repelling, mixed is
@@ -176,13 +176,13 @@ def _singular(J) -> np.ndarray:
     those with a non-finite entry, and those whose determinant is below
     ``_SINGULAR_DET`` times ``max(1, max|entry|) ** d``.
 
-    The largest ``|entry|`` of each matrix is a fold over the d*d columns of
-    ``|J|`` as (k, d*d).  NaN and inf both survive the maximum, so it also
-    flags the non-finite matrices, and the copy of ``J`` with their entries
-    zeroed for the determinant is made only when there is one.
+    The largest ``|entry|`` of each matrix is ``|J|``'s maximum over both
+    matrix axes.  NaN and inf both survive it, so it also flags the
+    non-finite matrices, and the copy of ``J`` with their entries zeroed for
+    the determinant is made only when there is one.
     """
     d = J.shape[-1]
-    top = fold_columns(np.maximum, np.abs(J).reshape(-1, d * d))
+    top = np.abs(J).max(axis=(1, 2))
     bad = ~np.isfinite(top)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(top, 1.0) ** d

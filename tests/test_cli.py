@@ -235,6 +235,20 @@ def test_classify_equilibrium_boundary(capsys):
     assert stanza_dict(second)["empirical_agrees"] == "true"
 
 
+def test_classify_carrier_free_near_miss_disagrees_with_iteration(capsys):
+    # x·u - 4 = +2.0e-13 exactly, so the orbit escapes; iterate's 1e-12
+    # test stops after one step on (2.0000000000001, 0, 2.0000000000001, 0)
+    code, out, _ = run_cli(
+        capsys, "classify", "--state", "2,0,2.0000000000001,0", "--empirical"
+    )
+    assert code == 1
+    first, second = out.strip().split("\n\n")
+    assert stanza_dict(first)["kind"] == "Infinity"
+    info = stanza_dict(second)
+    assert info["empirical_steps"] == "1"
+    assert info["empirical_agrees"] == "false"
+
+
 def test_classify_zero_with_empirical(capsys):
     code, out, _ = run_cli(capsys, "classify", "--state", "0.5,0.5,0.5,0.5", "--empirical")
     assert code == 0

@@ -3,6 +3,7 @@ classification, and the sampling battery."""
 
 import importlib.util
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,60 @@ def test_pair_point_is_boundary_equilibrium():
     v = classify_limit([2.0, 0.0, 2.0, 0.0])
     assert v.kind is LimitKind.EQUILIBRIUM
     assert v.escape_sum == 0.0 and v.forward_steps == 0 and v.terms == 0
+
+
+# W maps (x, 0, u, 0) to (x·u/2, 0, x·u/2, 0) and then squares on the
+# diagonal, so the exact sign of |x·u| - 4 is the limit of a carrier-free
+# start.  Float iteration is no oracle near |x·u| = 4: it rounds the first
+# witness onto a fixed point and the second onto (2, 0, 2, 0).
+def _exact_carrier_free_kind(x, u):
+    gap = abs(Fraction(x) * Fraction(u)) - 4
+    return LimitKind.EQUILIBRIUM if gap == 0 else LimitKind.ZERO if gap < 0 else LimitKind.INFINITY
+
+
+CARRIER_FREE_NEAR_MISSES = [
+    ([2.0, 0.0, 2.0000000000001, 0.0], LimitKind.INFINITY),  # x·u - 4 = +2.0e-13
+    ([3.0, 0.0, 4.0 / 3.0, 0.0], LimitKind.ZERO),  # x·u - 4 = -2.2e-16
+]
+
+
+def test_carrier_free_near_misses_take_the_exact_sign():
+    states = [s for s, _ in CARRIER_FREE_NEAR_MISSES]
+    kinds = [k for _, k in CARRIER_FREE_NEAR_MISSES]
+    assert [_exact_carrier_free_kind(s[0], s[2]) for s in states] == kinds
+    for s, kind in CARRIER_FREE_NEAR_MISSES:
+        v = classify_limit(s)
+        # the float sum is within the band, on either side of 0
+        assert v.kind is kind and abs(v.escape_sum) < 1e-12
+        assert v.forward_steps == 0 and v.terms == 0
+    assert list(classify_limits(states)) == kinds
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)]),
+)
+def test_carrier_free_starts_near_the_equilibrium_curve_take_the_exact_sign(x, ulps, signs):
+    # (x, 0, 4/x nudged by up to 3 ulps, 0), signed starts included
+    u = 4.0 / x
+    for _ in range(abs(ulps)):
+        u = np.nextafter(u, np.inf if ulps > 0 else 0.0)
+    state = [signs[0] * x, 0.0, signs[1] * float(u), 0.0]
+    expected = _exact_carrier_free_kind(state[0], state[2])
+    assert classify_limit(state).kind is expected
+    assert list(classify_limits([state])) == [expected]
+
+
+def test_a_start_carrier_free_only_after_forward_steps_gets_no_equilibrium():
+    # scaling by the sup norm 2 rounds the carrier coordinates to -0, and
+    # the forward step lands on (1/2, 0, 1/2, 0) up to scale: the band
+    # holds it, but no rule says where the carriers of the start lead
+    state = [-2.0, -5e-324, -2.0, -5e-324]
+    v = classify_limit(state)
+    assert v.kind is LimitKind.UNDECIDED and v.forward_steps == 1
+    assert list(classify_limits([state])) == [LimitKind.UNDECIDED]
 
 
 def test_escaping_certificate():

@@ -110,3 +110,26 @@ def test_the_block_sum_guard_has_one_home():
                     if isinstance(node, ast.Name) and node.id in ("_BLOCK_SUM_GUARD", "_NORMAL_MIN"):
                         readers.add(f"{path.name}:{func.name}")
     assert readers == {"operator.py:can_normalize", "operator.py:can_normalize_all"}
+
+
+def test_the_annihilation_error_is_raised_by_the_two_stepping_loops_alone():
+    # the normalized maps refuse a state in GonosomalOperator.orbit (a batch;
+    # apply_normalized and jacobian_normalized step through it) and in
+    # GonosomalOperator.iterate (one state) alone
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and "_annihilated(" in ast.unparse(child):
+                # a nested helper counts as the method that defines it
+                sites.append(f"{path.name}:{'.'.join(scope[:2])}")
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [])
+    assert sorted(sites) == [
+        "operator.py:GonosomalOperator.iterate", "operator.py:GonosomalOperator.orbit",
+    ]

@@ -366,7 +366,7 @@ def test_normalized_scale_invariance():
 def test_annihilated_state_raises():
     with pytest.raises(AnnihilatedStateError) as err:
         OP.apply_normalized([0.0, 0.0, 1.0, 1.0])
-    assert err.value.step is None
+    assert err.value.step == 0
     with pytest.raises(AnnihilatedStateError):
         OP.apply_normalized([1.0, 1.0, 0.0, 0.0])
 
