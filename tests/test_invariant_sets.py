@@ -228,8 +228,9 @@ def test_pair_point_is_boundary_equilibrium():
 
 # W maps (x, 0, u, 0) to (x·u/2, 0, x·u/2, 0) and then squares on the
 # diagonal, so the exact sign of |x·u| - 4 is the limit of a carrier-free
-# start.  Float iteration is no oracle near |x·u| = 4: it rounds the first
-# witness onto a fixed point and the second onto (2, 0, 2, 0).
+# start.  Float iteration is no oracle near |x·u| = 4: iterate stops one
+# step from the first witness, next to (2, 0, 2, 0), and rounds the second
+# onto it.
 def _exact_carrier_free_kind(x, u):
     gap = abs(Fraction(x) * Fraction(u)) - 4
     return LimitKind.EQUILIBRIUM if gap == 0 else LimitKind.ZERO if gap < 0 else LimitKind.INFINITY
