@@ -1,6 +1,8 @@
 """Core operator tests: tensor validation, the bilinear map, Jacobians,
 iteration, the batch orbit, and the tensor file format."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -258,8 +260,13 @@ def test_fold_columns_matches_numpy_reduce(cols, batch, seed):
     a = np.random.default_rng(seed).uniform(-3.0, 3.0, size=batch + (cols,))
     np.testing.assert_array_equal(fold_columns(np.add, a), a.sum(axis=-1))
     np.testing.assert_array_equal(fold_columns(np.maximum, a), a.max(axis=-1))
+    # an array and the list of its column views fold to the same bits
+    views = [a[..., j] for j in range(cols)]
+    for ufunc in (np.add, np.maximum, np.minimum):
+        assert _same_bits(fold_columns(ufunc, views), fold_columns(ufunc, a))
     if cols == 1 and batch:
         assert not np.shares_memory(fold_columns(np.add, a), a)
+        assert not np.shares_memory(fold_columns(np.add, views), a)
 
 
 @pytest.mark.parametrize(
@@ -301,18 +308,17 @@ def _raw_step_cases():
                 yield label, GonosomalOperator(random_tensor(rng, n, nu, nonnegative))
 
 
-def _assert_raw_step_is_apply_raw(op, states):
+def _assert_steps_are_apply_raw(op, step, states):
     for s in states:
-        got = op.raw_step(s.tolist())
+        got = step(s.tolist())
         assert type(got) is list and all(type(c) is float for c in got)
         assert _same_bits(np.array(got), op.apply_raw(s)), s
 
 
-@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
-def test_raw_step_is_apply_raw_bit_for_bit(op):
+def _assert_step_is_apply_raw_on_every_case(op, step):
     rng = np.random.default_rng(7)
     dim = op.dim
-    _assert_raw_step_is_apply_raw(op, np.concatenate([
+    _assert_steps_are_apply_raw(op, step, np.concatenate([
         rng.uniform(-3.0, 3.0, (300, dim)),
         rng.uniform(0.0, 1.0, (300, dim)) * 10.0 ** rng.integers(-8, 9, (300, 1)),
         # signed zeros, and subnormals beside zeros and ones
@@ -324,9 +330,52 @@ def test_raw_step_is_apply_raw_bit_for_bit(op):
     # pair products that overflow to inf, and inf against -inf in the sum
     overflowing = rng.choice([1e200, -1e200, 1e160, -3.0, 0.5, 0.0], (200, dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_raw_step_is_apply_raw(op, overflowing)
+        _assert_steps_are_apply_raw(op, step, overflowing)
         images = op.apply_raw(overflowing)
     assert np.isinf(images).any() and (dim == 2 or np.isnan(images).any())
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
+def test_raw_step_is_apply_raw_bit_for_bit(op):
+    _assert_step_is_apply_raw_on_every_case(op, op.raw_step)
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
+def test_one_stepper_is_apply_raw_bit_for_bit_over_every_case(op):
+    # one stepper, its buffers reused over all 1200 states: a pair or image
+    # entry left over from an earlier state would show as a mismatch
+    _assert_step_is_apply_raw_on_every_case(op, op.stepper())
+
+
+def test_a_stepper_returns_a_new_list_that_later_calls_leave_alone():
+    step = OP.stepper()
+    first = step([1.0, 1.0, 1.0, 1.0])
+    kept = list(first)
+    second = step([3.0, 0.0, 3.0, 0.0])
+    assert first == kept == OP.apply_raw([1.0, 1.0, 1.0, 1.0]).tolist()
+    assert second == [4.5, 0.0, 4.5, 0.0] and second is not first
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()][::8])
+def test_two_steppers_used_in_turn_agree(op):
+    # two orbits stepped alternately, each by its own stepper, then again
+    # with the steppers swapped: each orbit is the same whichever steps it,
+    # and is the orbit raw_step gives (a signed orbit may reach inf and NaN)
+    rng = np.random.default_rng(11)
+    a, b = op.stepper(), op.stepper()
+    starts = rng.uniform(-1.0, 1.0, (2, op.dim)).tolist()
+
+    def alternate(first, second):
+        p, q, orbits = *starts, ([], [])
+        for _ in range(20):
+            p, q = first(p), second(q)
+            orbits[0].append(p)
+            orbits[1].append(q)
+        return np.array(orbits)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(alternate(a, b), alternate(b, a))
+        assert _same_bits(alternate(a, b), alternate(op.raw_step, op.raw_step))
 
 
 def test_wrong_arity_rejected():
@@ -598,38 +647,103 @@ def _assert_iterate_matches_reference(op, s0, **kw):
         assert _same_bits(rec.limit, limit)
 
 
-@pytest.mark.parametrize(
-    "op, s0, kw",
-    [
-        # thinning past step 1000, then budget exhaustion
-        (OP, [0.3, 0.2, 0.4, 0.1], dict(mode="normalized", budget=3000)),
-        (OP, [1.0, 1.0, 1.0, 1.0], dict(budget=5)),
-        (OP, [1.0, 1.0, 1.0, 1.0], {}),
-        (OP, [2.0, 0.0, 2.0, 0.0], {}),
-        (OP, [3.0, 0.0, 3.0, 0.0], {}),
-        # divergence at step 0, by size and by a non-finite start
-        (OP, [2e12, 0.0, 1.0, 1.0], {}),
-        (OP, [np.nan, 0.0, 1.0, 1.0], {}),
-        (OP, [np.inf, 0.0, 1.0, 1.0], {}),
-        # block sums above the guard whose product underflows
-        (OP, [1e-200, 0.0, 1e-200, 0.0], dict(mode="normalized")),
-        # settled at step 1 (step 0.105 <= 0.2), but the residual 0.226 is not
-        (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=0.2)),
-        (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=np.float64(0.2))),
-        # an int threshold, which both tests compare with float differences
-        (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=1)),
-        (OP, [0.3, 0.2, 0.4, 0.1], dict(mode="normalized", tol_fp=1)),
-        # a start of Python ints
-        (OP, [1, 1, 1, 1], {}),
-        (OP, [3, 0, 3, 0], dict(mode="normalized")),
-        # annihilation at step 0 and at a later named step
-        (OP, [0.0, 0.0, 0.5, 0.5], dict(mode="normalized")),
-        (GonosomalOperator(InheritanceTensor([[[0.0]]], [[[1.0]]])), [1.0, 1.0],
-         dict(mode="normalized")),
-    ],
+# sons of type 2 from the pair (1, 1); half daughters, half sons of type 1
+# from (1, 2).  From (1/2, 0, 1/2) the orbit settles within 0.6 at step 1,
+# on (1/2, 1/2, 0), which is no fixed point: its image (0, 0, 1) has no
+# female mass
+_SETTLES_THEN_ANNIHILATES = GonosomalOperator(
+    InheritanceTensor([[[0.0], [0.5]]], [[[0.0, 1.0], [0.5, 0.0]]])
 )
+
+_ITERATE_CASES = [
+    # thinning past step 1000, then budget exhaustion
+    (OP, [0.3, 0.2, 0.4, 0.1], dict(mode="normalized", budget=3000)),
+    (OP, [1.0, 1.0, 1.0, 1.0], dict(budget=5)),
+    (OP, [1.0, 1.0, 1.0, 1.0], {}),
+    (OP, [2.0, 0.0, 2.0, 0.0], {}),
+    (OP, [3.0, 0.0, 3.0, 0.0], {}),
+    # divergence at step 0, by size and by a non-finite start
+    (OP, [2e12, 0.0, 1.0, 1.0], {}),
+    (OP, [np.nan, 0.0, 1.0, 1.0], {}),
+    (OP, [np.inf, 0.0, 1.0, 1.0], {}),
+    # block sums above the guard whose product underflows
+    (OP, [1e-200, 0.0, 1e-200, 0.0], dict(mode="normalized")),
+    # settled at step 1 (step 0.105 <= 0.2), but the residual 0.226 is not
+    (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=0.2)),
+    (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=np.float64(0.2))),
+    # an int threshold, which both tests compare with float differences
+    (OP, [2.1, 0.0, 2.1, 0.0], dict(tol_fp=1)),
+    (OP, [0.3, 0.2, 0.4, 0.1], dict(mode="normalized", tol_fp=1)),
+    # a start of Python ints
+    (OP, [1, 1, 1, 1], {}),
+    (OP, [3, 0, 3, 0], dict(mode="normalized")),
+    # annihilation at step 0 and at a later named step
+    (OP, [0.0, 0.0, 0.5, 0.5], dict(mode="normalized")),
+    (GonosomalOperator(InheritanceTensor([[[0.0]]], [[[1.0]]])), [1.0, 1.0],
+     dict(mode="normalized")),
+    # the image formed by the convergence test at step 1 is iterate 2,
+    # which step 2 cannot divide by
+    (_SETTLES_THEN_ANNIHILATES, [0.5, 0.0, 0.5], dict(mode="normalized", tol_fp=0.6)),
+]
+
+
+@pytest.mark.parametrize("op, s0, kw", _ITERATE_CASES)
 def test_iterate_matches_reference_loop(op, s0, kw):
     _assert_iterate_matches_reference(op, s0, **kw)
+
+
+def _no_raw_step(self, values):
+    raise AssertionError("raw_step called")
+
+
+def test_iterate_steps_with_its_own_stepper(monkeypatch):
+    # iterate builds one stepper per call and never goes through raw_step
+    monkeypatch.setattr(GonosomalOperator, "raw_step", _no_raw_step)
+    for op, s0, kw in _ITERATE_CASES:
+        _assert_iterate_matches_reference(op, s0, **kw)
+    with pytest.raises(AnnihilatedStateError, match="at step 2") as err:
+        _SETTLES_THEN_ANNIHILATES.iterate([0.5, 0.0, 0.5], mode="normalized", tol_fp=0.6)
+    assert err.value.step == 2
+
+
+def test_classify_limit_steps_with_its_own_stepper(monkeypatch):
+    # a signed start with two forward steps and three series terms
+    monkeypatch.setattr(GonosomalOperator, "raw_step", _no_raw_step)
+    verdict = classify_limit([-0.84, -1.88, 1.23, 0.25])
+    assert verdict.kind.value == "Infinity"
+    assert verdict.escape_sum == 0.018936517356559424
+    assert (verdict.forward_steps, verdict.terms) == (2, 3)
+
+
+def test_two_threads_iterate_the_shared_operator_as_sequential_runs():
+    # each iterate owns its stepper's buffers, so two threads stepping the
+    # one shared hemophilia operator at once cannot mix their orbits
+    # two orbits that run their whole budget, so the threads overlap
+    starts = [[0.3, 0.2, 0.4, 0.1], [0.1, 0.4, 0.2, 0.3]]
+    runs = 10
+
+    def key(s0):
+        rec = OP.iterate(s0, mode="normalized", budget=2000)
+        return rec.stop_reason, rec.steps_taken, rec.iterates.tobytes(), rec.step_indices.tobytes()
+
+    expected = [key(s0) for s0 in starts]
+    got = [[], []]
+
+    def work(j):
+        got[j] = [key(starts[j]) for _ in range(runs)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[expected[0]] * runs, [expected[1]] * runs]
 
 
 @pytest.mark.parametrize("kw", [dict(tol_fp=0.0), dict(tol_fp=-1.0),
