@@ -356,7 +356,7 @@ def test_a_stepper_returns_a_new_list_that_later_calls_leave_alone():
     assert second == [4.5, 0.0, 4.5, 0.0] and second is not first
 
 
-@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()][::8])
+@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
 def test_two_steppers_used_in_turn_agree(op):
     # two orbits stepped alternately, each by its own stepper, then again
     # with the steppers swapped: each orbit is the same whichever steps it,
@@ -699,11 +699,9 @@ def _no_raw_step(self, values):
 def test_iterate_steps_with_its_own_stepper(monkeypatch):
     # iterate builds one stepper per call and never goes through raw_step
     monkeypatch.setattr(GonosomalOperator, "raw_step", _no_raw_step)
+    # (the normalized cases include annihilations named at steps 0, 1 and 2)
     for op, s0, kw in _ITERATE_CASES:
         _assert_iterate_matches_reference(op, s0, **kw)
-    with pytest.raises(AnnihilatedStateError, match="at step 2") as err:
-        _SETTLES_THEN_ANNIHILATES.iterate([0.5, 0.0, 0.5], mode="normalized", tol_fp=0.6)
-    assert err.value.step == 2
 
 
 def test_classify_limit_steps_with_its_own_stepper(monkeypatch):
