@@ -34,10 +34,10 @@ sign of |x·u| - 4, which decides it exactly where the float sum cannot.
 
 The classifier has two paths.  :func:`classify_limit` is the single-state
 path: it steps on Python floats with one ``stepper`` of the hemophilia
-operator per call (buffers allocated once, bit for bit ``raw_step``) and
-reports the sum, the forward steps and the terms.  :func:`classify_limits`
-is the batch path: it gives the same kind for each row of a batch,
-stepping with ``orbit``.
+operator (buffers allocated once, bit for bit ``raw_step``), built at its
+first step, and reports the sum, the forward steps and the terms.
+:func:`classify_limits` is the batch path: it gives the same kind for each
+row of a batch, stepping with ``orbit``.
 Its products and logarithms may round differently in the last bits, so
 it hands to :func:`classify_limit` every row it cannot decide with a
 margin: still signed after 8 forward steps, an image that gains a zero
@@ -195,14 +195,14 @@ def classify_limit(state) -> LimitVerdict:
     sign of its escape series Λ (see the module docstring).
 
     Every step, forward or in the series, goes through one ``stepper`` of
-    the hemophilia operator built for the call (``apply_raw`` on Python
-    floats, with its buffers allocated once).  A state with a negative
-    coordinate is first stepped until it is nonnegative, for at most
-    ``_MAX_FORWARD`` steps.  The state is kept as w·e^L with sup norm
-    |w| = 1 (L -> 2L + log|W(w)| per step), so huge starts and images never
-    overflow.  A state with an exactly zero
-    block maps to the origin: Zero, with sum -inf.  Then the partial sums of
-    Λ decide Zero once below -band and Infinity once above
+    the hemophilia operator (``apply_raw`` on Python floats, with its
+    buffers allocated once), built at the first step, so a start decided
+    with no step builds none.  A state with a negative coordinate is first
+    stepped until it is nonnegative, for at most ``_MAX_FORWARD`` steps.
+    The state is kept as w·e^L with sup norm |w| = 1 (L -> 2L + log|W(w)|
+    per step), so huge starts and images never overflow.  A state with an
+    exactly zero block maps to the origin: Zero, with sum -inf.  Then the
+    partial sums of Λ decide Zero once below -band and Infinity once above
     2^-K·log(9/8) + band, where the band 1e-12·(1 + 2|L|) bounds the
     rounding of a sum that starts from 2L.
     A carrier-free start (x, 0, u, 0) whose sum is within the band takes
@@ -214,10 +214,11 @@ def classify_limit(state) -> LimitVerdict:
     """
     x, y, u, v = c = require_single_state(state, 4).tolist()
     require_finite(c)
-    step = hemophilia_operator().stepper()
+    step = None  # built at the first step: many starts are decided with none
     log_scale = 0.0
     for steps in range(_MAX_FORWARD + 1):
         if steps:
+            step = step or hemophilia_operator().stepper()
             x, y, u, v = step([x, y, u, v])
         top = max(abs(x), abs(y), abs(u), abs(v)) or 1.0
         x, y, u, v = x / top, y / top, u / top, v / top
@@ -243,6 +244,7 @@ def classify_limit(state) -> LimitVerdict:
                 kind=LimitKind.UNDECIDED, escape_sum=total, forward_steps=steps, terms=terms
             )
         # the normalized map T(s) = W(x/fs, y/ms): no product of block sums to underflow
+        step = step or hemophilia_operator().stepper()
         x, y, u, v = step([x / fs, y / fs, u / ms, v / ms])
         fs, ms = x + y, u + v
         weight *= 0.5

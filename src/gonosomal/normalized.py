@@ -142,14 +142,17 @@ def normalize_fixed_point(s_raw) -> np.ndarray:
     return vec / total
 
 
-def denormalize_fixed_point(s_simplex) -> np.ndarray:
-    """Rescale a hemophilia simplex fixed point to the raw fixed point on its ray.
+def denormalize_fixed_point(s_simplex, op: GonosomalOperator | None = None) -> np.ndarray:
+    """Rescale a simplex fixed point of ``op`` (hemophilia when None) to the
+    raw fixed point on its ray.
 
     The inverse of :func:`normalize_fixed_point`: divide by the product of
-    the block sums.  The point must pass :func:`require_simplex_state`.
+    the block sums.  The point must pass :func:`require_simplex_state` with
+    ``op``'s block lengths.
     """
-    vec = require_simplex_state(require_single_state(s_simplex))
-    fs, ms = hemophilia_operator().block_sums(vec)
+    op = hemophilia_operator() if op is None else op
+    vec = require_simplex_state(require_single_state(s_simplex), op.n, op.nu)
+    fs, ms = op.block_sums(vec)
     return vec / (fs * ms)
 
 

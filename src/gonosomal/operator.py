@@ -42,15 +42,18 @@ the one product of the block sums.  ``apply_raw`` keeps its own row-major
 product: through ``orbit``, the 545 ``apply_raw`` calls of one ``verify``
 took a median 30 ms in place of 18 ms.
 :meth:`GonosomalOperator.stepper` is the single-state path: a per-call
-workspace whose ``step`` writes the pair products, formed on Python floats,
-into a buffer allocated once and makes one ``np.matmul`` against the pair
-matrix (a BLAS matrix-vector product) into a second one, bit for bit
-``apply_raw``.  Converting a fresh list to an array was most of a step's
-cost: a step took 1.7 us, against 2.3 us from a list.  ``iterate`` and
-``classify_limit`` each build one stepper per call, and
-:meth:`GonosomalOperator.raw_step` is one step of a fresh stepper.  No
-buffer lives on the operator.  ``iterate`` makes its per-step divergence
-and convergence tests as ``all(map(...))`` over ``abs``, in C.
+workspace whose ``step`` stores the pair products, formed on Python floats,
+through a memoryview of a buffer allocated once and makes one ``np.dot``
+against the pair matrix (a BLAS matrix-vector product, without
+``np.matmul``'s gufunc dispatch) into a second one, bit for bit
+``apply_raw``; a single-pair tensor keeps ``np.matmul``.  A step took
+0.93 us, against 1.41 us with numpy item stores and ``np.matmul``.
+``iterate`` builds one stepper per call and ``classify_limit`` one at its
+first step, and :meth:`GonosomalOperator.raw_step` is one step of a fresh
+stepper.  No buffer lives on the operator.  ``iterate`` makes its per-step
+divergence and convergence tests as ``all(map(...))`` over ``abs``, in C,
+after a test of the first coordinate alone, which fails first on most
+steps.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import count
+from itertools import chain, count
 from operator import ge, sub
 from pathlib import Path
 
@@ -455,7 +458,7 @@ class GonosomalOperator(_Immutable):
     def raw_step(self, values) -> list[float]:
         """:meth:`apply_raw` of one unvalidated state of ``dim`` Python floats,
         bit for bit, as Python floats: one call of a fresh :meth:`stepper`.
-        Building the stepper adds about 0.6 us, so a caller that takes many
+        Building the stepper adds about 0.9 us, so a caller that takes many
         steps builds one stepper and reuses it."""
         return self.stepper()(values)
 
@@ -464,15 +467,22 @@ class GonosomalOperator(_Immutable):
         :meth:`raw_step`, with its workspace allocated once.
 
         ``step`` takes one unvalidated state of ``dim`` Python floats.  It
-        writes the Python-float pair products ``values[i] * values[n + k]``
-        into a pair buffer of ``n * nu`` floats, makes one ``np.matmul``
-        against the pair matrix into an image buffer of ``dim`` floats (a
-        BLAS matrix-vector product, bit for bit :meth:`apply_raw`), and
-        returns the image as a new list of Python floats, which later calls
-        leave alone.  On the hemophilia operator a step took 1.7 us, against
-        2.3 us for the same product of a fresh list, and building a stepper
-        0.6 us (timeit, best of 15 repeats of 20,000 calls in each of five
-        processes, on a shared 2-CPU Xeon VM).
+        stores the pair products ``values[i] * values[n + k]`` through a
+        memoryview of a pair buffer of ``n * nu`` floats, makes one
+        ``np.dot`` against the pair matrix into an image buffer of ``dim``
+        floats (the BLAS matrix-vector product of ``np.matmul``, bit for bit
+        :meth:`apply_raw`), and returns the image as a new list of Python
+        floats, which later calls leave alone.  With a single pair,
+        ``np.dot`` would multiply as a scalar and turn an underflowing
+        negative product into -0.0, so that stepper makes the ``np.matmul``
+        instead.  On the hemophilia operator a step took 0.93 us, against
+        1.26 us with ``np.matmul`` and 1.41 us with numpy item stores as
+        well, and building a stepper 0.93 us (timeit minima, on a shared
+        2-CPU Xeon VM).
+
+        A coordinate may be anything numpy stores as a float: a Python
+        int or bool, or a numpy scalar.  A Python-int pair product too large
+        for a double raises ValueError from the memoryview store.
 
         The buffers belong to this ``step`` alone, not to the operator,
         which stays safe to share across threads; one ``step`` is for one
@@ -480,13 +490,14 @@ class GonosomalOperator(_Immutable):
         """
         matrix, index = self._pair_matrix, self._pair_index
         pairs, image = np.empty(len(matrix)), np.empty(self._dim)
+        store = memoryview(pairs)
+        # np.dot multiplies the product of a single pair as a scalar (see above)
+        product = np.dot if len(matrix) > 1 else np.matmul
 
         def step(values) -> list[float]:
             for column, i, j in index:
-                pairs[column] = values[i] * values[j]
-            # not np.dot, which is faster but multiplies the one product of
-            # a 1x1 tensor as a scalar: -0.0 where the matrix product gives 0.0
-            np.matmul(pairs, matrix, out=image)
+                store[column] = values[i] * values[j]
+            product(pairs, matrix, out=image)
             return image.tolist()
 
         return step
@@ -625,7 +636,12 @@ class GonosomalOperator(_Immutable):
         iterate is stepped once: the image the convergence test forms is
         the next iterate when the test fails.  Each step's divergence and
         convergence tests run in C, as ``all(map(...))`` over ``abs``: the
-        same comparisons as ``abs(d) <= tol_fp``, which NaN fails.
+        same comparisons as ``abs(d) <= tol_fp``, which NaN fails.  The
+        convergence test compares the first coordinate alone first, which
+        ends it on most steps.  The record's iterates are read from the
+        kept lists with ``np.fromiter``, without the shape discovery of
+        ``np.array``, and an orbit that stopped by step 1000 kept every
+        step, so its step indices are ``np.arange``.
 
         Args:
             s0: starting state, length n + nu.
@@ -642,7 +658,7 @@ class GonosomalOperator(_Immutable):
         require_count("budget", budget)
         require_positive("tol_fp", tol_fp)
         s = require_single_state(s0, self._dim)
-        n, raw_step = self._n, self.stepper()
+        n, dim, raw_step = self._n, self._dim, self.stepper()
 
         if mode == "raw":
             step = raw_step
@@ -674,9 +690,14 @@ class GonosomalOperator(_Immutable):
             if kept_steps[-1] != k:
                 kept_steps.append(k)
                 kept.append(cur)
+            # rows of one known length: no shape discovery over the lists
+            rows = len(kept)
+            iterates = np.fromiter(chain.from_iterable(kept), float, rows * dim)
             return TrajectoryRecord(
-                iterates=np.array(kept),
-                step_indices=np.array(kept_steps, dtype=int),
+                iterates=iterates.reshape(rows, dim),
+                step_indices=(
+                    np.arange(k + 1) if k <= _THIN_AFTER else np.array(kept_steps, dtype=int)
+                ),
                 stop_reason=reason,
                 steps_taken=k,
                 limit=np.array(cur) if reason is StopReason.CONVERGED else None,
@@ -695,7 +716,10 @@ class GonosomalOperator(_Immutable):
             if k <= _THIN_AFTER or k % _THIN_STRIDE == 0:
                 kept_steps.append(k)
                 kept.append(cur)
-            if all(map(within_tol, map(abs, map(sub, cur, prev)))):
+            # the full test's first comparison alone first: most steps fail it
+            if within_tol(abs(cur[0] - prev[0])) and all(
+                map(within_tol, map(abs, map(sub, cur, prev)))
+            ):
                 image = step(cur)
                 if all(map(within_tol, map(abs, map(sub, image, cur)))):
                     return _record(StopReason.CONVERGED, k)

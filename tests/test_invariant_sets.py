@@ -3,6 +3,7 @@ classification, and the sampling battery."""
 
 import importlib.util
 import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -351,6 +352,104 @@ def test_classify_limit_validates_as_membership_does(state, message):
     with pytest.raises(type(seen.value), match=message) as err:
         classify_limit(state)
     assert str(err.value) == str(seen.value)
+
+
+def _reference_classify_limit(state):
+    """classify_limit's loop, stepping with apply_raw one state at a time:
+    (kind, escape_sum, forward_steps, terms)."""
+    x, y, u, v = c = [float(a) for a in state]
+
+    def step(w):
+        return OP.apply_raw(np.array(w)).tolist()
+
+    log_scale = 0.0
+    for steps in range(invariant_sets._MAX_FORWARD + 1):
+        if steps:
+            x, y, u, v = step([x, y, u, v])
+        top = max(abs(x), abs(y), abs(u), abs(v)) or 1.0
+        x, y, u, v = x / top, y / top, u / top, v / top
+        log_scale = 2.0 * log_scale + math.log(top)
+        if not (x or y) or not (u or v):
+            return LimitKind.ZERO, -math.inf, steps, 0
+        if min(x, y, u, v) >= 0.0:
+            break
+    else:
+        return LimitKind.UNDECIDED, None, invariant_sets._MAX_FORWARD, 0
+
+    fs, ms = x + y, u + v
+    total = 2.0 * log_scale + math.log(fs) + math.log(ms) - math.log(4.0)
+    band = 1e-12 * (1.0 + 2.0 * abs(log_scale))
+    if c[1] == 0.0 and c[3] == 0.0 and abs(total) <= band:
+        gap = abs(Fraction(c[0]) * Fraction(c[2])) - 4
+        kind = LimitKind.ZERO if gap < 0 else LimitKind.INFINITY if gap else LimitKind.EQUILIBRIUM
+        return kind, total, steps, 0
+    weight, terms = 1.0, 0
+    while -band <= total <= weight * math.log(9.0 / 8.0) + band:
+        if terms == invariant_sets._MAX_TERMS:
+            return LimitKind.UNDECIDED, total, steps, terms
+        x, y, u, v = step([x / fs, y / fs, u / ms, v / ms])
+        fs, ms = x + y, u + v
+        weight *= 0.5
+        total += weight * math.log(4.0 * fs * ms)
+        terms += 1
+    return (LimitKind.ZERO if total < 0.0 else LimitKind.INFINITY), total, steps, terms
+
+
+def _classifier_families(rng, per):
+    """``per`` starts of each of eight families: subcritical and escaping
+    nonnegative starts, the three sign patterns, carrier-free starts, block
+    sums (2, 2) with carriers, and a sign change inside a block."""
+    sub = rng.uniform(0.0, 2.0, (4 * per, 4))
+    sub = sub[(sub[:, 0] + sub[:, 1]) * (sub[:, 2] + sub[:, 3]) < 4.0][:per]
+    esc = rng.uniform(0.0, 6.0, (per, 4))
+    nonpos = -rng.uniform(0.0, 4.0, (per, 4))
+    female_nonpos = rng.uniform(0.0, 4.0, (per, 4)) * [-1.0, -1.0, 1.0, 1.0]
+    male_nonpos = rng.uniform(0.0, 4.0, (per, 4)) * [1.0, 1.0, -1.0, -1.0]
+    carrier_free = rng.uniform(-3.0, 3.0, (per, 4)) * [1.0, 0.0, 1.0, 0.0]
+    carriers = rng.uniform(0.0, 2.0, (per, 2))
+    boundary = np.stack(
+        [2.0 - carriers[:, 0], carriers[:, 0], 2.0 - carriers[:, 1], carriers[:, 1]], axis=1
+    )
+    mixed = rng.uniform(-3.0, 3.0, (per, 4))
+    mixed[:, 0] = -np.abs(mixed[:, 0])
+    mixed[:, 1] = np.abs(mixed[:, 1])
+    families = [sub, esc, nonpos, female_nonpos, male_nonpos, carrier_free, boundary, mixed]
+    assert all(len(f) == per for f in families)
+    return np.concatenate(families)
+
+
+def test_classify_limit_is_the_reference_loop_bit_for_bit():
+    # and the special starts: Equilibrium, Undecided at each cap
+    special = [[2.0, 0.0, 2.0, 0.0], [-4.0, 0.0, 1.0, 0.0], STILL_SIGNED, ON_THE_BOUNDARY]
+    starts = np.concatenate([_classifier_families(np.random.default_rng(20231), 200), special])
+    seen = set()
+    for s in starts:
+        v = classify_limit(s)
+        kind, total, steps, terms = _reference_classify_limit(s)
+        assert (v.kind, v.forward_steps, v.terms) == (kind, steps, terms), s
+        assert (v.escape_sum is None) == (total is None), s
+        if total is not None:
+            assert np.float64(v.escape_sum).tobytes() == np.float64(total).tobytes(), s
+        seen.add((kind, steps > 0, terms > 0))
+    # every verdict, with and without forward steps and series terms
+    assert {k for k, _, _ in seen} == set(LimitKind)
+    assert {(f, t) for _, f, t in seen} == set(itertools.product([False, True], repeat=2))
+
+
+def _no_stepper(self):
+    raise AssertionError("stepper built")
+
+
+@pytest.mark.parametrize(
+    "state, escape_sum",
+    [([0.5, 0.5, 0.5, 0.5], np.log(0.25)), ([0.0, 0.0, 1.0, 1.0], -np.inf)],
+    ids=["first-sum", "zero-block"],
+)
+def test_a_start_decided_with_no_step_builds_no_stepper(monkeypatch, state, escape_sum):
+    monkeypatch.setattr(GonosomalOperator, "stepper", _no_stepper)
+    v = classify_limit(state)
+    assert v.kind is LimitKind.ZERO and v.escape_sum == escape_sum
+    assert (v.forward_steps, v.terms) == (0, 0)
 
 
 def test_empirical_limits_returns_limit_kinds():

@@ -30,7 +30,11 @@ from gonosomal.normalized import (
     sample_simplex,
     scan_global_convergence,
 )
-from gonosomal.operator import InheritanceTensor, hemophilia_operator, hemophilia_tensor
+from gonosomal.operator import (
+    GonosomalOperator, InheritanceTensor, hemophilia_operator, hemophilia_tensor,
+)
+from gonosomal.spectral import find_fixed_points
+from gonosomal.verify import random_tensor
 
 OP = hemophilia_operator()
 
@@ -129,6 +133,23 @@ def test_normalize_denormalize_round_trip():
     p = normalize_fixed_point([2.0, 0.0, 2.0, 0.0])
     np.testing.assert_array_equal(p, EQUILIBRIUM)
     np.testing.assert_array_equal(denormalize_fixed_point(p), [2.0, 0.0, 2.0, 0.0])
+
+
+def test_denormalize_takes_the_operator_of_a_simplex_root():
+    # the nonnegative normalized root of a 3+2 tensor: its block sums are
+    # not the hemophilia ones, and it has five coordinates
+    op = GonosomalOperator(random_tensor(np.random.default_rng(0), 3, 2, nonnegative=True))
+    found = find_fixed_points(op, "normalized", n_seeds=50)
+    roots = [r.point for r in found if r.point.min() >= 0.0]
+    assert len(roots) == 1
+    raw = denormalize_fixed_point(roots[0], op)
+    assert np.abs(op.apply_raw(raw) - raw).max() <= 1e-10
+    assert normalize_fixed_point(raw) == pytest.approx(roots[0], abs=1e-15)
+    with pytest.raises(ValueError, match="negative coordinate"):
+        denormalize_fixed_point(roots[0] - [0.3, 0.0, 0.0, 0.3, 0.0], op)
+    # op=None is the hemophilia operator, bit for bit
+    hemophilia = denormalize_fixed_point(EQUILIBRIUM)
+    assert denormalize_fixed_point(EQUILIBRIUM, OP).tobytes() == hemophilia.tobytes()
 
 
 def test_normalize_fixed_point_validation():

@@ -347,6 +347,45 @@ def test_one_stepper_is_apply_raw_bit_for_bit_over_every_case(op):
     _assert_step_is_apply_raw_on_every_case(op, op.stepper())
 
 
+def test_a_single_pair_step_gives_the_matrix_products_signed_zero():
+    # a 1x1 tensor has one pair product, which np.dot multiplies as a
+    # scalar: -5e-324 times the female coefficient underflows to -0.0 there,
+    # and to the +0.0 of apply_raw in the matrix product
+    op = dict(_raw_step_cases())["nonnegative-1x1"]
+    state = [1.0, -5e-324]
+    expected = op.apply_raw(state)
+    assert expected[0] == 0.0 and not np.signbit(expected[0])
+    step = op.stepper()
+    step([0.5, 0.5])
+    assert _same_bits(np.array(step(state)), expected)
+    assert _same_bits(np.array(op.raw_step(state)), expected)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, 1, 1, 1],
+        [np.float64(0.3), np.float64(0.2), 0.4, np.float64(0.1)],
+        [np.int64(3), np.int64(0), 3, np.int64(-1)],
+        [True, 0.5, 1.0, False],
+    ],
+    ids=["python-ints", "float64-scalars", "int64-scalars", "bools"],
+)
+def test_a_step_takes_what_numpy_stores_as_a_float(values):
+    expected = OP.apply_raw(values)
+    step = OP.stepper()
+    step([0.3, 0.2, 0.4, 0.1])
+    assert _same_bits(np.array(step(values)), expected)
+    assert _same_bits(np.array(OP.raw_step(values)), expected)
+
+
+def test_a_step_refuses_an_int_pair_product_too_large_for_a_double():
+    step = OP.stepper()
+    for call in (step, OP.raw_step):
+        with pytest.raises(ValueError):
+            call([2**600, 0, 2**600, 0])
+
+
 def test_a_stepper_returns_a_new_list_that_later_calls_leave_alone():
     step = OP.stepper()
     first = step([1.0, 1.0, 1.0, 1.0])
