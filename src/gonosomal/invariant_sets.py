@@ -28,14 +28,20 @@ the female mass fs is in [1/3, 1/2] (the lemma of
 in [8/9, 1] and every term is in [-log(9/8), 0]: a partial sum after K
 terms is an upper bound on Λ, and exceeds it by at most 2^-K·log(9/8).
 Since Λ(W(s)) = 2·Λ(s), a signed state that some raw step makes
-nonnegative has the verdict of that image.  W maps (x, 0, u, 0) to
+nonnegative has the verdict of that image.  A signed state needs no
+series once it is small: every coordinate of W is bilinear in the two
+blocks with nonnegative coefficients, so |W(s)|∞ <= (19/12)·|s|∞², and a
+state with |s|∞ < 12/19 goes to the origin.  W maps (x, 0, u, 0) to
 (a, 0, a, 0) with a = x·u/2, then a -> a²/2: a carrier-free start has the
 sign of |x·u| - 4, which decides it exactly where the float sum cannot.
 
 The classifier has two paths.  :func:`classify_limit` is the single-state
 path: it steps on Python floats with one ``stepper`` of the hemophilia
 operator (buffers allocated once, bit for bit ``raw_step``), built at its
-first step, and reports the sum, the forward steps and the terms.
+first step, and reports the sum, the forward steps and the terms.  It
+carries a bound on the rounding error of its forward steps, so that its
+sup-norm Zero holds for the true orbit; the band of the series is not such
+a bound.
 :func:`classify_limits` is the batch path: it gives the same kind for each
 row of a batch, stepping with ``orbit``.
 Its products and logarithms may round differently in the last bits, so
@@ -168,7 +174,9 @@ class LimitVerdict:
 
     ``escape_sum`` is the last partial sum of the escape series of the
     state reached by the forward steps: -inf when an exact zero block sends
-    it to the origin, None when it was still signed after the forward cap.
+    it to the origin, None when no series was summed: a Zero proved by the
+    sup-norm bound on a state still signed, or an Undecided still signed
+    after the forward cap.
     ``forward_steps`` counts the raw steps taken to make the state
     nonnegative, and ``terms`` the series terms summed after log(fs·ms/4).
     ``kind`` is Equilibrium only for a carrier-free start with |x·u| = 4.
@@ -184,6 +192,27 @@ class LimitVerdict:
 # summed before the verdict is left Undecided.
 _MAX_FORWARD = 64
 _MAX_TERMS = 64
+# The sup-norm rule for signed states.  Every coordinate of W is bilinear in
+# the two blocks with nonnegative coefficients, so |W(s)|∞ <= C·|s|∞², with C
+# the largest row sum: u' = xu/2 + xv/2 + yu/4 + yv/3 gives C = 19/12.  C
+# bounds W with the exact 1/3 and with its stored double, which is below it.
+# A state with |s|∞ < 1/C has C·|s_k|∞ <= (C·|s|∞)^(2^k): it goes to 0.
+_SUP_GROWTH = Fraction(19, 12)
+_GROWTH = float(_SUP_GROWTH)
+_LOG_ZERO_RADIUS = -math.log(_SUP_GROWTH)
+# Error terms of one forward step, in units of the scale e^L (u = 2^-53):
+# a step rounds each image coordinate by at most γ·W(|w|) <= γ·C, with
+# γ = 8u covering the pair products, the four-term dot product, underflow
+# and the stored 1/3; the division by the sup norm 2u; and log(top) and
+# 2L + log(top) together 4u·(|log(top)| + |L|) in the exponent.  Each
+# computed bound is then rounded up by a factor 1 + 2^-30, and the verdict
+# keeps 1e-14·(1 + |L|) off log(12/19) for its own rounding.  These also
+# cover ``_GROWTH``, which is 19/12 rounded down by 4.7e-17 relative.
+_STEP_ERROR = 8.0 * 2.0**-53 * _GROWTH
+_DIV_ERROR = 2.0 * 2.0**-53
+_LOG_ERROR = 4.0 * 2.0**-53
+_ROUND_UP = 1.0 + 2.0**-30
+_RULE_SLACK = 1e-14
 # On the image of the simplex the female mass is in [1/3, 1/2], so every
 # term log(4 g) lies in [-log(9/8), 0].
 _LOG_9_8 = math.log(9.0 / 8.0)
@@ -201,8 +230,16 @@ def classify_limit(state) -> LimitVerdict:
     stepped until it is nonnegative, for at most ``_MAX_FORWARD`` steps.
     The state is kept as w·e^L with sup norm |w| = 1 (L -> 2L + log|W(w)|
     per step), so huge starts and images never overflow.  A state with an
-    exactly zero block maps to the origin: Zero, with sum -inf.  Then the
-    partial sums of Λ decide Zero once below -band and Infinity once above
+    exactly zero block maps to the origin: Zero, with sum -inf.  A state
+    still signed carries a bound r on |s - w·e^L|∞ / e^L for the true orbit
+    s: each step adds C·r·(2 + r) with C = 19/12 for the carried error, the
+    rounding of the step, of the division by the sup norm and of the two
+    logarithms (see ``_STEP_ERROR``).  Once L + log1p(r) is below
+    log(12/19), with room for the rounding of that test, |s|∞ < 12/19 and
+    the orbit goes to the origin: Zero with sum None and no terms.  C bounds
+    W both with the exact 1/3 and with its stored double, so this Zero
+    holds for both operators.  On a nonnegative state the partial sums of
+    Λ decide Zero once below -band and Infinity once above
     2^-K·log(9/8) + band, where the band 1e-12·(1 + 2|L|) bounds the
     rounding of a sum that starts from 2L.
     A carrier-free start (x, 0, u, 0) whose sum is within the band takes
@@ -215,18 +252,29 @@ def classify_limit(state) -> LimitVerdict:
     x, y, u, v = c = require_single_state(state, 4).tolist()
     require_finite(c)
     step = None  # built at the first step: many starts are decided with none
-    log_scale = 0.0
+    log_scale = err = 0.0
     for steps in range(_MAX_FORWARD + 1):
         if steps:
             step = step or hemophilia_operator().stepper()
             x, y, u, v = step([x, y, u, v])
         top = max(abs(x), abs(y), abs(u), abs(v)) or 1.0
         x, y, u, v = x / top, y / top, u / top, v / top
-        log_scale = 2.0 * log_scale + math.log(top)
+        log_top = math.log(top)
+        log_scale = 2.0 * log_scale + log_top
         if not (x or y) or not (u or v):
             return LimitVerdict(kind=LimitKind.ZERO, escape_sum=-math.inf, forward_steps=steps)
         if min(x, y, u, v) >= 0.0:
             break
+        # the true state is e^L·(w + e) with |e|∞ <= err: carry the last
+        # error through W (none at the exact start), then rescale
+        carried = (_GROWTH * err * (2.0 + err) + _STEP_ERROR) * _ROUND_UP if steps else 0.0
+        slip = _LOG_ERROR * (abs(log_top) + abs(log_scale))
+        grow = 2.0 * slip if slip <= 1.0 else math.inf  # e^slip - 1 <= 2·slip up to 1
+        err = (grow + (1.0 + grow) * (_DIV_ERROR + carried / top)) * _ROUND_UP
+        if log_scale < _LOG_ZERO_RADIUS and (
+            log_scale + math.log1p(err) < _LOG_ZERO_RADIUS - _RULE_SLACK * (1.0 + abs(log_scale))
+        ):
+            return LimitVerdict(kind=LimitKind.ZERO, forward_steps=steps)
     else:
         return LimitVerdict(kind=LimitKind.UNDECIDED, forward_steps=_MAX_FORWARD)
 

@@ -60,6 +60,9 @@ ATTRACTION_STEPS = 5000
 _MAX_EIG_DIM = 32
 _MAX_NEWTON_STEPS = 200
 _DEDUP_RADIUS = 1e-6
+# A normalized root of the chart with a coordinate below -_SIMPLEX_SLACK is
+# off the simplex, and is not reported.
+_SIMPLEX_SLACK = 1e-9
 # Near a root with a unit Jacobian eigenvalue the chart residual scales like
 # the squared distance, so the residual test alone would accept points 1e-5
 # away; the step test pins the root itself.  Newton halves the step in the
@@ -312,7 +315,10 @@ def find_fixed_points(
     additionally carries an empirical attraction probe in ``attraction``.
 
     Roots within 1e-6 (sup norm) collapse to the member with the smallest
-    residual; reports come back lexicographically sorted.
+    residual; reports come back lexicographically sorted.  The normalized
+    chart has roots off the simplex as well (a coordinate below -1e-9);
+    those are not normalized fixed points and are not reported, though
+    ``n_converged`` still counts the seeds that reached them.
     """
     op = hemophilia_operator() if op is None else op
     require_mode(mode)
@@ -370,10 +376,13 @@ def find_fixed_points(
         residuals = np.abs(fun(roots)).max(axis=1)
         roots = _deduplicate(roots, residuals)
 
+    if mode == "normalized":
+        roots = embed_reduced(roots, eliminate, dim)
+        roots = roots[(roots >= -_SIMPLEX_SLACK).all(axis=1)]
     # each root maps on its own: on some tensors a batch product rounds
     # differently from the one-state product, and residuals print in full
     reports = []
-    for point in roots if mode == "raw" else embed_reduced(roots, eliminate, dim):
+    for point in roots:
         if mode == "raw":
             residual = float(np.abs(op.apply_raw(point) - point).max())
             jacobian = op.jacobian_raw(point)

@@ -260,7 +260,7 @@ def test_classify_zero_with_empirical(capsys):
 
 
 def test_classify_undecided_with_empirical_has_no_agreement(capsys):
-    code, out, _ = run_cli(capsys, "classify", f"--state={STILL_SIGNED}", "--empirical")
+    code, out, _ = run_cli(capsys, "classify", f"--state={FORWARD_CAP}", "--empirical")
     assert code == 0
     first, second = out.strip().split("\n\n")
     assert stanza_dict(first)["kind"] == "Undecided"
@@ -286,11 +286,11 @@ def test_classify_rejects_non_finite_state(capsys, state):
 
 
 # a mixed-sign start that is still mixed-sign after the forward cap of 64 steps
-STILL_SIGNED = "-2.8211426363159307,1.3599015298514754,0.7684185564834212,0.8653637246648396"
+FORWARD_CAP = "-2.59612023002479,0.9064717574701104,-2.5006998091227315,-1.035873299312417"
 
 
 def test_classify_undecided(capsys):
-    code, out, _ = run_cli(capsys, "classify", f"--state={STILL_SIGNED}")
+    code, out, _ = run_cli(capsys, "classify", f"--state={FORWARD_CAP}")
     assert code == 0
     info = stanza_dict(out)
     assert info["kind"] == "Undecided"
@@ -299,13 +299,14 @@ def test_classify_undecided(capsys):
 
 
 def test_classify_output_bytes(capsys):
-    # forwarded three steps, then decided by the first partial sum
+    # forwarded two steps, then inside the sup-norm radius 12/19 while
+    # still signed: Zero with no escape sum
     expected = (
         "command=classify\n"
         "state=-1,2,3,-4\n"
         "kind=Zero\n"
-        "escape_sum=-3.9585718526940736\n"
-        "forward_steps=3\n"
+        "escape_sum=none\n"
+        "forward_steps=2\n"
         "terms=0\n"
     )
     for _ in range(2):

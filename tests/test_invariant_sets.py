@@ -309,21 +309,105 @@ def test_sign_pattern_forwarding():
     assert v.forward_steps == 1 and v.escape_sum > 0.0
 
 
-# a mixed-sign start that is still mixed-sign after the forward cap of 64 steps
+# a mixed-sign start that is still mixed-sign after the forward cap of 64
+# steps, and never inside the sup-norm radius 12/19 on the way
+FORWARD_CAP = [-2.59612023002479, 0.9064717574701104, -2.5006998091227315, -1.035873299312417]
+# mixed-sign starts that the sup-norm rule proves Zero while still signed
 STILL_SIGNED = [
     -2.8211426363159307, 1.3599015298514754, 0.7684185564834212, 0.8653637246648396,
 ]
+SHRINKING = [-1.0, 2.0, 3.0, -4.0]
 
 
 def test_mixed_sign_state_is_forwarded_then_summed():
-    v = classify_limit([-1.0, 2.0, 3.0, -4.0])
+    # one step maps the nonpositive start onto W(1, 1, 1, 1); the series
+    # decides that image
+    v = classify_limit([-1.0, -1.0, -1.0, -1.0])
     assert v.kind is LimitKind.ZERO
-    assert v.forward_steps == 3 and v.escape_sum < 0.0
-    assert empirical_limits(OP, [[-1.0, 2.0, 3.0, -4.0]])[0] is LimitKind.ZERO
+    assert v.forward_steps == 1 and v.terms == 0 and v.escape_sum < 0.0
 
-    v = classify_limit(STILL_SIGNED)
+    v = classify_limit(FORWARD_CAP)
     assert v.kind is LimitKind.UNDECIDED
     assert v.forward_steps == 64 and v.escape_sum is None and v.terms == 0
+    rec = OP.iterate(FORWARD_CAP)  # float iteration does not settle it either
+    assert rec.stop_reason is StopReason.DIVERGED
+
+
+def _fraction_rows(exact):
+    # the stored rows as Fractions; ``exact`` puts the paper's 1/3 back
+    rows = [[Fraction(c) for c in row] for row in OP.pair_matrix.tolist()]
+    return [[c.limit_denominator(12) for c in row] for row in rows] if exact else rows
+
+
+STORED_ROWS, EXACT_ROWS = _fraction_rows(False), _fraction_rows(True)
+
+
+def _exact_orbit(state, steps, rows=STORED_ROWS):
+    """s_0 .. s_steps of the raw orbit of ``state``, in Fractions."""
+    orbit = [tuple(Fraction(c) for c in state)]
+    for _ in range(steps):
+        x, y, u, v = orbit[-1]
+        pairs = (x * u, x * v, y * u, y * v)
+        orbit.append(tuple(sum(p * row[k] for p, row in zip(pairs, rows)) for k in range(4)))
+    return orbit
+
+
+def _sup(s):
+    return max(abs(c) for c in s)
+
+
+def test_the_sup_norm_growth_constant_is_exactly_19_12():
+    # each coordinate of W is bilinear in the two blocks, so its modulus
+    # on the cube |w|∞ <= 1 peaks at one of the 16 vertices
+    assert EXACT_ROWS[3] == [0, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]
+    assert np.abs(np.array(EXACT_ROWS, dtype=float) - OP.pair_matrix).max() <= 2.0**-54
+    vertices = list(itertools.product([-1, 1], repeat=4))
+    exact = max(_sup(_exact_orbit(w, 1, EXACT_ROWS)[1]) for w in vertices)
+    stored = max(_sup(_exact_orbit(w, 1, STORED_ROWS)[1]) for w in vertices)
+    assert exact == Fraction(19, 12) == invariant_sets._SUP_GROWTH
+    assert stored <= Fraction(19, 12)
+
+
+@pytest.mark.parametrize(
+    "state, steps, norm", [(STILL_SIGNED, 3, 0.2619), (SHRINKING, 2, 0.463)],
+    ids=["still-signed", "shrinking"],
+)
+def test_signed_starts_inside_the_sup_norm_radius_are_zero(state, steps, norm):
+    v = classify_limit(state)
+    assert (v.kind, v.escape_sum, v.forward_steps, v.terms) == (LimitKind.ZERO, None, steps, 0)
+    orbit = _exact_orbit(state, steps)
+    # the first exact state inside the radius, and still signed
+    assert round(float(_sup(orbit[-1])), 4) == pytest.approx(norm)
+    assert _sup(orbit[-1]) < Fraction(12, 19) <= min(_sup(s) for s in orbit[:-1])
+    assert min(orbit[-1]) < 0
+    assert empirical_limits(OP, [state])[0] is LimitKind.ZERO
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_the_sup_norm_rule_is_sound_at_the_radius(k):
+    # starts scaled so that the exact norm at forward step k is
+    # (12/19)·(1 ± r): a Zero from the rule at step j needs |s_j|∞ < 12/19
+    radius = Fraction(12, 19)
+    rng = np.random.default_rng(k)
+    directions = []
+    for d in rng.uniform(-3.0, 3.0, (200, 4)):
+        orbit = _exact_orbit(d.tolist(), k)
+        if all(min(s) < 0 for s in orbit):  # signed up to step k
+            directions.append((d.tolist(), float(_sup(orbit[-1]))))
+    assert len(directions) >= 10
+    at_k = above = 0
+    for d, norm_k in directions[:10]:
+        for r in (1e-15, 1e-13, 1e-11, 1e-9):
+            for sign in (1.0, -1.0):
+                a = (12.0 / 19.0 * (1.0 + sign * r) / norm_k) ** (0.5**k)
+                start = [a * c for c in d]
+                v = classify_limit(start)
+                orbit = _exact_orbit(start, max(k, v.forward_steps))
+                above += _sup(orbit[k]) >= radius
+                if v.kind is LimitKind.ZERO and v.escape_sum is None:
+                    assert _sup(orbit[v.forward_steps]) < radius, (start, v)
+                    at_k += v.forward_steps == k
+    assert at_k > 0 and above > 0
 
 
 # (1, 1/2, 1, 1/2) scaled onto Λ = 0: every partial sum stays inside the band
@@ -362,17 +446,28 @@ def _reference_classify_limit(state):
     def step(w):
         return OP.apply_raw(np.array(w)).tolist()
 
-    log_scale = 0.0
+    unit = 2.0**-53
+    log_scale = err = 0.0
     for steps in range(invariant_sets._MAX_FORWARD + 1):
         if steps:
             x, y, u, v = step([x, y, u, v])
         top = max(abs(x), abs(y), abs(u), abs(v)) or 1.0
         x, y, u, v = x / top, y / top, u / top, v / top
-        log_scale = 2.0 * log_scale + math.log(top)
+        log_top = math.log(top)
+        log_scale = 2.0 * log_scale + log_top
         if not (x or y) or not (u or v):
             return LimitKind.ZERO, -math.inf, steps, 0
         if min(x, y, u, v) >= 0.0:
             break
+        # the sup-norm rule: |s|∞ <= e^L·(1 + err) < 12/19 goes to the origin
+        growth = 19.0 / 12.0
+        carried = (growth * err * (2.0 + err) + 8.0 * unit * growth) * (1.0 + 2.0**-30)
+        slip = 4.0 * unit * (abs(log_top) + abs(log_scale))
+        grow = 2.0 * slip if slip <= 1.0 else math.inf
+        err = (grow + (1.0 + grow) * (2.0 * unit + (carried / top if steps else 0.0)))
+        err *= 1.0 + 2.0**-30
+        if log_scale + math.log1p(err) < -math.log(19.0 / 12.0) - 1e-14 * (1.0 + abs(log_scale)):
+            return LimitKind.ZERO, None, steps, 0
     else:
         return LimitKind.UNDECIDED, None, invariant_sets._MAX_FORWARD, 0
 
@@ -420,7 +515,7 @@ def _classifier_families(rng, per):
 
 def test_classify_limit_is_the_reference_loop_bit_for_bit():
     # and the special starts: Equilibrium, Undecided at each cap
-    special = [[2.0, 0.0, 2.0, 0.0], [-4.0, 0.0, 1.0, 0.0], STILL_SIGNED, ON_THE_BOUNDARY]
+    special = [[2.0, 0.0, 2.0, 0.0], [-4.0, 0.0, 1.0, 0.0], FORWARD_CAP, ON_THE_BOUNDARY]
     starts = np.concatenate([_classifier_families(np.random.default_rng(20231), 200), special])
     seen = set()
     for s in starts:
@@ -587,7 +682,11 @@ BATCHES = {
 @pytest.mark.parametrize("name", list(BATCHES))
 def test_batch_kinds_are_the_single_state_kinds(name):
     kinds = _assert_batch_matches_single(BATCHES[name]())
-    assert len(set(kinds)) >= 2  # several verdicts, so the match means something
+    if name == "times-1e-200":
+        # every row is inside the sup-norm radius, or nonnegative and tiny
+        assert set(kinds) == {LimitKind.ZERO}
+    else:
+        assert len(set(kinds)) >= 2  # several verdicts, so the match means something
 
 
 @pytest.mark.parametrize("seed", [0, 42, 73411, 90017])
@@ -619,16 +718,18 @@ def test_batch_kinds_on_the_special_states():
         [2.0, 0.0, 2.0, 0.0],  # the raw fixed point: Equilibrium
         [4.0, 0.0, 1.0, 0.0],
         [-4.0, 0.0, 1.0, 0.0],
-        STILL_SIGNED,  # Undecided: signed after the forward cap
+        FORWARD_CAP,  # Undecided: signed after the forward cap
         ON_THE_BOUNDARY,  # Undecided: in the band after the term cap
         [-1e200, -1e200, -1e200, -1e200],
         [1.0, 1.0, 1.0, 1.0],
-        [-1.0, 2.0, 3.0, -4.0],
+        STILL_SIGNED,  # Zero: signed, inside the sup-norm radius
+        SHRINKING,
     ]
     kinds = _assert_batch_matches_single(special)
     assert list(kinds[:4]) == [LimitKind.ZERO] * 4
     assert list(kinds[4:7]) == [LimitKind.EQUILIBRIUM] * 3
     assert list(kinds[7:9]) == [LimitKind.UNDECIDED] * 2
+    assert list(kinds[11:]) == [LimitKind.ZERO] * 2
 
 
 def test_band_edges_and_carrier_free_rows_go_to_the_single_state_classifier(monkeypatch):

@@ -133,3 +133,26 @@ def test_the_annihilation_error_is_raised_by_the_two_stepping_loops_alone():
     assert sorted(sites) == [
         "operator.py:GonosomalOperator.iterate", "operator.py:GonosomalOperator.orbit",
     ]
+
+
+def test_the_sup_norm_constant_and_zero_rule_have_one_home():
+    # C = 19/12 is written once (as a Fraction or a quotient of 19 and 12,
+    # either way round), and the radius log(12/19) that it sets is read by
+    # classify_limit alone
+    constants, readers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            operands = (
+                node.args if isinstance(node, ast.Call)
+                else [node.left, node.right] if isinstance(node, ast.BinOp) else []
+            )
+            if len(operands) == 2 and {getattr(n, "value", None) for n in operands} == {12, 19}:
+                constants.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef):
+                readers.update(
+                    f"{path.name}:{node.name}" for name in ast.walk(node)
+                    if isinstance(name, ast.Name) and name.id == "_LOG_ZERO_RADIUS"
+                )
+    assert len(constants) == 1 and constants[0].startswith("invariant_sets.py:"), constants
+    assert readers == {"invariant_sets.py:classify_limit"}

@@ -357,6 +357,18 @@ def test_normalized_search_unique_root():
     assert root.classification is Classification.NON_HYPERBOLIC
 
 
+def test_normalized_search_reports_only_roots_on_the_simplex():
+    # the chart has four roots on this tensor, three of them with a
+    # negative coordinate: only the simplex root is a normalized fixed point
+    op = GonosomalOperator(random_tensor(np.random.default_rng(0), 3, 2, nonnegative=True))
+    found = find_fixed_points(op, mode="normalized", n_seeds=400, rng_seed=0)
+    assert len(found) == 1
+    (root,) = found
+    assert root.point.min() > 0.0 and root.point.sum() == pytest.approx(1.0, abs=1e-12)
+    assert root.residual <= 1e-10
+    assert found.n_converged > 0
+
+
 def test_normalized_root_carries_empirical_note():
     found = find_fixed_points(OP, mode="normalized", n_seeds=200, rng_seed=3)
     note = found[0].note
