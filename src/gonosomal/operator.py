@@ -49,8 +49,7 @@ against the pair matrix (a BLAS matrix-vector product, without
 ``apply_raw``; a single-pair tensor keeps ``np.matmul``.  A step took
 0.93 us, against 1.41 us with numpy item stores and ``np.matmul``.
 ``iterate`` builds one stepper per call and ``classify_limit`` one at its
-first step, and :meth:`GonosomalOperator.raw_step` is one step of a fresh
-stepper.  No buffer lives on the operator.  ``iterate`` makes its per-step
+first step.  No buffer lives on the operator.  ``iterate`` makes its per-step
 divergence and convergence tests as ``all(map(...))`` over ``abs``, in C,
 after a test of the first coordinate alone, which fails first on most
 steps.
@@ -455,16 +454,9 @@ class GonosomalOperator(_Immutable):
         """
         return self._pair_product(*self.split(state))
 
-    def raw_step(self, values) -> list[float]:
-        """:meth:`apply_raw` of one unvalidated state of ``dim`` Python floats,
-        bit for bit, as Python floats: one call of a fresh :meth:`stepper`.
-        Building the stepper adds about 0.9 us, so a caller that takes many
-        steps builds one stepper and reuses it."""
-        return self.stepper()(values)
-
     def stepper(self) -> Callable[[list[float]], list[float]]:
-        """A function ``step(values) -> list[float]`` that is
-        :meth:`raw_step`, with its workspace allocated once.
+        """A function ``step(values) -> list[float]`` that is :meth:`apply_raw`
+        of one state, with its workspace allocated once.
 
         ``step`` takes one unvalidated state of ``dim`` Python floats.  It
         stores the pair products ``values[i] * values[n + k]`` through a

@@ -41,7 +41,8 @@ from .operator import (
     require_count,
 )
 from .spectral import (
-    ATTRACTION_PROBES, ATTRACTION_RADIUS, ATTRACTION_STEPS, Classification, find_fixed_points,
+    ATTRACTION_PROBES, ATTRACTION_RADIUS, ATTRACTION_STEPS, Classification, eigenvalues,
+    find_fixed_points,
 )
 
 __all__ = ["CheckResult", "random_tensor", "run_battery", "empirical_limits"]
@@ -447,7 +448,7 @@ def _check_normalized_root(op: GonosomalOperator, found) -> CheckResult:
         dist = np.abs(r.point - EQUILIBRIUM).max()
         target = np.array([-0.5, 0.0, 1.0])
         eig_dev = np.abs(r.eigenvalues - target).max()
-        other = np.sort_complex(np.linalg.eigvals(reduced_jacobian_at(EQUILIBRIUM, eliminate=3, op=op)))
+        other = eigenvalues(reduced_jacobian_at(EQUILIBRIUM, eliminate=3, op=op))
         cross = np.abs(other - target).max()
         ok = (
             dist <= 1e-10

@@ -753,6 +753,35 @@ def test_band_edges_and_carrier_free_rows_go_to_the_single_state_classifier(monk
     ]
 
 
+def test_a_first_partial_sum_inside_the_band_goes_to_the_single_state_classifier(monkeypatch):
+    # (a, a, a, a) has the first partial sum log(fs·ms/4) = 2·log(a) = 0.05,
+    # strictly between -band and log(9/8) + band: the batch decides nothing
+    # past that sum, so classify_limit sums the terms of this row
+    a = math.exp(0.025)
+    verdict = classify_limit([a] * 4)
+    assert (verdict.kind, verdict.terms) == (LimitKind.INFINITY, 2)
+    calls = []
+    real = invariant_sets.classify_limit
+    monkeypatch.setattr(invariant_sets, "classify_limit", lambda s: calls.append(s) or real(s))
+    assert list(classify_limits([[a] * 4, [2.0] * 4])) == [LimitKind.INFINITY] * 2
+    assert [list(c) for c in calls] == [[a] * 4]
+
+
+def test_the_batch_classifier_steps_only_the_raw_map(monkeypatch):
+    # the forward steps are its only orbit; the series is classify_limit's
+    modes = []
+    real = GonosomalOperator.orbit
+
+    def recording(self, states, mode, steps):
+        modes.append(mode)
+        return real(self, states, mode, steps)
+
+    monkeypatch.setattr(GonosomalOperator, "orbit", recording)
+    for make in BATCHES.values():
+        classify_limits(make())
+    assert modes and set(modes) == {"raw"}
+
+
 def test_empty_batch_gives_no_kinds():
     kinds = classify_limits(np.zeros((0, 4)))
     assert kinds.shape == (0,) and kinds.dtype == object

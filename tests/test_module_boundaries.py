@@ -156,3 +156,18 @@ def test_the_sup_norm_constant_and_zero_rule_have_one_home():
                 )
     assert len(constants) == 1 and constants[0].startswith("invariant_sets.py:"), constants
     assert readers == {"invariant_sets.py:classify_limit"}
+
+
+def test_the_series_term_cap_is_read_by_classify_limit_alone():
+    # the escape series past its first partial sum is summed in one loop:
+    # the batch classifier hands every row it cannot decide there to
+    # classify_limit, so the term cap has one reader
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, ast.FunctionDef):
+                readers.update(
+                    f"{path.name}:{func.name}" for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and node.id == "_MAX_TERMS"
+                )
+    assert readers == {"invariant_sets.py:classify_limit"}

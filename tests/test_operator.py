@@ -337,7 +337,9 @@ def _assert_step_is_apply_raw_on_every_case(op, step):
 
 @pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
 def test_raw_step_is_apply_raw_bit_for_bit(op):
-    _assert_step_is_apply_raw_on_every_case(op, op.raw_step)
+    # a fresh stepper for each state: every step runs on newly allocated
+    # buffers, whose unset entries must not reach the image
+    _assert_step_is_apply_raw_on_every_case(op, lambda values: op.stepper()(values))
 
 
 @pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
@@ -358,7 +360,6 @@ def test_a_single_pair_step_gives_the_matrix_products_signed_zero():
     step = op.stepper()
     step([0.5, 0.5])
     assert _same_bits(np.array(step(state)), expected)
-    assert _same_bits(np.array(op.raw_step(state)), expected)
 
 
 @pytest.mark.parametrize(
@@ -376,14 +377,11 @@ def test_a_step_takes_what_numpy_stores_as_a_float(values):
     step = OP.stepper()
     step([0.3, 0.2, 0.4, 0.1])
     assert _same_bits(np.array(step(values)), expected)
-    assert _same_bits(np.array(OP.raw_step(values)), expected)
 
 
 def test_a_step_refuses_an_int_pair_product_too_large_for_a_double():
-    step = OP.stepper()
-    for call in (step, OP.raw_step):
-        with pytest.raises(ValueError):
-            call([2**600, 0, 2**600, 0])
+    with pytest.raises(ValueError):
+        OP.stepper()([2**600, 0, 2**600, 0])
 
 
 def test_a_stepper_returns_a_new_list_that_later_calls_leave_alone():
@@ -398,8 +396,8 @@ def test_a_stepper_returns_a_new_list_that_later_calls_leave_alone():
 @pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
 def test_two_steppers_used_in_turn_agree(op):
     # two orbits stepped alternately, each by its own stepper, then again
-    # with the steppers swapped: each orbit is the same whichever steps it,
-    # and is the orbit raw_step gives (a signed orbit may reach inf and NaN)
+    # with the steppers swapped: each orbit is the same whichever steps it
+    # (a signed orbit may reach inf and NaN)
     rng = np.random.default_rng(11)
     a, b = op.stepper(), op.stepper()
     starts = rng.uniform(-1.0, 1.0, (2, op.dim)).tolist()
@@ -414,7 +412,6 @@ def test_two_steppers_used_in_turn_agree(op):
 
     with np.errstate(over="ignore", invalid="ignore"):
         assert _same_bits(alternate(a, b), alternate(b, a))
-        assert _same_bits(alternate(a, b), alternate(op.raw_step, op.raw_step))
 
 
 def test_wrong_arity_rejected():
@@ -731,22 +728,29 @@ def test_iterate_matches_reference_loop(op, s0, kw):
     _assert_iterate_matches_reference(op, s0, **kw)
 
 
-def _no_raw_step(self, values):
-    raise AssertionError("raw_step called")
+def _count_steppers(monkeypatch):
+    built = []
+    real = GonosomalOperator.stepper
+    monkeypatch.setattr(GonosomalOperator, "stepper", lambda self: built.append(self) or real(self))
+    return built
 
 
 def test_iterate_steps_with_its_own_stepper(monkeypatch):
-    # iterate builds one stepper per call and never goes through raw_step
-    monkeypatch.setattr(GonosomalOperator, "raw_step", _no_raw_step)
+    # iterate builds one stepper per call, whatever ends it
     # (the normalized cases include annihilations named at steps 0, 1 and 2)
+    built = _count_steppers(monkeypatch)
     for op, s0, kw in _ITERATE_CASES:
+        built.clear()
         _assert_iterate_matches_reference(op, s0, **kw)
+        assert built == [op]
 
 
 def test_classify_limit_steps_with_its_own_stepper(monkeypatch):
-    # a signed start with two forward steps and three series terms
-    monkeypatch.setattr(GonosomalOperator, "raw_step", _no_raw_step)
+    # a signed start with two forward steps and three series terms, all
+    # taken by the one stepper it builds
+    built = _count_steppers(monkeypatch)
     verdict = classify_limit([-0.84, -1.88, 1.23, 0.25])
+    assert built == [hemophilia_operator()]
     assert verdict.kind.value == "Infinity"
     assert verdict.escape_sum == 0.018936517356559424
     assert (verdict.forward_steps, verdict.terms) == (2, 3)
