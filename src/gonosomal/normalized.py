@@ -19,6 +19,7 @@ single step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,10 +202,17 @@ def reduced_jacobian_at(state, eliminate: int = -1, op: GonosomalOperator | None
     op = hemophilia_operator() if op is None else op
     dim = op.dim
     full_jac = op.jacobian_normalized(as_state_vector(state, dim))
-    # rows of the embedded points: the chart origin, then each chart axis
-    pts = embed_reduced(np.eye(dim)[:, 1:], eliminate, dim)
     rows = np.delete(full_jac, eliminate, axis=-2)
-    return (rows.reshape(-1, dim) @ (pts[1:] - pts[0]).T).reshape(rows.shape[:-1] + (dim - 1,))
+    return (rows.reshape(-1, dim) @ _chart(eliminate, dim)).reshape(rows.shape[:-1] + (dim - 1,))
+
+
+@functools.cache
+def _chart(eliminate: int, dim: int) -> np.ndarray:
+    # embed_reduced's derivative, built once and shared read-only: each chart axis less the origin
+    pts = embed_reduced(np.eye(dim)[:, 1:], eliminate, dim)
+    chart = (pts[1:] - pts[0]).T
+    chart.flags.writeable = False
+    return chart
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ every other module uses.
 A per-step bulk path (the kernels, the scan step, Newton's residuals and
 Jacobians, the reduced chart) never reduces or broadcasts over a two- to
 four-wide trailing axis, which numpy does row by row; it works one column
-at a time (see :func:`fold_columns`).
+at a time (see :func:`fold_columns`).  Newton's halving trials broadcast
+over the seed axis alone, each seed's (halving, coordinate) block being
+contiguous: 19-22 us for 72 seeds, against 50-55 us column by column and
+62-65 us over the coordinate axis (timeit minima, shared 2-CPU Xeon VM).
 :meth:`GonosomalOperator.jacobian_normalized` forms its entries in a buffer
 whose (dim, dim) axes lead, so each operation runs along the batch, and
 ``normalized.reduced_jacobian_at`` takes the kept rows of every state's

@@ -8,12 +8,12 @@ simplex, in the :func:`~gonosomal.normalized.embed_reduced` chart that
 eliminates one coordinate through the sum constraint (which removes the
 trivial unit eigenvalue the constraint would otherwise contribute).
 
-Each Newton iteration works one column at a time, as the operator's bulk
-kernels do: the normalized residual divides the kept image columns straight
-into its output, the Jacobians come from
-:meth:`~gonosomal.operator.GonosomalOperator.jacobian_normalized` and
-:func:`~gonosomal.normalized.reduced_jacobian_at` without a broadcast over
-the (dim, dim) block.  The singular screen takes the largest entry of
+A Newton iteration costs what its live seeds need: the full step is
+``base + step``, and the seeds it did not improve try all their halvings
+in one ``fun`` call, laid out (seed, alpha, coordinate).  The residuals
+and Jacobians work one column at a time, as the operator's bulk kernels
+do; :func:`~gonosomal.normalized.reduced_jacobian_at` builds its chart
+matrix once per chart.  The singular screen takes the largest entry of
 each matrix with numpy's maximum over both matrix axes.
 
 Stability is read off the spectrum of the Jacobian at the root: strictly
@@ -188,12 +188,8 @@ def _singular(J) -> np.ndarray:
     top = np.abs(J).max(axis=(1, 2))
     bad = ~np.isfinite(top)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(top, 1.0) ** d
-        if bad.any():
-            det = np.where(bad, 0.0, np.linalg.det(np.where(np.isfinite(J), J, 0.0)))
-        else:
-            det = np.linalg.det(J)
-        return bad | (np.abs(det) < _SINGULAR_DET * scale)
+        det = np.linalg.det(np.where(np.isfinite(J), J, 0.0) if bad.any() else J)
+        return bad | (np.abs(det) < _SINGULAR_DET * np.maximum(top, 1.0) ** d)
 
 
 def _newton_multistart(fun, jac, seeds, *, tol):
@@ -202,13 +198,15 @@ def _newton_multistart(fun, jac, seeds, *, tol):
     Convergence requires both a small residual and a small final step, so
     a root with a singular Jacobian (where the residual alone can stay
     small over a wide neighborhood) is still pinned to root accuracy of
-    order ``_STEP_TOL``.  Each iteration tries the full Newton step of every
-    active seed in one ``fun`` call, then every halving ``_ALPHAS[1:]`` of the
-    seeds it did not improve in a second call; a seed takes the longest step
-    that lowers its residual.  A seed dies at once when its residual is
-    non-finite, its linearization is singular or non-finite, or no halving
-    lowers its residual; the drop counts keep these reasons apart
-    (see :class:`FixedPointSearchResult`).
+    order ``_STEP_TOL``.  Each iteration tries the full Newton step
+    ``base + step`` of every active seed in one ``fun`` call, then every
+    halving ``_ALPHAS[1:]`` of the seeds it did not improve in a second call,
+    rows in (seed, alpha) order; a seed takes the longest step that lowers
+    its residual.  A batched ``fun`` can round a row differently in another
+    grouping, so these two calls and their row order are part of the result.
+    A seed dies at once when its residual is non-finite, its linearization
+    is singular or non-finite, or no halving lowers its residual; the drop
+    counts keep these reasons apart (see :class:`FixedPointSearchResult`).
     """
     pts = np.array(seeds, dtype=float)
     k, d = pts.shape
@@ -220,12 +218,7 @@ def _newton_multistart(fun, jac, seeds, *, tol):
     dead = np.isinf(res)
     drops = dict.fromkeys(DROP_REASONS, 0)
     drops["non_finite"] = int(dead.sum())
-
-    def accept(tgt, trial, Ft, rt, alpha_step):
-        pts[tgt] = trial
-        F[tgt] = Ft
-        res[tgt] = rt
-        last_step[tgt] = fold_columns(np.maximum, np.abs(alpha_step))
+    halvings = np.repeat(_ALPHAS[1:, None], d, axis=1)  # (alpha, coordinate)
 
     iterations = 0
     while True:
@@ -236,28 +229,32 @@ def _newton_multistart(fun, jac, seeds, *, tol):
         iterations += 1
         J = jac(pts[active])
         singular = _singular(J)
-        dead[active[singular]] = True
-        drops["singular"] += int(singular.sum())
-        idx, J = active[~singular], J[~singular]
-        step = np.linalg.solve(J, -F[idx][..., None])[..., 0]
-        for alphas in (_ALPHAS[:1], _ALPHAS[1:]):
-            if idx.size == 0:
-                break
-            # each seed's trial points pts + alpha * step, one column at a time
-            scaled = np.empty((idx.size, alphas.size, d))
-            trial = np.empty_like(scaled)
-            base = pts[idx]
-            for j in range(d):
-                np.multiply(alphas, step[:, j, None], out=scaled[..., j])
-                np.add(base[:, j, None], scaled[..., j], out=trial[..., j])
+        if singular.any():
+            dead[active[singular]] = True
+            drops["singular"] += int(singular.sum())
+            active, J = active[~singular], J[~singular]
+        step = np.linalg.solve(J, -F[active][..., None])[..., 0]
+        # the full step (alpha = 1 scales exactly), then every halving of the
+        # seeds it left: their step and base repeated once per halving
+        idx, base, scaled = active, pts[active], step[:, None]
+        trial = (base + step)[:, None]
+        while idx.size:
             Ft = fun(trial.reshape(-1, d)).reshape(trial.shape)
             rt = fold_columns(np.maximum, np.abs(Ft))
-            ok = np.isfinite(rt) & (rt < res[idx][:, None])
+            ok = rt < res[idx][:, None]  # res is finite, so rt < res means rt is too
             found = ok.any(axis=1)
             rows = np.flatnonzero(found)
             take = rows, ok[rows].argmax(axis=1)  # the first, longest, step that descends
-            accept(idx[rows], trial[take], Ft[take], rt[take], scaled[take])
-            idx, step = idx[~found], step[~found]
+            tgt = idx[rows]
+            pts[tgt], F[tgt], res[tgt] = trial[take], Ft[take], rt[take]
+            last_step[tgt] = fold_columns(np.maximum, np.abs(scaled[take]))
+            idx = idx[~found]
+            if scaled.shape[1] > 1 or idx.size == 0:
+                break
+            scaled = step[~found, None].repeat(len(halvings), axis=1)
+            scaled *= halvings
+            trial = base[~found, None].repeat(len(halvings), axis=1)
+            trial += scaled
         dead[idx] = True
         drops["no_descent"] += int(idx.size)
 
@@ -266,16 +263,15 @@ def _newton_multistart(fun, jac, seeds, *, tol):
 
 
 def _deduplicate(points, residuals):
-    # best residual first; a point within the radius of a kept one is its twin
+    # best residual first; each kept point drops its twins (within the radius)
     order = np.argsort(residuals)
     kept: list[int] = []
-    for i in order:
-        if all(np.abs(points[i] - points[j]).max() > _DEDUP_RADIUS for j in kept):
-            kept.append(i)
+    while order.size:
+        kept.append(order[0])
+        far = fold_columns(np.maximum, np.abs(points[order] - points[order[0]])) > _DEDUP_RADIUS
+        order = order[far]
     reps = points[kept]
-    if len(reps) > 1:
-        reps = reps[np.lexsort(reps.T[::-1])]
-    return reps
+    return reps[np.lexsort(reps.T[::-1])]
 
 
 def attraction_probe(op, point, rng):
@@ -364,6 +360,8 @@ def find_fixed_points(
         def jac(r):
             full = embed_reduced(r, eliminate, dim)
             ok = can_normalize(*op.block_sums(full))
+            if ok.all():
+                return reduced_jacobian_at(full, eliminate, op) - identity
             out = np.full(r.shape + (dim - 1,), np.inf)
             if ok.any():
                 out[ok] = reduced_jacobian_at(full[ok], eliminate, op) - identity
@@ -373,8 +371,7 @@ def find_fixed_points(
     roots = run.points
 
     if len(roots):
-        residuals = np.abs(fun(roots)).max(axis=1)
-        roots = _deduplicate(roots, residuals)
+        roots = _deduplicate(roots, np.abs(fun(roots)).max(axis=1))
 
     if mode == "normalized":
         roots = embed_reduced(roots, eliminate, dim)
@@ -393,17 +390,7 @@ def find_fixed_points(
         label = classify(eigs)
         probed = mode == "normalized" and label is Classification.NON_HYPERBOLIC
         attraction = attraction_probe(op, point, rng) if probed else None
-        reports.append(
-            FixedPointReport(
-                point=point,
-                residual=residual,
-                jacobian=jacobian,
-                eigenvalues=eigs,
-                classification=label,
-                mode=mode,
-                attraction=attraction,
-            )
-        )
+        reports.append(FixedPointReport(point, residual, jacobian, eigs, label, mode, attraction))
     return FixedPointSearchResult(
         reports, n_seeds, run.n_converged, iterations=run.iterations, drops=run.drops
     )

@@ -342,6 +342,83 @@ def test_newton_matches_sequential_halving_when_the_full_step_overshoots():
 
 
 # ---------------------------------------------------------------------------
+# root deduplication against the pairwise greedy loop
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_deduplicate(points, residuals):
+    """Reference: the loop ``_deduplicate`` replaced.  Best residual first,
+    a point is kept when it lies farther than 1e-6 (sup norm) from every
+    point kept before it; the kept points come back lexicographically
+    sorted."""
+    kept = []
+    for i in np.argsort(residuals):
+        if all(np.abs(points[i] - points[j]).max() > 1e-6 for j in kept):
+            kept.append(i)
+    reps = points[kept]
+    if len(reps) > 1:
+        reps = reps[np.lexsort(reps.T[::-1])]
+    return reps
+
+
+def _twin_clusters(rng):
+    # five roots, each with eleven twins within 4e-7 of it, in shuffled order
+    centers = rng.uniform(-3.0, 3.0, size=(5, 4))
+    points = centers.repeat(12, axis=0) + rng.uniform(-4e-7, 4e-7, size=(60, 4))
+    order = rng.permutation(60)
+    return points[order], rng.uniform(0.0, 1e-10, size=60)[order]
+
+
+def _chain(rng):
+    # points 0.6e-6 apart on a line: which of them are kept depends on the
+    # order the residuals give, as each kept point drops its neighbours
+    points = np.zeros((40, 3))
+    points[:, 0] = 0.6e-6 * np.arange(40)
+    return points, rng.uniform(0.0, 1e-10, size=40)
+
+
+def _between_two_roots(rng):
+    # (0.75e-6, 0) lies within 1e-6 of the roots (0, 0) and (1.5e-6, 0),
+    # which are 1.5e-6 apart; it ranks second or third by residual
+    points = np.array([[0.0, 0.0], [1.5e-6, 0.0], [0.75e-6, 0.0]])
+    return points, np.concatenate([[1e-12], rng.permutation([2e-12, 3e-12])])
+
+
+def _equal_residuals(rng):
+    # twin clusters whose residuals all tie: the argsort order alone decides
+    points, _ = _twin_clusters(rng)
+    return points, np.zeros(len(points))
+
+
+def _single_point(rng):
+    return rng.uniform(-3.0, 3.0, size=(1, 4)), np.array([1e-11])
+
+
+@pytest.mark.parametrize(
+    "make", [_twin_clusters, _chain, _between_two_roots, _equal_residuals, _single_point]
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_deduplicate_matches_the_pairwise_greedy_loop(make, seed):
+    points, residuals = make(np.random.default_rng(seed))
+    got = spectral._deduplicate(points, residuals)
+    want = _pairwise_deduplicate(points, residuals)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_deduplicate_drops_a_point_near_two_kept_roots():
+    points, _ = _between_two_roots(np.random.default_rng(0))
+    for residuals in ([1e-12, 2e-12, 3e-12], [1e-12, 3e-12, 2e-12]):
+        kept = spectral._deduplicate(points, np.array(residuals))
+        np.testing.assert_array_equal(kept, points[:2])
+
+
+def test_deduplicate_keeps_one_point_per_twin_cluster():
+    points, residuals = _twin_clusters(np.random.default_rng(1))
+    assert len(spectral._deduplicate(points, residuals)) == 5
+
+
+# ---------------------------------------------------------------------------
 # normalized search
 # ---------------------------------------------------------------------------
 
