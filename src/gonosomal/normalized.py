@@ -19,14 +19,13 @@ single step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operator import (
-    GonosomalOperator, InheritanceTensor, as_state_vector, fold_columns, hemophilia_operator,
-    require_count, require_finite, require_positive, require_single_state,
+    GonosomalOperator, InheritanceTensor, as_state_vector, hemophilia_operator, require_count,
+    require_finite, require_positive, require_single_state,
 )
 
 __all__ = [
@@ -165,14 +164,12 @@ def denormalize_fixed_point(s_simplex, op: GonosomalOperator | None = None) -> n
 def embed_reduced(reduced, eliminate: int, dim: int) -> np.ndarray:
     """Full state from chart coordinates: coordinate ``eliminate`` (an index
     into ``range(dim)``, so -1 is the last) is put back as one minus the sum
-    of the rest.  The sum is :func:`fold_columns`, left to right as
-    ``r.sum(axis=-1)`` adds, and the kept columns go back one at a time."""
+    of the rest."""
     r = as_state_vector(reduced, dim - 1)
     eliminate = range(dim)[eliminate]
     full = np.empty(r.shape[:-1] + (dim,))
-    np.subtract(1.0, fold_columns(np.add, r), out=full[..., eliminate])
-    for c, j in enumerate(j for j in range(dim) if j != eliminate):
-        full[..., j] = r[..., c]
+    full[..., np.arange(dim) != eliminate] = r
+    full[..., eliminate] = 1.0 - r.sum(axis=-1)
     return full
 
 
@@ -195,24 +192,14 @@ def reduced_jacobian_at(state, eliminate: int = -1, op: GonosomalOperator | None
     is ``embed_reduced(e_j) - embed_reduced(0)``.  The eigenvalues at a
     fixed point do not depend on which coordinate is eliminated (the charts
     are affinely conjugate), which makes a useful consistency check.
-    Accepts a batch (states along the last axis): the kept rows of every
-    state's Jacobian go through one 2-D matrix product with the chart, not
-    one product per state.
+    Accepts a batch (states along the last axis).
     """
     op = hemophilia_operator() if op is None else op
     dim = op.dim
     full_jac = op.jacobian_normalized(as_state_vector(state, dim))
-    rows = np.delete(full_jac, eliminate, axis=-2)
-    return (rows.reshape(-1, dim) @ _chart(eliminate, dim)).reshape(rows.shape[:-1] + (dim - 1,))
-
-
-@functools.cache
-def _chart(eliminate: int, dim: int) -> np.ndarray:
-    # embed_reduced's derivative, built once and shared read-only: each chart axis less the origin
+    # rows of the embedded points: the chart origin, then each chart axis
     pts = embed_reduced(np.eye(dim)[:, 1:], eliminate, dim)
-    chart = (pts[1:] - pts[0]).T
-    chart.flags.writeable = False
-    return chart
+    return np.delete(full_jac, eliminate, axis=-2) @ (pts[1:] - pts[0]).T
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,17 @@ model, trajectory iteration with divergence/convergence detection, a
 plain-text tensor file format, and the state checks and float format that
 every other module uses.
 
-A per-step bulk path (the kernels, the scan step, Newton's residuals and
-Jacobians, the reduced chart) never reduces or broadcasts over a two- to
-four-wide trailing axis, which numpy does row by row; it works one column
-at a time (see :func:`fold_columns`).  Newton's halving trials broadcast
-over the seed axis alone, each seed's (halving, coordinate) block being
-contiguous: 19-22 us for 72 seeds, against 50-55 us column by column and
-62-65 us over the coordinate axis (timeit minima, shared 2-CPU Xeon VM).
-:meth:`GonosomalOperator.jacobian_normalized` forms its entries in a buffer
-whose (dim, dim) axes lead, so each operation runs along the batch, and
-``normalized.reduced_jacobian_at`` takes the kept rows of every state's
-Jacobian through one 2-D product with the chart.
+A per-step bulk path (the kernels, the scan step, Newton's residuals)
+never reduces or broadcasts over a two- to four-wide trailing axis, which
+numpy does row by row; it works one column at a time (see
+:func:`fold_columns`).  Newton's halving trials broadcast over the seed
+axis alone, each seed's (halving, coordinate) block being contiguous:
+19-22 us for 72 seeds, against 50-55 us column by column and 62-65 us over
+the coordinate axis (timeit minima, shared 2-CPU Xeon VM).  Newton solves
+W(s) = s in both of its modes, so
+:meth:`GonosomalOperator.jacobian_normalized` and
+``normalized.reduced_jacobian_at`` serve only the reports and checks at a
+root, and broadcast over the state axis.
 
 Many steps go one of two ways.  :meth:`GonosomalOperator.orbit` is the one
 batch stepping path and the one guarded normalized step of a batch: it
@@ -590,30 +590,17 @@ class GonosomalOperator(_Immutable):
         """Analytic Jacobian of the normalized map: entry ``[..., l, j]`` is
         ``jw[l, j] / g - v[l] * (dg_j / g)``, with ``jw`` the raw Jacobian,
         ``g = fs * ms``, ``v = W / g`` the normalized image and ``dg_j`` the
-        derivative of ``g`` along input ``j``.
-
-        The entries are formed in a buffer whose two (dim, dim) axes lead,
-        so each division, product and difference runs along the batch, one
-        entry column at a time, with no broadcast over a trailing axis.  The
-        result is a view of that buffer, indexed ``(..., dim, dim)``.  Its
-        ``v`` and guard are :meth:`apply_normalized`'s.
+        derivative of ``g`` along input ``j``.  Its ``v`` and guard are
+        :meth:`apply_normalized`'s.
         """
         v = self.apply_normalized(state)
         x, y = self.split(state)
         fs, ms = self._block_sums(x, y)
-        g = fs * ms
-        nb = np.ndim(g)
-        batch_axes = tuple(range(nb))
-        jw = self._pair_jacobian(x, y).transpose((nb, nb + 1) + batch_axes)
-        out = np.empty(jw.shape)
-        np.divide(jw, g, out=out)
-        v = v.transpose((nb,) + batch_axes)
+        g = (fs * ms)[..., np.newaxis]
         # d(fs*ms)/ds_j is ms on the female block and fs on the male block
-        dg = np.empty(v.shape)
-        np.divide(ms, g, out=dg[: self._n])
-        np.divide(fs, g, out=dg[self._n :])
-        np.subtract(out, v[:, np.newaxis] * dg, out=out)
-        return out.transpose(tuple(range(2, nb + 2)) + (0, 1))
+        dg = np.repeat(np.stack([ms, fs], axis=-1), [self._n, self.nu], axis=-1)
+        jw = self._pair_jacobian(x, y)
+        return jw / g[..., np.newaxis] - v[..., :, np.newaxis] * (dg / g)[..., np.newaxis, :]
 
     def iterate(
         self,

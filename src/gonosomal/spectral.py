@@ -2,19 +2,24 @@
 
 Fixed points are located by damped Newton iteration from many random
 seeds, run as one batched computation; a seed whose linearization is
-singular is dropped, never perturbed.  Raw mode solves W(s) = s on the
-ambient space; normalized mode solves for the map restricted to the
-simplex, in the :func:`~gonosomal.normalized.embed_reduced` chart that
-eliminates one coordinate through the sum constraint (which removes the
-trivial unit eigenvalue the constraint would otherwise contribute).
+singular is dropped, never perturbed.  Both modes solve the one system
+W(s) = s on the ambient space.  Since W(a·s) = a²·W(s), a simplex point p
+is fixed by the normalized map exactly when p / (fs·ms) is a raw root, and
+a raw root s with positive total mass gives p = s / Σs back.  So normalized
+mode seeds Newton at p / (fs·ms) from simplex draws p and maps each root s
+back to s / Σs.  A nonnegative raw root other than the origin has
+fs + ms = fs·ms, so its total mass is at least 4; roots of mass below 2,
+the origin among them, are dropped before the division.  The normalized
+reports describe the :func:`~gonosomal.normalized.reduced_jacobian_at`
+chart that eliminates the first male coordinate through the sum
+constraint (which removes the trivial unit eigenvalue the constraint would
+otherwise contribute).
 
 A Newton iteration costs what its live seeds need: the full step is
 ``base + step``, and the seeds it did not improve try all their halvings
-in one ``fun`` call, laid out (seed, alpha, coordinate).  The residuals
-and Jacobians work one column at a time, as the operator's bulk kernels
-do; :func:`~gonosomal.normalized.reduced_jacobian_at` builds its chart
-matrix once per chart.  The singular screen takes the largest entry of
-each matrix with numpy's maximum over both matrix axes.
+in one ``fun`` call, laid out (seed, alpha, coordinate).  The singular
+screen takes the largest entry of each matrix with numpy's maximum over
+both matrix axes.
 
 Stability is read off the spectrum of the Jacobian at the root: strictly
 inside the unit circle is attracting, strictly outside repelling, mixed is
@@ -31,10 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .operator import (
-    GonosomalOperator, can_normalize, fold_columns, format_float, format_state, hemophilia_operator,
-    require_count, require_mode, require_positive,
+    GonosomalOperator, fold_columns, format_float, format_state, hemophilia_operator, require_count,
+    require_mode, require_positive,
 )
-from .normalized import embed_reduced, reduced_jacobian_at, sample_simplex
+from .normalized import reduced_jacobian_at, sample_simplex
 
 __all__ = [
     "DROP_REASONS",
@@ -60,10 +65,10 @@ ATTRACTION_STEPS = 5000
 _MAX_EIG_DIM = 32
 _MAX_NEWTON_STEPS = 200
 _DEDUP_RADIUS = 1e-6
-# A normalized root of the chart with a coordinate below -_SIMPLEX_SLACK is
-# off the simplex, and is not reported.
+# A raw root whose simplex point has a coordinate below -_SIMPLEX_SLACK is
+# off the simplex, and is not reported as a normalized root.
 _SIMPLEX_SLACK = 1e-9
-# Near a root with a unit Jacobian eigenvalue the chart residual scales like
+# Near a root with a unit Jacobian eigenvalue the residual scales like
 # the squared distance, so the residual test alone would accept points 1e-5
 # away; the step test pins the root itself.  Newton halves the step in the
 # singular direction, hence this is also (twice) the point accuracy.
@@ -304,17 +309,23 @@ def find_fixed_points(
 ) -> FixedPointSearchResult:
     """Multistart Newton search for fixed points, with stability reports.
 
-    Raw mode seeds uniformly in ``seed_box`` per coordinate and solves
-    W(s) = s.  Normalized mode seeds on the punctured simplex, solves in
-    the chart without the first male coordinate (``seed_box`` is unused),
-    and reports the reduced Jacobian; a non-hyperbolic normalized root
-    additionally carries an empirical attraction probe in ``attraction``.
+    Both modes solve W(s) = s with one residual and one Jacobian; the mode
+    picks the seeds, the map of roots to reports and the report's chart.
+    Raw mode seeds uniformly in ``seed_box`` per coordinate.  Normalized
+    mode (``seed_box`` is unused) draws p on the punctured simplex and
+    seeds at p / (fs·ms), the raw root on p's ray when p is fixed.  A raw
+    root s of total mass at least 2 is reported as p = s / Σs (every
+    nonnegative raw root but the origin has mass at least 4), with the
+    reduced Jacobian in the chart without the first male coordinate; a
+    non-hyperbolic normalized root additionally carries an empirical
+    attraction probe in ``attraction``.
 
-    Roots within 1e-6 (sup norm) collapse to the member with the smallest
-    residual; reports come back lexicographically sorted.  The normalized
-    chart has roots off the simplex as well (a coordinate below -1e-9);
-    those are not normalized fixed points and are not reported, though
-    ``n_converged`` still counts the seeds that reached them.
+    Raw roots within 1e-6 (sup norm) collapse to the member with the
+    smallest residual; reports come back lexicographically sorted.  Raw
+    roots of lower mass, and those whose p has a coordinate below -1e-9,
+    are not normalized fixed points and are not reported, though
+    ``n_converged`` still counts the seeds that reached them, the origin
+    included.
     """
     op = hemophilia_operator() if op is None else op
     require_mode(mode)
@@ -328,44 +339,18 @@ def find_fixed_points(
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid seed box {seed_box!r}")
         seeds = rng.uniform(lo, hi, size=(n_seeds, dim))
-        identity = np.eye(dim)
-
-        def fun(s):
-            return op.apply_raw(s) - s
-
-        def jac(s):
-            return op.jacobian_raw(s) - identity
     else:
-        eliminate = op.n
-        seeds = np.delete(sample_simplex(rng, n_seeds, op.n, op.nu), eliminate, axis=-1)
-        identity = np.eye(dim - 1)
+        # the raw root on each simplex seed's ray: p / (fs * ms)
+        seeds = sample_simplex(rng, n_seeds, op.n, op.nu)
+        fs, ms = op.block_sums(seeds)
+        seeds /= (fs * ms)[:, np.newaxis]
+    identity = np.eye(dim)
 
-        # Newton paths may leave the simplex; evaluate the chart map without
-        # the annihilation guard (division blowups surface as non-finite
-        # residuals and kill the seed) and refuse a Jacobian off the domain.
-        kept = [j for j in range(dim) if j != eliminate]
+    def fun(s):
+        return op.apply_raw(s) - s
 
-        def fun(r):
-            full = embed_reduced(r, eliminate, dim)
-            fs, ms = op.block_sums(full)
-            img = op.apply_raw(full)
-            out = np.empty(r.shape)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                g = fs * ms
-                # the kept image columns, divided straight into the residual
-                for c, j in enumerate(kept):
-                    np.divide(img[..., j], g, out=out[..., c])
-            return np.subtract(out, r, out=out)
-
-        def jac(r):
-            full = embed_reduced(r, eliminate, dim)
-            ok = can_normalize(*op.block_sums(full))
-            if ok.all():
-                return reduced_jacobian_at(full, eliminate, op) - identity
-            out = np.full(r.shape + (dim - 1,), np.inf)
-            if ok.any():
-                out[ok] = reduced_jacobian_at(full[ok], eliminate, op) - identity
-            return out
+    def jac(s):
+        return op.jacobian_raw(s) - identity
 
     run = _newton_multistart(fun, jac, seeds, tol=tol)
     roots = run.points
@@ -374,8 +359,11 @@ def find_fixed_points(
         roots = _deduplicate(roots, np.abs(fun(roots)).max(axis=1))
 
     if mode == "normalized":
-        roots = embed_reduced(roots, eliminate, dim)
+        # the origin has mass 0 and any other nonnegative root at least 4
+        roots = roots[roots.sum(axis=1) >= 2.0]
+        roots /= roots.sum(axis=1, keepdims=True)
         roots = roots[(roots >= -_SIMPLEX_SLACK).all(axis=1)]
+        roots = roots[np.lexsort(roots.T[::-1])]
     # each root maps on its own: on some tensors a batch product rounds
     # differently from the one-state product, and residuals print in full
     reports = []
@@ -385,7 +373,7 @@ def find_fixed_points(
             jacobian = op.jacobian_raw(point)
         else:
             residual = float(np.abs(op.apply_normalized(point) - point).max())
-            jacobian = reduced_jacobian_at(point, eliminate, op)
+            jacobian = reduced_jacobian_at(point, op.n, op)
         eigs = eigenvalues(jacobian)
         label = classify(eigs)
         probed = mode == "normalized" and label is Classification.NON_HYPERBOLIC

@@ -171,3 +171,24 @@ def test_the_series_term_cap_is_read_by_classify_limit_alone():
                     if isinstance(node, ast.Name) and node.id == "_MAX_TERMS"
                 )
     assert readers == {"invariant_sets.py:classify_limit"}
+
+
+def test_the_fixed_point_search_builds_one_newton_system():
+    # a normalized fixed point is the raw root on its simplex ray, so both
+    # modes solve W(s) = s: find_fixed_points defines one residual and one
+    # Jacobian, and spectral.py imports no chart embedding or chart guard
+    tree = ast.parse((PACKAGE / "spectral.py").read_text())
+    (search,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "find_fixed_points"
+    ]
+    defined = [
+        getattr(node, "name", "lambda") for node in ast.walk(search)
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not search
+    ]
+    assert defined == ["fun", "jac"]
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"embed_reduced", "can_normalize"}

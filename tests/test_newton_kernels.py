@@ -1,11 +1,13 @@
-"""The per-iteration kernels of the fixed-point search against the broadcast
-formulas they replaced, bit for bit.
+"""The kernels of the fixed-point search against their reference formulas,
+bit for bit.
 
-Each oracle below is the form the kernel had before it moved to one column
-at a time: the broadcast normalized Jacobian, the stacked chart product,
-the embedding by ``r.sum(axis=-1)``, the normalized residual through
-``np.delete`` and the singular screen by ``axis=(1, 2)`` reductions.  The
-new kernels must give every bit of them, the sign of each zero included.
+The normalized Jacobian, the reduced chart product and the embedding serve
+the reports and checks at a root.  Each must give every bit of its
+broadcast formula below (the embedding sums with ``r.sum(axis=-1)``), as
+the singular screen must of its ``axis=(1, 2)`` reductions.  Newton itself
+solves W(s) = s in both modes: the normalized search must hand it the raw
+residual and Jacobian, seeded at ``p / (fs * ms)`` from its simplex draws.
+Each comparison includes the sign of each zero.
 """
 
 import numpy as np
@@ -67,18 +69,6 @@ def _stacked_reduced_jacobian(op, s, eliminate):
     return np.delete(full_jac, eliminate, axis=-2) @ (pts[1:] - pts[0]).T
 
 
-def _delete_residual(op, r):
-    eliminate, dim = op.n, op.dim
-    full = _sum_embed(r, eliminate, dim)
-    fs, ms = op.block_sums(full)
-    img = op.apply_raw(full)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = fs * ms
-        for j in range(dim):
-            np.divide(img[..., j], g, out=img[..., j])
-    return np.delete(img, eliminate, axis=-1) - r
-
-
 @np.errstate(over="ignore")  # the scale of a matrix with entries near 1e300
 def _axis_screen(J):
     d = J.shape[-1]
@@ -122,22 +112,6 @@ def _divisible_states(op, batch, rng):
     if op.n > 1 and op.nu > 1:
         states.append(zeros)
     return states
-
-
-def _chart_points(op, batch, rng):
-    # chart coordinates on and off the simplex: signed draws, a simplex
-    # vertex (all coordinates 0 or 1, many zeros, one of them -0.0) and
-    # points where a block sum vanishes, so the unguarded residual divides
-    # by zero
-    shape = batch + (op.dim - 1,)
-    signed = rng.uniform(-3.0, 3.0, size=shape)
-    simplex = np.delete(sample_simplex(rng, int(np.prod(batch, dtype=int)), op.n, op.nu),
-                        op.n, axis=-1).reshape(shape)
-    vertex = np.zeros(shape)
-    vertex[..., 0] = 1.0
-    vertex[..., -1] = -0.0
-    origin = np.zeros(shape)
-    return [signed, simplex, vertex, origin]
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +158,27 @@ class _Captured(Exception):
     pass
 
 
-def _captured_residual(op, monkeypatch):
-    # the normalized search's residual function, as it hands it to Newton
+@pytest.mark.parametrize("op", OPERATORS)
+def test_normalized_search_hands_newton_the_raw_system(op, monkeypatch):
+    # normalized mode solves W(s) = s from the raw points p / (fs * ms) on
+    # the rays of its simplex draws, with the raw residual and Jacobian
     seen = {}
 
     def spy(fun, jac, seeds, *, tol):
-        seen["fun"] = fun
+        seen.update(fun=fun, jac=jac, seeds=seeds)
         raise _Captured
 
     monkeypatch.setattr(spectral, "_newton_multistart", spy)
     with pytest.raises(_Captured):
         spectral.find_fixed_points(op, mode="normalized", n_seeds=3, rng_seed=0)
-    return seen["fun"]
-
-
-@pytest.mark.parametrize("op", OPERATORS)
-def test_normalized_residual_is_the_delete_formula(op, monkeypatch):
-    fun = _captured_residual(op, monkeypatch)
+    p = sample_simplex(np.random.default_rng(0), 3, op.n, op.nu)
+    fs, ms = op.block_sums(p)
+    _assert_same(seen["seeds"], p / (fs * ms)[:, np.newaxis])
     rng = np.random.default_rng(op.dim)
-    for batch in BATCHES:
-        for r in _chart_points(op, batch, rng):
-            _assert_same(fun(r), _delete_residual(op, r))
+    points = [rng.uniform(-3.0, 3.0, size=batch + (op.dim,)) for batch in BATCHES]
+    for s in points + [seen["seeds"], np.zeros(op.dim)]:
+        _assert_same(seen["fun"](s), op.apply_raw(s) - s)
+        _assert_same(seen["jac"](s), op.jacobian_raw(s) - np.eye(op.dim))
 
 
 def _jacobian_stacks(rng, d):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gonosomal.normalized import EQUILIBRIUM, sample_simplex
+from gonosomal.normalized import EQUILIBRIUM, denormalize_fixed_point, sample_simplex
 from gonosomal.operator import GonosomalOperator, hemophilia_operator
 from gonosomal import spectral
 from gonosomal.spectral import (
@@ -137,7 +137,7 @@ def test_search_rejects_a_tolerance_that_is_not_positive(mode, tol):
     "mode, n_seeds, converged, iterations, drops",
     [
         ("raw", 1000, 874, 200, dict(non_finite=0, singular=0, no_descent=54, max_steps=72)),
-        ("normalized", 400, 371, 96, dict(non_finite=0, singular=5, no_descent=24, max_steps=0)),
+        ("normalized", 400, 351, 57, dict(non_finite=0, singular=0, no_descent=49, max_steps=0)),
     ],
 )
 def test_search_bookkeeping_at_a_pinned_seed(mode, n_seeds, converged, iterations, drops):
@@ -305,7 +305,7 @@ def test_newton_makes_at_most_two_calls_per_iteration(mode, n_seeds, rng_seed):
     "mode, n_seeds, converged, iterations, drops",
     [
         ("raw", 1000, 874, 200, (0, 0, 54, 72)),
-        ("normalized", 400, 371, 96, (0, 5, 24, 0)),
+        ("normalized", 400, 351, 57, (0, 0, 49, 0)),
     ],
     ids=["raw", "normalized"],
 )
@@ -434,16 +434,39 @@ def test_normalized_search_unique_root():
     assert root.classification is Classification.NON_HYPERBOLIC
 
 
-def test_normalized_search_reports_only_roots_on_the_simplex():
-    # the chart has four roots on this tensor, three of them with a
-    # negative coordinate: only the simplex root is a normalized fixed point
-    op = GonosomalOperator(random_tensor(np.random.default_rng(0), 3, 2, nonnegative=True))
+@pytest.mark.parametrize("rng_seed", [224, 236])
+def test_small_normalized_search_reports_exactly_the_equilibrium(rng_seed):
+    # seeds that reach the raw origin (mass 0) must not come back as a root
+    found = find_fixed_points(OP, mode="normalized", n_seeds=20, rng_seed=rng_seed)
+    assert len(found) == 1
+    assert np.abs(found[0].point - EQUILIBRIUM).max() <= 1e-12
+
+
+def test_normalized_search_settles_within_a_hundred_iterations():
+    # the raw system has no chart boundary to stall a seed near
+    found = find_fixed_points(OP, mode="normalized", n_seeds=400, rng_seed=2)
+    assert found.iterations < 100
+
+
+@pytest.mark.parametrize(
+    "n, nu, tensor_seed", [(3, 2, 0), (2, 2, 1), (1, 3, 2), (3, 3, 3), (2, 3, 7)]
+)
+def test_normalized_roots_lie_on_the_simplex_and_lift_to_raw_roots(n, nu, tensor_seed):
+    # the raw map has roots with a negative coordinate (eight roots in all
+    # on the 3x2 tensor) and the origin; only the raw root on a simplex ray
+    # gives a normalized fixed point
+    tensor = random_tensor(np.random.default_rng(tensor_seed), n, nu, nonnegative=True)
+    op = GonosomalOperator(tensor)
     found = find_fixed_points(op, mode="normalized", n_seeds=400, rng_seed=0)
     assert len(found) == 1
-    (root,) = found
-    assert root.point.min() > 0.0 and root.point.sum() == pytest.approx(1.0, abs=1e-12)
-    assert root.residual <= 1e-10
     assert found.n_converged > 0
+    for root in found:
+        p = root.point
+        assert p.min() > 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert root.residual <= 1e-10
+        assert np.abs(op.apply_normalized(p) - p).max() <= 1e-10
+        s = denormalize_fixed_point(p, op)
+        assert np.abs(op.apply_raw(s) - s).max() <= 1e-10 * max(1.0, np.abs(s).max())
 
 
 def test_normalized_root_carries_empirical_note():
