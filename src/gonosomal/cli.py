@@ -243,7 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="orbit of one state as CSV")
     add_tensor(p)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--state", required=True, help="comma-separated start state")
+    p.add_argument(
+        "--state", required=True,
+        help="comma-separated start state, such as 1,1,1,1 or -0.3,0.2,0.1,-0.5",
+    )
     p.add_argument("--budget", type=int, default=BUDGET, help="iteration budget")
     p.add_argument("--tol", type=float, default=TOL_FP, help="fixed point tolerance")
     add_out(p)
@@ -255,7 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="limit verdict for one start state, from its escape series",
         allow_abbrev=False,
     )
-    p.add_argument("--state", required=True, help="comma-separated start state")
+    p.add_argument(
+        "--state", required=True,
+        help="comma-separated start state, such as 1,1,1,1 or -0.3,0.2,0.1,-0.5",
+    )
     p.add_argument(
         "--empirical",
         action="store_true",
@@ -287,8 +293,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_state_values(argv: list[str]) -> list[str]:
+    # argparse reads a value that starts with "-" and is not a plain number
+    # as an option, so "--state -0.3,0.2,..." is passed on as
+    # "--state=-0.3,0.2,..."; every other argument is left as it is
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--state" and arg.startswith("-") and "," in arg:
+            out[-1] = f"--state={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_state_values(argv))
     try:
         return args.func(args)
     except (TensorFormatError, ValueError, OSError) as exc:

@@ -21,8 +21,10 @@ every other module uses.
 
 A per-step bulk path (the kernels, the scan step, Newton's residuals)
 never reduces or broadcasts over a two- to four-wide trailing axis, which
-numpy does row by row; it works one column at a time (see
-:func:`fold_columns`).  Newton's halving trials broadcast over the seed
+numpy does row by row.  It works on whole columns: :func:`fold_columns`
+reduces one column at a time, and :meth:`GonosomalOperator.orbit` steps
+on transposed ``(dim, rows)`` views, whose rows are the columns, with one
+numpy call per operation.  Newton's halving trials broadcast over the seed
 axis alone, each seed's (halving, coordinate) block being contiguous:
 19-22 us for 72 seeds, against 50-55 us column by column and 62-65 us over
 the coordinate axis (timeit minima, shared 2-CPU Xeon VM).  Newton solves
@@ -38,12 +40,15 @@ bit as repeated ``apply_raw``.  ``apply_normalized`` is its iterate 1, and
 ``jacobian_normalized`` takes its image from that; the scan, the
 attraction probe, the estimate probes, ``empirical_limits`` and
 ``classify_limits`` step with it.  The buffers of a batch are column-major
-(``order="F"``), so each per-column multiply, add and divide runs over
-contiguous memory; its block sums fold the column views the step already
-holds, and its guard :func:`can_normalize_all` shares with the division
-the one product of the block sums.  ``apply_raw`` keeps its own row-major
-product: through ``orbit``, the 545 ``apply_raw`` calls of one ``verify``
-took a median 30 ms in place of 18 ms.
+(``order="F"``), so their ``(dim, rows)`` views are contiguous: a step
+forms every pair product with one broadcast multiply, adds each block's
+rows left to right, and normalizes with one broadcast divide.  Its guard
+:func:`can_normalize_all` shares with the division the one product of the
+block sums, and reduces fs, ms and g, rows of one buffer, at once before
+it falls back to the exact rule.
+``apply_raw`` keeps its own row-major product: through ``orbit``, the 545
+``apply_raw`` calls of one ``verify`` took a median 30 ms in place of
+18 ms.
 :meth:`GonosomalOperator.stepper` is the single-state path: a per-call
 workspace whose ``step`` stores the pair products, formed on Python floats,
 through a memoryview of a buffer allocated once and makes one ``np.dot``
@@ -129,27 +134,19 @@ def _annihilated(step: int) -> AnnihilatedStateError:
 
 
 def fold_columns(ufunc, a):
-    """``ufunc.reduce`` over the trailing axis, one column at a time.
+    """``ufunc.reduce`` over the trailing axis of the array ``a``, one
+    column at a time.
 
-    ``a`` is an array, or the list of its column views ``a[..., j]`` when
-    the caller already holds them.  numpy reduces a short trailing axis row
-    by row, which on a 1e4-row batch of two to four columns is about 20x
-    slower than this.  Maximum gives the same result; add sums left to
-    right, as numpy itself does below eight columns.
-
-    The same holds for broadcasting: a per-step bulk path neither reduces
-    nor broadcasts over a two- to four-wide trailing axis, but works column
-    by column, as this function and ``GonosomalOperator._pair_product`` do.
+    numpy reduces the short trailing axis of a row-major batch row by row:
+    one max over a row-major 10000 x 4 batch took 498 us, against 27 us
+    here (on a column-major one, such as an ``orbit`` iterate, both took
+    14 us; timeit minima, shared 2-CPU Xeon VM).  Maximum and minimum give
+    the same result at any width; add sums left to right, as numpy itself
+    does below eight columns.
     """
-    if isinstance(a, list):
-        out, width = a[0], len(a)
-        for col in a[1:]:
-            out = ufunc(out, col)
-    else:
-        # indexed, with no list of views: a two-column fold took 0.9 us, not 1.3
-        out, width = a[..., 0], a.shape[-1]
-        for j in range(1, width):
-            out = ufunc(out, a[..., j])
+    out, width = a[..., 0], a.shape[-1]
+    for j in range(1, width):
+        out = ufunc(out, a[..., j])
     # one column must not come back as a view of the input
     return out if width > 1 else np.positive(out)
 
@@ -172,17 +169,40 @@ def can_normalize(fs, ms):
 
 
 def can_normalize_all(fs, ms, g=None) -> bool:
-    """``can_normalize(fs, ms).all()`` for arrays of any shape, from one
-    element-wise minimum and three whole-array reductions instead of a full
-    mask.  The reductions call ``np.minimum.reduce`` and
-    ``np.maximum.reduce`` with ``axis=None`` (over every axis, as ``.min()``
-    does, without its Python-level wrapper).  NaN fails each comparison,
-    and an empty batch passes.  A caller that divides by the product
-    ``fs * ms`` passes it as ``g``, so that it is formed once."""
+    """``can_normalize(fs, ms).all()`` for arrays of any shape, without a
+    full mask.
+
+    It first makes a sufficient test with two whole-array reductions: every
+    fs, ms and g above the guard 1e-300 (so every g is a normal double) and
+    every g finite.  When fs, ms and g are views into one array, as
+    :meth:`GonosomalOperator.orbit` passes the rows of its block-sum
+    buffer, the minimum is taken over that array at once, which bounds
+    theirs (a spare element there can only send the batch on to the exact
+    test); otherwise two element-wise minimums come first.  Only a batch
+    that fails the first test gets the exact one, one element-wise minimum
+    and three reductions, which also passes a g from the smallest normal
+    double up to 1e-300.  A reduction costs 1-2 us on a 32-row batch, such
+    as the attraction probe's, and 2-3 us on a 10,000-row one.
+    The reductions call ``np.minimum.reduce`` and ``np.maximum.reduce``
+    with ``axis=None`` (over every axis, as ``.min()`` does, without its
+    Python-level wrapper).  NaN fails each comparison, and an empty batch
+    passes before any reduction, which an empty array would refuse.  A
+    caller that divides by the product ``fs * ms`` passes it as ``g``, so
+    that it is formed once."""
     if fs.size == 0:
         return True
     if g is None:
         g = fs * ms
+    # views into one array (orbit's block-sum buffer) take their minimum
+    # from that array, every element of theirs being one of its elements
+    low = fs.base
+    if not (isinstance(low, np.ndarray) and ms.base is low and g.base is low):
+        low = np.minimum(np.minimum(fs, ms), g)
+    if (
+        np.minimum.reduce(low, axis=None) > _BLOCK_SUM_GUARD
+        and np.maximum.reduce(g, axis=None) < np.inf
+    ):
+        return True
     return bool(
         np.minimum.reduce(np.minimum(fs, ms), axis=None) > _BLOCK_SUM_GUARD
         and np.minimum.reduce(g, axis=None) >= _NORMAL_MIN
@@ -542,12 +562,29 @@ class GonosomalOperator(_Immutable):
         turn: it stays valid until the iterate two steps later is formed.
         Copy what must outlive that.  ``steps=0`` yields nothing.
 
+        One loop steps one state, a 2-D batch and a stack alike, on
+        transposed ``(dim, rows)`` views of the buffers, the batch axes
+        flattened into ``rows``: row ``j`` of a view is coordinate ``j`` of
+        every state.  A step makes one broadcast multiply of the female
+        rows by the male rows into an ``(n, nu, rows)`` view of the pair
+        buffer, the one matrix product, and in normalized mode one broadcast
+        divide by ``g = fs * ms``.  Each block sum adds its rows left to
+        right, as :func:`fold_columns` adds columns; ``np.add.reduce`` over
+        a block of nine or more contiguous rows would sum pairwise instead.
+        fs, ms and g are written into the rows of one ``(3, rows)`` buffer,
+        so that :func:`can_normalize_all` reduces them at once (a block of
+        one type is its own sum, and then the guard reduces them apart).
+
         The buffers of one state or a 2-D batch are column-major
-        (``order="F"``): an iterate is indexed ``(..., dim)`` like its
-        input, but each column ``[..., j]`` is contiguous, so the per-column
-        products, sums and divisions stream through memory.  A stack of
-        batches (three or more axes) is stepped row-major, as ``apply_raw``
-        lays it out.  Any input layout is accepted.
+        (``order="F"``), so their ``(dim, rows)`` views are contiguous: an
+        iterate is indexed ``(..., dim)`` like its input, with each column
+        contiguous.  A stack of batches (three or more axes) is stepped
+        row-major, as ``apply_raw`` lays it out.  Any input layout is
+        accepted.  A 2-D batch of several rows thus goes through a
+        column-major product.  With OpenBLAS 0.3.31 it gave ``apply_raw``'s
+        bits on the random tensors tried up to 15 pairs and on 4 x 4 types,
+        but from 2 x 8 types on the two products may round differently in
+        the last bit.
 
         Raises:
             AnnihilatedStateError: in normalized mode, before the division,
@@ -559,31 +596,40 @@ class GonosomalOperator(_Immutable):
         dim, n = self._dim, self._n
         nu = dim - n
         vec = as_state_vector(states, dim)
+        rows = math.prod(vec.shape[:-1])
         # a stack of batches stays row-major: numpy multiplies a column-major
         # stack slice by slice outside BLAS, which can round differently from
         # the BLAS product apply_raw makes
         order = "F" if vec.ndim <= 2 else "C"
         bufs = (np.empty(vec.shape, order=order), np.empty(vec.shape, order=order))
         pairs = np.empty(vec.shape[:-1] + (n * nu,), order=order)
-        # column views, made once: the pair (i, k) goes to column i*nu + k
-        buf_cols = [[b[..., j] for j in range(dim)] for b in bufs]
-        pair_cols = [(divmod(c, nu), pairs[..., c]) for c in range(n * nu)]
-        cur, cols = vec, [vec[..., j] for j in range(dim)]
+        # (dim, rows) views, made once: coordinate j of every state is row j,
+        # and the pair (i, k) of column i*nu + k is row [i, k] of an
+        # (n, nu, rows) view of the pair buffer
+        pair_view = pairs.reshape(rows, n * nu).T.reshape(n, nu, rows)
+        views = [b.reshape(rows, dim).T for b in bufs]
+        cur = vec.reshape(rows, dim).T
+        if normalized:
+            # the block sums and their product, rows of one buffer, which
+            # the guard reduces at once
+            fs_row, ms_row, g = np.empty((3, rows))
         for step in range(steps):
-            out = bufs[step % 2]
             if normalized:
-                # the block sums of cur, from the column views already held
-                fs, ms = fold_columns(np.add, cols[:n]), fold_columns(np.add, cols[n:])
-                g = fs * ms
+                # added left to right, as fold_columns adds
+                fs = np.add(cur[0], cur[1], out=fs_row) if n > 1 else cur[0]
+                for j in range(2, n):
+                    np.add(fs, cur[j], out=fs)
+                ms = np.add(cur[n], cur[n + 1], out=ms_row) if nu > 1 else cur[n]
+                for j in range(n + 2, dim):
+                    np.add(ms, cur[j], out=ms)
+                np.multiply(fs, ms, out=g)
                 if not can_normalize_all(fs, ms, g):
                     raise _annihilated(step=step)
-            for (i, k), pair_col in pair_cols:
-                np.multiply(cols[i], cols[n + k], out=pair_col)
+            np.multiply(cur[:n, np.newaxis], cur[n:], out=pair_view)
+            out, cur = bufs[step % 2], views[step % 2]
             np.matmul(pairs, self._pair_matrix, out=out)
-            cur, cols = out, buf_cols[step % 2]
             if normalized:
-                for col in cols:
-                    np.divide(col, g, out=col)
+                np.divide(cur, g, out=cur)
             yield out
 
     def jacobian_normalized(self, state) -> np.ndarray:

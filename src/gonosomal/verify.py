@@ -37,8 +37,8 @@ from .normalized import (
     sample_simplex,
 )
 from .operator import (
-    DIV_THRESHOLD, GonosomalOperator, InheritanceTensor, hemophilia_operator, is_hemophilia,
-    require_count,
+    DIV_THRESHOLD, GonosomalOperator, InheritanceTensor, fold_columns, hemophilia_operator,
+    is_hemophilia, require_count,
 )
 from .spectral import (
     ATTRACTION_PROBES, ATTRACTION_RADIUS, ATTRACTION_STEPS, Classification, eigenvalues,
@@ -95,12 +95,13 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for cur in op.orbit(cur, "raw", steps):
             pass
-        size = np.abs(cur).max(axis=1)
+        size = fold_columns(np.maximum, np.abs(cur))
         out = np.full(len(cur), LimitKind.UNDECIDED, dtype=object)
         out[~np.isfinite(size) | (size > DIV_THRESHOLD)] = LimitKind.INFINITY
         out[size <= 1e-6] = LimitKind.ZERO
         if is_hemophilia(op):
-            out[np.abs(cur - RAW_EQUILIBRIUM).max(axis=1) <= 1e-6] = LimitKind.EQUILIBRIUM
+            near = fold_columns(np.maximum, np.abs(cur - RAW_EQUILIBRIUM)) <= 1e-6
+            out[near] = LimitKind.EQUILIBRIUM
     return out
 
 

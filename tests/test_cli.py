@@ -278,6 +278,31 @@ def test_classify_sign_forwarding(capsys):
     assert float(info["escape_sum"]) < 0.0
 
 
+@pytest.mark.parametrize("command", ["classify", "trajectory"])
+def test_a_negative_first_coordinate_follows_state_after_a_space(capsys, monkeypatch, command):
+    # argparse reads "-0.3,..." as an option; main passes it on as --state=
+    state = "-0.3,0.2,0.1,-0.5"
+    joined = run_cli(capsys, command, f"--state={state}")
+    assert joined[0] == 0 and joined[1] and joined[2] == ""
+    assert run_cli(capsys, command, "--state", state) == joined
+    # the same through sys.argv, as the console script calls main()
+    monkeypatch.setattr(sys, "argv", ["gonosomal", command, "--state", state])
+    assert main() == 0
+    assert capsys.readouterr() == (joined[1], "")
+
+
+def test_only_a_state_value_is_attached(capsys):
+    # an option after --state is still an option, so --state lacks its value
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--state", "--empirical"])
+    assert exc.value.code == 2
+    # a negative list after another option is not rewritten
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--state", "1,1,1,1", "--budget-iterate", "-1,2"])
+    assert exc.value.code == 2
+    assert "--budget-iterate: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("state", ["nan,0,1,0", "inf,0,0,0", "1,0,-inf,0"])
 def test_classify_rejects_non_finite_state(capsys, state):
     code, out, err = run_cli(capsys, "classify", "--state", state)

@@ -206,14 +206,3 @@ def test_singular_screen_is_the_axis_reduction_formula(d):
         top = fold_columns(np.maximum, np.abs(J).reshape(-1, d * d))
         _assert_same(top, np.abs(J).max(axis=(1, 2)))
         _assert_same(spectral._singular(J), _axis_screen(J))
-
-
-def test_fold_columns_takes_the_column_views_alike():
-    rng = np.random.default_rng(5)
-    for shape in [(3,), (6, 3), (2, 5, 4), (4, 1)]:
-        a = rng.uniform(-3.0, 3.0, size=shape)
-        cols = [a[..., j] for j in range(shape[-1])]
-        for ufunc in (np.add, np.maximum, np.minimum):
-            _assert_same(fold_columns(ufunc, cols), fold_columns(ufunc, a))
-        if shape[-1] == 1 and len(shape) > 1:
-            assert not np.shares_memory(fold_columns(np.add, cols), a)

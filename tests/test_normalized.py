@@ -458,6 +458,25 @@ def test_scan_matches_the_apply_loop(tol):
     assert report.max_steps_observed == (int(steps.max()) if report.converged else 0)
 
 
+# The scan skips its carrier mask on a step whose carrier column is above
+# tol in every row, which is exact because p_y is 0: |y - p_y| is |y|.  At
+# tol 1e-2 over 50 steps 7 of 10,000 samples converge, so the mask runs on
+# the steps where some row nears; at the CLI's tol and budget none does.
+@pytest.mark.parametrize(
+    "samples, rng_seed, tol, budget, converged",
+    [(10_000, 1, 1e-2, 50, 7), (500, 42, 1e-8, 500, 0)],
+    ids=["loose", "cli-defaults"],
+)
+def test_scan_skips_the_carrier_mask_exactly(samples, rng_seed, tol, budget, converged):
+    assert EQUILIBRIUM[1] == 0.0
+    report = scan_global_convergence(samples=samples, rng_seed=rng_seed, tol=tol, budget=budget)
+    steps, worst, failures = _scan_by_apply(samples, rng_seed, tol, budget)
+    assert report.steps.tobytes() == steps.tobytes()
+    assert report.converged == int((steps >= 0).sum()) == converged
+    assert report.failures.tobytes() == failures.tobytes()
+    assert report.worst_final_distance == worst
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan_global_convergence(samples=0)
