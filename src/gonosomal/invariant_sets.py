@@ -37,11 +37,12 @@ sign of |x·u| - 4, which decides it exactly where the float sum cannot.
 
 The classifier has two paths, and only the first sums the series past its
 first partial sum.  :func:`classify_limit` is the single-state path: it
-steps on Python floats with one ``stepper`` of the hemophilia operator
-(buffers allocated once, bit for bit ``apply_raw``), built at its first
-step, and reports the sum, the forward steps and the terms.  It carries a
-bound on the rounding error of its forward steps, so that its sup-norm
-Zero holds for the true orbit; the band of the series is not such a bound.
+steps on Python floats with the thread's ``stepper`` of the hemophilia
+operator (buffers allocated once, bit for bit ``apply_raw``), asked for at
+its first step, and reports the sum, the forward steps and the terms.  It
+carries a bound on the rounding error of its forward steps, so that its
+sup-norm Zero holds for the true orbit; the band of the series is not such
+a bound.
 :func:`classify_limits` is the batch path: it gives the same kind for each
 row of a batch, taking the raw forward steps with ``orbit`` and deciding
 only on the first partial sum log(fs·ms/4).  Its products and logarithms
@@ -224,11 +225,12 @@ def classify_limit(state) -> LimitVerdict:
     """Decide the trajectory limit of the raw hemophilia dynamics from the
     sign of its escape series Λ (see the module docstring).
 
-    Every step, forward or in the series, goes through one ``stepper`` of
-    the hemophilia operator (``apply_raw`` on Python floats, with its
-    buffers allocated once), built at the first step, so a start decided
-    with no step builds none.  A state with a negative coordinate is first
-    stepped until it is nonnegative, for at most ``_MAX_FORWARD`` steps.
+    Every step, forward or in the series, goes through the thread's
+    ``stepper`` of the hemophilia operator (``apply_raw`` on Python floats,
+    with its buffers allocated once), asked for at the first step, so a
+    start decided with no step asks for none.  A state with a negative
+    coordinate is first stepped until it is nonnegative, for at most
+    ``_MAX_FORWARD`` steps.
     The state is kept as w·e^L with sup norm |w| = 1 (L -> 2L + log|W(w)|
     per step), so huge starts and images never overflow.  A state with an
     exactly zero block maps to the origin: Zero, with sum -inf.  A state
@@ -263,7 +265,7 @@ def classify_limit(state) -> LimitVerdict:
         log_top = math.log(top)
         log_scale = 2.0 * log_scale + log_top
         if not (x or y) or not (u or v):
-            return LimitVerdict(kind=LimitKind.ZERO, escape_sum=-math.inf, forward_steps=steps)
+            return LimitVerdict(LimitKind.ZERO, -math.inf, steps)
         if min(x, y, u, v) >= 0.0:
             break
         # the true state is e^L·(w + e) with |e|∞ <= err: carry the last
@@ -275,9 +277,9 @@ def classify_limit(state) -> LimitVerdict:
         if log_scale < _LOG_ZERO_RADIUS and (
             log_scale + math.log1p(err) < _LOG_ZERO_RADIUS - _RULE_SLACK * (1.0 + abs(log_scale))
         ):
-            return LimitVerdict(kind=LimitKind.ZERO, forward_steps=steps)
+            return LimitVerdict(LimitKind.ZERO, None, steps)
     else:
-        return LimitVerdict(kind=LimitKind.UNDECIDED, forward_steps=_MAX_FORWARD)
+        return LimitVerdict(LimitKind.UNDECIDED, None, _MAX_FORWARD)
 
     fs, ms = x + y, u + v
     total = 2.0 * log_scale + math.log(fs) + math.log(ms) - _LOG4
@@ -285,13 +287,11 @@ def classify_limit(state) -> LimitVerdict:
     if c[1] == 0.0 and c[3] == 0.0 and abs(total) <= band:
         gap = abs(Fraction(c[0]) * Fraction(c[2])) - 4
         kind = LimitKind.ZERO if gap < 0 else LimitKind.INFINITY if gap else LimitKind.EQUILIBRIUM
-        return LimitVerdict(kind=kind, escape_sum=total, forward_steps=steps)
+        return LimitVerdict(kind, total, steps)
     weight, terms = 1.0, 0
     while -band <= total <= weight * _LOG_9_8 + band:
         if terms == _MAX_TERMS:
-            return LimitVerdict(
-                kind=LimitKind.UNDECIDED, escape_sum=total, forward_steps=steps, terms=terms
-            )
+            return LimitVerdict(LimitKind.UNDECIDED, total, steps, terms)
         # the normalized map T(s) = W(x/fs, y/ms): no product of block sums to underflow
         step = step or hemophilia_operator().stepper()
         x, y, u, v = step([x / fs, y / fs, u / ms, v / ms])
@@ -300,7 +300,7 @@ def classify_limit(state) -> LimitVerdict:
         total += weight * math.log(4.0 * fs * ms)
         terms += 1
     kind = LimitKind.ZERO if total < 0.0 else LimitKind.INFINITY
-    return LimitVerdict(kind=kind, escape_sum=total, forward_steps=steps, terms=terms)
+    return LimitVerdict(kind, total, steps, terms)
 
 
 # The batch takes at most this many raw steps forward, and hands on a row

@@ -36,7 +36,9 @@ root, and broadcast over the state axis.
 Many steps go one of two ways.  :meth:`GonosomalOperator.orbit` is the one
 batch stepping path and the one guarded normalized step of a batch: it
 checks its input once and steps between buffers allocated up front, bit for
-bit as repeated ``apply_raw``.  ``apply_normalized`` is its iterate 1, and
+bit as repeated ``apply_raw``, except that on a tensor of 16 or more pairs a
+2-D batch of several rows can differ in the last bit (see :meth:`orbit`).
+``apply_normalized`` is its iterate 1, and
 ``jacobian_normalized`` takes its image from that; the scan, the
 attraction probe, the estimate probes, ``empirical_limits`` and
 ``classify_limits`` step with it.  The buffers of a batch are column-major
@@ -49,28 +51,34 @@ it falls back to the exact rule.
 ``apply_raw`` keeps its own row-major product: through ``orbit``, the 545
 ``apply_raw`` calls of one ``verify`` took a median 30 ms in place of
 18 ms.
-:meth:`GonosomalOperator.stepper` is the single-state path: a per-call
-workspace whose ``step`` stores the pair products, formed on Python floats,
-through a memoryview of a buffer allocated once and makes one ``np.dot``
-against the pair matrix (a BLAS matrix-vector product, without
-``np.matmul``'s gufunc dispatch) into a second one, bit for bit
-``apply_raw``; a single-pair tensor keeps ``np.matmul``.  A step took
-0.93 us, against 1.41 us with numpy item stores and ``np.matmul``.
-``iterate`` builds one stepper per call and ``classify_limit`` one at its
-first step.  No buffer lives on the operator.  ``iterate`` makes its per-step
-divergence and convergence tests as ``all(map(...))`` over ``abs``, in C,
+:meth:`GonosomalOperator.stepper` is the single-state path: a workspace
+whose ``step`` stores the pair products, formed on Python floats, through a
+memoryview of a buffer allocated once and makes one matrix product,
+``pairs.dot(matrix, out=image)`` bound when the stepper is built (a BLAS
+matrix-vector product, without ``np.matmul``'s gufunc dispatch or
+``np.dot``'s ``__array_function__`` one), into a second one, bit for bit
+``apply_raw``; a single-pair tensor keeps ``np.matmul``.  Each thread
+keeps the stepper of the last operator it asked for, so ``iterate`` and
+``classify_limit`` (at its first step) ask for one per call and, after the
+first, get the same one back: 0.22 us, against 0.87-0.91 us to build one.  A
+step took 0.80 us, against 1.00-1.01 us with ``np.dot``.  No buffer lives on the
+operator.
+``iterate`` tests divergence with ``math.hypot`` first, in 0.12 us against
+0.43 us for ``all(map(...))`` over ``abs``, and makes that exact test only
+when the first one fails; its convergence test runs ``all(map(...))``
 after a test of the first coordinate alone, which fails first on most
-steps.
+steps.  (timeit minima, shared 2-CPU Xeon VM.)
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, count
+from itertools import count
 from operator import ge, sub
 from pathlib import Path
 
@@ -97,6 +105,11 @@ TOL_FP = 1e-12
 DIV_THRESHOLD = 1e12
 BUDGET = 10_000
 
+# A sufficient test of |c| <= DIV_THRESHOLD for every coordinate c:
+# hypot(*c) bounds each |c| and is accurate far within the 2^-40 margin.
+# NaN and inf fail it, and go on to the exact test.
+_HYPOT_BOUND = DIV_THRESHOLD * (1.0 - 2.0**-40)
+
 MODES = ("raw", "normalized")  # the raw map W, and W over its block-sum product
 
 # Trajectories store every iterate up to this step, then every tenth.
@@ -108,6 +121,10 @@ _THIN_STRIDE = 10
 _BLOCK_SUM_GUARD = 1e-300
 # a Python float, so that can_normalize on Python floats returns a plain bool
 _NORMAL_MIN = float(np.finfo(float).tiny)
+
+# The stepper of the last operator each thread asked for, as ``op`` and
+# ``step`` (see GonosomalOperator.stepper).
+_THREAD_STEPPER = threading.local()
 
 
 class DimensionMismatchError(ValueError):
@@ -478,43 +495,54 @@ class GonosomalOperator(_Immutable):
         return self._pair_product(*self.split(state))
 
     def stepper(self) -> Callable[[list[float]], list[float]]:
-        """A function ``step(values) -> list[float]`` that is :meth:`apply_raw`
-        of one state, with its workspace allocated once.
+        """The calling thread's function ``step(values) -> list[float]`` for
+        this operator: :meth:`apply_raw` of one state, with its workspace
+        allocated once.
 
         ``step`` takes one unvalidated state of ``dim`` Python floats.  It
         stores the pair products ``values[i] * values[n + k]`` through a
-        memoryview of a pair buffer of ``n * nu`` floats, makes one
-        ``np.dot`` against the pair matrix into an image buffer of ``dim``
-        floats (the BLAS matrix-vector product of ``np.matmul``, bit for bit
+        memoryview of a pair buffer of ``n * nu`` floats, makes one matrix
+        product, ``pairs.dot(matrix, out=image)`` bound when the stepper is
+        built, into an image buffer of ``dim`` floats (the BLAS
+        matrix-vector product of ``np.matmul``, bit for bit
         :meth:`apply_raw`), and returns the image as a new list of Python
-        floats, which later calls leave alone.  With a single pair,
-        ``np.dot`` would multiply as a scalar and turn an underflowing
-        negative product into -0.0, so that stepper makes the ``np.matmul``
-        instead.  On the hemophilia operator a step took 0.93 us, against
-        1.26 us with ``np.matmul`` and 1.41 us with numpy item stores as
-        well, and building a stepper 0.93 us (timeit minima, on a shared
-        2-CPU Xeon VM).
+        floats, which later calls leave alone.  The bound ``ndarray.dot``
+        is ``np.dot`` without its ``__array_function__`` dispatch.  With a
+        single pair, ``dot`` would multiply as a scalar and turn an
+        underflowing negative product into -0.0, so that stepper makes the
+        ``np.matmul`` instead.  On the hemophilia operator a step took
+        0.80 us, against 1.00-1.01 us with ``np.dot`` (timeit minima,
+        shared 2-CPU Xeon VM).
 
         A coordinate may be anything numpy stores as a float: a Python
         int or bool, or a numpy scalar.  A Python-int pair product too large
         for a double raises ValueError from the memoryview store.
 
-        The buffers belong to this ``step`` alone, not to the operator,
-        which stays safe to share across threads; one ``step`` is for one
-        thread at a time.
+        Each thread keeps the stepper of the last operator it asked for:
+        the first call in a thread builds one (0.9 us), and later calls for
+        the same operator return that same function (0.22 us) until the
+        thread asks for another operator, which replaces it.  A step writes
+        and reads its buffers within one call, so the calls of one thread
+        may share it; the buffers are the thread's, not the operator's,
+        which stays safe to share across threads.  Until it is replaced,
+        the thread's stepper keeps its operator alive.
         """
+        local = _THREAD_STEPPER
+        if getattr(local, "op", None) is self:
+            return local.step
         matrix, index = self._pair_matrix, self._pair_index
         pairs, image = np.empty(len(matrix)), np.empty(self._dim)
         store = memoryview(pairs)
-        # np.dot multiplies the product of a single pair as a scalar (see above)
-        product = np.dot if len(matrix) > 1 else np.matmul
+        # dot multiplies the product of a single pair as a scalar (see above)
+        product = pairs.dot if len(matrix) > 1 else partial(np.matmul, pairs)
 
         def step(values) -> list[float]:
             for column, i, j in index:
                 store[column] = values[i] * values[j]
-            product(pairs, matrix, out=image)
+            product(matrix, out=image)
             return image.tolist()
 
+        local.op, local.step = self, step
         return step
 
     def _pair_jacobian(self, x, y) -> np.ndarray:
@@ -554,7 +582,9 @@ class GonosomalOperator(_Immutable):
 
     def orbit(self, states, mode: str, steps: int) -> Iterator[np.ndarray]:
         """Yield iterates 1 to ``steps`` of a batch (or of one state), bit
-        for bit as repeated :meth:`apply_raw` or :meth:`apply_normalized`.
+        for bit as repeated :meth:`apply_raw` or :meth:`apply_normalized`,
+        except that on a tensor of 16 or more pairs a 2-D batch of several
+        rows can differ in the last bit (see below).
 
         The input is checked once, when iteration starts.  Each step forms
         its pair products and its image in buffers allocated up front, and
@@ -657,19 +687,23 @@ class GonosomalOperator(_Immutable):
     ) -> TrajectoryRecord:
         """Run the orbit of ``s0`` until convergence, divergence, or budget.
 
-        The orbit is kept as Python floats and stepped with one
-        :meth:`stepper` built for the call, bit for bit as :meth:`apply_raw`
-        or :meth:`apply_normalized` step it: raw mode calls its ``step``
-        directly, and normalized mode guards and divides its image.  Each
-        iterate is stepped once: the image the convergence test forms is
-        the next iterate when the test fails.  Each step's divergence and
-        convergence tests run in C, as ``all(map(...))`` over ``abs``: the
+        The orbit is kept as Python floats and stepped with the thread's
+        :meth:`stepper`, asked for once per call, bit for bit as
+        :meth:`apply_raw` or :meth:`apply_normalized` step it: raw mode
+        calls its ``step`` directly, and normalized mode guards and divides
+        its image.  Each iterate is stepped once: the image the convergence
+        test forms is the next iterate when the test fails.  The divergence
+        test first checks ``math.hypot`` of the iterate against 1e12 less a
+        2^-40 margin, which no coordinate beyond 1e12 can pass whether or
+        not ``hypot`` rounds correctly; only an iterate that fails it (NaN
+        and inf among them) gets the exact test.  The exact test and the
+        convergence test run in C, as ``all(map(...))`` over ``abs``: the
         same comparisons as ``abs(d) <= tol_fp``, which NaN fails.  The
         convergence test compares the first coordinate alone first, which
-        ends it on most steps.  The record's iterates are read from the
-        kept lists with ``np.fromiter``, without the shape discovery of
-        ``np.array``, and an orbit that stopped by step 1000 kept every
-        step, so its step indices are ``np.arange``.
+        ends it on most steps.  The kept iterates go into one flat list of
+        floats, read once with ``np.fromiter`` when the record is built,
+        and the step indices follow from the last step: ``np.arange`` when
+        the orbit stopped by step 1000.
 
         Args:
             s0: starting state, length n + nu.
@@ -710,40 +744,41 @@ class GonosomalOperator(_Immutable):
         # iterate diverges
         within_tol = partial(ge, tol_fp)
         within_bound = partial(ge, DIV_THRESHOLD)
+        hypot = math.hypot
 
         cur = s.tolist()  # iterates are never written to: no copies
-        kept_steps, kept = [0], [cur]
+        flat = cur[:]  # the kept iterates, one after another
 
         def _record(reason, k):
-            if kept_steps[-1] != k:
-                kept_steps.append(k)
-                kept.append(cur)
-            # rows of one known length: no shape discovery over the lists
-            rows = len(kept)
-            iterates = np.fromiter(chain.from_iterable(kept), float, rows * dim)
+            # every step is kept up to 1000, then every tenth, and step k
+            if k <= _THIN_AFTER:
+                steps = np.arange(k + 1)
+            else:
+                thinned = range(_THIN_AFTER + _THIN_STRIDE, k, _THIN_STRIDE)
+                steps = np.array([*range(_THIN_AFTER + 1), *thinned, k], dtype=int)
+            if len(flat) < len(steps) * dim:  # cur is not kept yet
+                flat.extend(cur)
             return TrajectoryRecord(
-                iterates=iterates.reshape(rows, dim),
-                step_indices=(
-                    np.arange(k + 1) if k <= _THIN_AFTER else np.array(kept_steps, dtype=int)
-                ),
-                stop_reason=reason,
-                steps_taken=k,
-                limit=np.array(cur) if reason is StopReason.CONVERGED else None,
-                mode=mode,
+                np.fromiter(flat, float, len(flat)).reshape(-1, dim),
+                steps,
+                reason,
+                k,
+                np.array(cur) if reason is StopReason.CONVERGED else None,
+                mode,
             )
 
-        if not all(map(within_bound, map(abs, cur))):
+        # hypot first: its test passes on every iterate well inside the bound
+        if not hypot(*cur) < _HYPOT_BOUND and not all(map(within_bound, map(abs, cur))):
             return _record(StopReason.DIVERGED, 0)
 
         image = None  # the image of cur, when the convergence test formed it
         for k in range(1, budget + 1):
             # a list of dim >= 2 floats is true: an image formed is not formed again
             prev, cur, image = cur, image or step(cur), None
-            if not all(map(within_bound, map(abs, cur))):
+            if not hypot(*cur) < _HYPOT_BOUND and not all(map(within_bound, map(abs, cur))):
                 return _record(StopReason.DIVERGED, k)
             if k <= _THIN_AFTER or k % _THIN_STRIDE == 0:
-                kept_steps.append(k)
-                kept.append(cur)
+                flat.extend(cur)
             # the full test's first comparison alone first: most steps fail it
             if within_tol(abs(cur[0] - prev[0])) and all(
                 map(within_tol, map(abs, map(sub, cur, prev)))

@@ -4,6 +4,7 @@ iteration, the batch orbit, and the tensor file format."""
 import sys
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -280,6 +281,40 @@ def test_value_classes_refuse_setting_and_deleting_an_attribute(obj, name):
         obj.extra = 1
 
 
+_RECORD_FIELDS = ("iterates", "step_indices", "stop_reason", "steps_taken", "limit", "mode")
+_VERDICT_FIELDS = ("kind", "escape_sum", "forward_steps", "terms")
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: OP.iterate([2e12, 0.0, 1.0, 1.0]), _RECORD_FIELDS),
+        (lambda: OP.iterate([2.0, 0.0, 2.0, 0.0]), _RECORD_FIELDS),
+        (lambda: OP.iterate([1.0, 1.0, 1.0, 1.0], budget=5), _RECORD_FIELDS),
+        (lambda: OP.iterate([0.3, 0.2, 0.4, 0.1], mode="normalized", budget=1005),
+         _RECORD_FIELDS),
+        (lambda: classify_limit([0.0, 0.0, 1.0, 1.0]), _VERDICT_FIELDS),
+        (lambda: classify_limit([-1.0, 0.5, 0.25, -0.125]), _VERDICT_FIELDS),
+        (lambda: classify_limit([2.0, 0.0, 2.0, 0.0]), _VERDICT_FIELDS),
+        (lambda: classify_limit([-0.84, -1.88, 1.23, 0.25]), _VERDICT_FIELDS),
+    ],
+    ids=["diverged", "converged", "budget", "thinned",
+         "zero-block", "sup-norm-zero", "carrier-free", "series"],
+)
+def test_records_and_verdicts_refuse_setting_any_field(make, fields):
+    # whatever path built it, no field of a record or verdict can be set
+    obj = make()
+    before = [getattr(obj, name) for name in fields]
+    for name, value in zip(fields, before):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert all(getattr(obj, name) is value for name, value in zip(fields, before))
+
+
 def test_hemophilia_operator_is_one_shared_immutable_instance():
     op = hemophilia_operator()
     assert hemophilia_operator() is op
@@ -311,10 +346,11 @@ def _assert_steps_are_apply_raw(op, step, states):
         assert _same_bits(np.array(got), op.apply_raw(s)), s
 
 
-def _assert_step_is_apply_raw_on_every_case(op, step):
+def _every_step_case(dim):
+    """States of ``dim`` coordinates for the step tests, then states whose
+    pair products overflow to inf, and inf meets -inf in the sum."""
     rng = np.random.default_rng(7)
-    dim = op.dim
-    _assert_steps_are_apply_raw(op, step, np.concatenate([
+    regular = np.concatenate([
         rng.uniform(-3.0, 3.0, (300, dim)),
         rng.uniform(0.0, 1.0, (300, dim)) * 10.0 ** rng.integers(-8, 9, (300, 1)),
         # signed zeros, and subnormals beside zeros and ones
@@ -322,19 +358,24 @@ def _assert_step_is_apply_raw_on_every_case(op, step):
         rng.choice([5e-324, -5e-324, 1e-310, -2.5e-308, 0.0, -0.0, 1.0], (100, dim)),
         # coordinates near 1e150 and near 1e-150: pair products near 1e±300
         rng.uniform(-1.0, 1.0, (200, dim)) * 10.0 ** rng.choice([-150, 150], (200, 1)),
-    ]))
-    # pair products that overflow to inf, and inf against -inf in the sum
+    ])
     overflowing = rng.choice([1e200, -1e200, 1e160, -3.0, 0.5, 0.0], (200, dim))
+    return regular, overflowing
+
+
+def _assert_step_is_apply_raw_on_every_case(op, step):
+    regular, overflowing = _every_step_case(op.dim)
+    _assert_steps_are_apply_raw(op, step, regular)
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_steps_are_apply_raw(op, step, overflowing)
         images = op.apply_raw(overflowing)
-    assert np.isinf(images).any() and (dim == 2 or np.isnan(images).any())
+    assert np.isinf(images).any() and (op.dim == 2 or np.isnan(images).any())
 
 
 @pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
 def test_raw_step_is_apply_raw_bit_for_bit(op):
-    # a fresh stepper for each state: every step runs on newly allocated
-    # buffers, whose unset entries must not reach the image
+    # stepper() asked for again before each state: the thread's one
+    # stepper for op, its buffers reused over every state
     _assert_step_is_apply_raw_on_every_case(op, lambda values: op.stepper()(values))
 
 
@@ -343,6 +384,62 @@ def test_one_stepper_is_apply_raw_bit_for_bit_over_every_case(op):
     # one stepper, its buffers reused over all 1200 states: a pair or image
     # entry left over from an earlier state would show as a mismatch
     _assert_step_is_apply_raw_on_every_case(op, op.stepper())
+
+
+def _run_in_thread(work):
+    """Run ``work()`` in a new thread, joined before returning; re-raise
+    what it raised, else return what it returned."""
+    out = []
+
+    def target():
+        try:
+            out.append((True, work()))
+        except BaseException as exc:  # handed to the calling thread
+            out.append((False, exc))
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(out) == 1
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=label) for label, op in _raw_step_cases()])
+def test_a_fresh_stepper_in_each_thread_is_apply_raw_bit_for_bit(op):
+    # ten short-lived threads in turn, each building its own stepper for op
+    # and stepping its tenth of the states first on freshly allocated
+    # buffers, whose unset entries must not reach the image
+    regular, overflowing = _every_step_case(op.dim)
+    mine = op.stepper()
+
+    def work(states):
+        step = op.stepper()
+        assert step is not mine
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_steps_are_apply_raw(op, step, states)
+        return step
+
+    steps = [_run_in_thread(partial(work, chunk))
+             for chunk in np.array_split(np.concatenate([regular, overflowing]), 10)]
+    assert len(set(map(id, steps))) == 10 and op.stepper() is mine
+
+
+def test_a_thread_gets_the_same_stepper_until_it_asks_for_another_operator():
+    other = dict(_raw_step_cases())["signed-2x2"]
+    step = OP.stepper()
+    assert OP.stepper() is step
+    # another thread builds its own, and keeps it over its own calls
+    theirs = _run_in_thread(lambda: (OP.stepper(), OP.stepper()))
+    assert theirs[0] is theirs[1] is not step
+    # asking for another operator replaces the thread's stepper
+    assert other.stepper() is other.stepper()
+    fresh = OP.stepper()
+    assert fresh is not step and OP.stepper() is fresh
+    ones = [1.0, 1.0, 1.0, 1.0]
+    assert fresh(ones) == step(ones) == OP.apply_raw(ones).tolist()
 
 
 def test_a_single_pair_step_gives_the_matrix_products_signed_zero():
@@ -687,9 +784,30 @@ _SETTLES_THEN_ANNIHILATES = GonosomalOperator(
     InheritanceTensor([[[0.0], [0.5]]], [[[0.0, 1.0], [0.5, 0.0]]])
 )
 
+
+def _huge_signed_tensor(seed):
+    """A signed 3+3 tensor whose pairs put ±h on the first two types of
+    each block, |h| up to 1e300 (they cancel in the row sum), except the
+    pair of the third types, which has none."""
+    rng = np.random.default_rng(seed)
+    h, g = rng.uniform(-1.0, 1.0, (2, 3, 3)) * 1e300
+    h[2, 2] = g[2, 2] = 0.0
+    a = rng.uniform(0.0, 1.0, (3, 3))
+    return GonosomalOperator(
+        InheritanceTensor(np.stack([h, -h, a], axis=-1), np.stack([g, -g, 1.0 - a], axis=-1))
+    )
+
+
+# iterate 1 of this start is near 1e10; iterate 2 overflows, to inf alone
+# on the seed-0 tensor and with NaN on the seed-2 one
+_HUGE_START = [1e-290, 2e-290, 1.0, 3e-290, 1e-290, 1.0]
+_OVERFLOWING = {"inf": _huge_signed_tensor(0), "nan": _huge_signed_tensor(2)}
+
 _ITERATE_CASES = [
     # thinning past step 1000, then budget exhaustion
     (OP, [0.3, 0.2, 0.4, 0.1], dict(mode="normalized", budget=3000)),
+    # a last step past 1000 that is not a tenth: kept as well
+    (OP, [0.3, 0.2, 0.4, 0.1], dict(mode="normalized", budget=1005)),
     (OP, [1.0, 1.0, 1.0, 1.0], dict(budget=5)),
     (OP, [1.0, 1.0, 1.0, 1.0], {}),
     (OP, [2.0, 0.0, 2.0, 0.0], {}),
@@ -698,6 +816,21 @@ _ITERATE_CASES = [
     (OP, [2e12, 0.0, 1.0, 1.0], {}),
     (OP, [np.nan, 0.0, 1.0, 1.0], {}),
     (OP, [np.inf, 0.0, 1.0, 1.0], {}),
+    # a coordinate of exactly ±1e12 is inside the bound (the hypot test
+    # fails there and the exact one passes); the next double above is not
+    (OP, [1e12, 0.0, -1e12, 0.0], {}),
+    (OP, [-1e12, 0.0, 1.0, 0.0], {}),
+    (OP, [float(np.nextafter(1e12, np.inf)), 0.0, 1.0, 1.0], {}),
+    (OP, [0.0, 0.0, -float(np.nextafter(1e12, np.inf)), 0.0], dict(mode="normalized")),
+    # iterate 1 of (4, 0, u, 0) is (2u, 0, 2u, 0), exactly: 1e12, inside
+    # the bound, then the double above it
+    (OP, [4.0, 0.0, 5e11, 0.0], {}),
+    (OP, [4.0, 0.0, float(np.nextafter(1e12, np.inf)) / 2, 0.0], {}),
+    # iterate 2 overflows to inf, or to inf and NaN, in both modes
+    (_OVERFLOWING["inf"], _HUGE_START, {}),
+    (_OVERFLOWING["inf"], _HUGE_START, dict(mode="normalized")),
+    (_OVERFLOWING["nan"], _HUGE_START, {}),
+    (_OVERFLOWING["nan"], _HUGE_START, dict(mode="normalized")),
     # block sums above the guard whose product underflows
     (OP, [1e-200, 0.0, 1e-200, 0.0], dict(mode="normalized")),
     # settled at step 1 (step 0.105 <= 0.2), but the residual 0.226 is not
@@ -722,6 +855,20 @@ _ITERATE_CASES = [
 @pytest.mark.parametrize("op, s0, kw", _ITERATE_CASES)
 def test_iterate_matches_reference_loop(op, s0, kw):
     _assert_iterate_matches_reference(op, s0, **kw)
+
+
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+@pytest.mark.parametrize("kind", ["inf", "nan"])
+def test_the_overflow_cases_reach_a_non_finite_iterate_at_step_2(kind, mode):
+    # what the overflow cases of _ITERATE_CASES test: iterates 0 and 1
+    # finite and inside the bound, iterate 2 not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = _OVERFLOWING[kind].iterate(_HUGE_START, mode=mode)
+    assert rec.stop_reason is StopReason.DIVERGED and rec.steps_taken == 2
+    assert np.abs(rec.iterates[0]).max() == 1.0
+    assert 1e9 < np.abs(rec.iterates[1]).max() < 1e11
+    last = rec.iterates[2]
+    assert np.isinf(last).any() and np.isnan(last).any() == (kind == "nan")
 
 
 def _count_steppers(monkeypatch):
@@ -753,21 +900,34 @@ def test_classify_limit_steps_with_its_own_stepper(monkeypatch):
 
 
 def test_two_threads_iterate_the_shared_operator_as_sequential_runs():
-    # each iterate owns its stepper's buffers, so two threads stepping the
-    # one shared hemophilia operator at once cannot mix their orbits
-    # two orbits that run their whole budget, so the threads overlap
+    # each thread steps with its own stepper, so two threads stepping the
+    # one shared hemophilia operator at once cannot mix their orbits.  Each
+    # run of a thread is a normalized iterate that runs its whole budget,
+    # so the threads overlap, then a raw iterate and a classify_limit with
+    # forward steps and series terms, which share the thread's stepper
     starts = [[0.3, 0.2, 0.4, 0.1], [0.1, 0.4, 0.2, 0.3]]
+    raw_starts = [[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, 2.001, 0.0]]
+    signed = [[-0.84, -1.88, 1.23, 0.25], [-1.68, -1.51, -0.37, 1.66]]
     runs = 10
 
-    def key(s0):
-        rec = OP.iterate(s0, mode="normalized", budget=2000)
+    def record_key(rec):
         return rec.stop_reason, rec.steps_taken, rec.iterates.tobytes(), rec.step_indices.tobytes()
 
-    expected = [key(s0) for s0 in starts]
+    def key(j):
+        verdict = classify_limit(signed[j])
+        return (
+            record_key(OP.iterate(starts[j], mode="normalized", budget=2000)),
+            record_key(OP.iterate(raw_starts[j])),
+            (verdict.kind, verdict.escape_sum, verdict.forward_steps, verdict.terms),
+        )
+
+    expected = [key(j) for j in range(2)]
+    # the raw orbits and the verdicts take steps
+    assert all(k[1][1] > 10 and k[2][2] + k[2][3] > 2 for k in expected)
     got = [[], []]
 
     def work(j):
-        got[j] = [key(starts[j]) for _ in range(runs)]
+        got[j] = [key(j) for _ in range(runs)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
