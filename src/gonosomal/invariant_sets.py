@@ -64,8 +64,8 @@ from fractions import Fraction
 import numpy as np
 
 from .operator import (
-    DimensionMismatchError, GonosomalOperator, as_state_vector, fold_columns, hemophilia_operator,
-    is_hemophilia, require_finite, require_single_state,
+    GonosomalOperator, fold_columns, hemophilia_operator, is_hemophilia, require_batch,
+    require_finite, require_single_state,
 )
 
 __all__ = [
@@ -341,9 +341,7 @@ def classify_limits(states) -> np.ndarray:
     A non-finite coordinate raises ValueError, and anything but a (k, 4)
     array DimensionMismatchError.
     """
-    s = as_state_vector(states, 4)
-    if s.ndim != 2:
-        raise DimensionMismatchError("expected a batch of states, one per row")
+    s = require_batch(states, 4)
     require_finite(s)
     op = hemophilia_operator()
     kinds = np.full(len(s), LimitKind.UNDECIDED, dtype=object)

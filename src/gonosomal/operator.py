@@ -34,13 +34,12 @@ W(s) = s in both of its modes, so
 root, and broadcast over the state axis.
 
 Many steps go one of two ways.  :meth:`GonosomalOperator.orbit` is the one
-batch stepping path and the one guarded normalized step of a batch: it
-checks its input once and steps between buffers allocated up front, bit for
-bit as repeated ``apply_raw``, except that on a tensor of 16 or more pairs a
-2-D batch of several rows can differ in the last bit (see :meth:`orbit`).
-``apply_normalized`` is its iterate 1, and
-``jacobian_normalized`` takes its image from that; the scan, the
-attraction probe, the estimate probes, ``empirical_limits`` and
+batch kernel, the one batch stepping path and the one guarded normalized
+step of a batch: it checks its input once and steps between buffers
+allocated up front.  ``apply_raw`` and ``apply_normalized`` are its
+iterate 1, so it is bit for bit their repetition, and
+``jacobian_normalized`` takes its image from ``apply_normalized``; the
+scan, the attraction probe, the estimate probes, ``empirical_limits`` and
 ``classify_limits`` step with it.  The buffers of a batch are column-major
 (``order="F"``), so their ``(dim, rows)`` views are contiguous: a step
 forms every pair product with one broadcast multiply, adds each block's
@@ -48,9 +47,6 @@ rows left to right, and normalizes with one broadcast divide.  Its guard
 :func:`can_normalize_all` shares with the division the one product of the
 block sums, and reduces fs, ms and g, rows of one buffer, at once before
 it falls back to the exact rule.
-``apply_raw`` keeps its own row-major product: through ``orbit``, the 545
-``apply_raw`` calls of one ``verify`` took a median 30 ms in place of
-18 ms.
 :meth:`GonosomalOperator.stepper` is the single-state path: a workspace
 whose ``step`` stores the pair products, formed on Python floats, through a
 memoryview of a buffer allocated once and makes one matrix product,
@@ -247,6 +243,15 @@ def require_single_state(state, dim: int | None = None) -> np.ndarray:
     vec = as_state_vector(state, dim)
     if vec.ndim != 1:
         raise DimensionMismatchError("expected a single state")
+    return vec
+
+
+def require_batch(states, dim: int | None = None) -> np.ndarray:
+    """:func:`as_state_vector` of a ``(k, dim)`` batch, refusing one state
+    or a stack of batches."""
+    vec = as_state_vector(states, dim)
+    if vec.ndim != 2:
+        raise DimensionMismatchError("expected a batch of states, one per row")
     return vec
 
 
@@ -473,18 +478,9 @@ class GonosomalOperator(_Immutable):
     def _block_sums(x, y) -> tuple[np.ndarray, np.ndarray]:
         return fold_columns(np.add, x), fold_columns(np.add, y)
 
-    def _pair_product(self, x, y) -> np.ndarray:
-        # the (..., n*nu) pair products x_i * y_k at column i*nu + k, one
-        # column product each, then the one matrix product
-        nu = self.nu
-        pairs = np.empty(x.shape[:-1] + self._pair_matrix.shape[:1])
-        for i in range(self.n):
-            for k in range(nu):
-                np.multiply(x[..., i], y[..., k], out=pairs[..., i * nu + k])
-        return pairs @ self._pair_matrix
-
     def apply_raw(self, state) -> np.ndarray:
-        """One generation of the raw (unnormalized) dynamics.
+        """One generation of the raw (unnormalized) dynamics: iterate 1 of
+        :meth:`orbit`.
 
         A batch and the same rows taken one at a time may differ in the
         last bit: a batch goes through a matrix-matrix product and a single
@@ -492,7 +488,7 @@ class GonosomalOperator(_Immutable):
         So code whose output must not depend on how states were grouped
         maps them one call per state, or compares with a margin.
         """
-        return self._pair_product(*self.split(state))
+        return next(self.orbit(state, "raw", 1))
 
     def stepper(self) -> Callable[[list[float]], list[float]]:
         """The calling thread's function ``step(values) -> list[float]`` for
@@ -565,9 +561,8 @@ class GonosomalOperator(_Immutable):
         Exact row sums make this zero in exact arithmetic for every state;
         in floating point it stays at rounding level relative to the product.
         """
-        x, y = self.split(state)
-        fs, ms = self._block_sums(x, y)
-        out = np.abs(self._pair_product(x, y).sum(axis=-1) - fs * ms)
+        fs, ms = self.block_sums(state)
+        out = np.abs(self.apply_raw(state).sum(axis=-1) - fs * ms)
         return float(out) if np.ndim(out) == 0 else out
 
     def apply_normalized(self, state) -> np.ndarray:
@@ -583,14 +578,14 @@ class GonosomalOperator(_Immutable):
     def orbit(self, states, mode: str, steps: int) -> Iterator[np.ndarray]:
         """Yield iterates 1 to ``steps`` of a batch (or of one state), bit
         for bit as repeated :meth:`apply_raw` or :meth:`apply_normalized`,
-        except that on a tensor of 16 or more pairs a 2-D batch of several
-        rows can differ in the last bit (see below).
+        which are its iterate 1.
 
         The input is checked once, when iteration starts.  Each step forms
         its pair products and its image in buffers allocated up front, and
-        each yielded iterate is a view into one of two buffers taken in
-        turn: it stays valid until the iterate two steps later is formed.
-        Copy what must outlive that.  ``steps=0`` yields nothing.
+        each yielded iterate is a view into one of ``min(steps, 2)``
+        buffers taken in turn: it stays valid until the iterate two steps
+        later is formed.  Copy what must outlive that.  ``steps=0`` yields
+        nothing.
 
         One loop steps one state, a 2-D batch and a stack alike, on
         transposed ``(dim, rows)`` views of the buffers, the batch axes
@@ -609,12 +604,7 @@ class GonosomalOperator(_Immutable):
         (``order="F"``), so their ``(dim, rows)`` views are contiguous: an
         iterate is indexed ``(..., dim)`` like its input, with each column
         contiguous.  A stack of batches (three or more axes) is stepped
-        row-major, as ``apply_raw`` lays it out.  Any input layout is
-        accepted.  A 2-D batch of several rows thus goes through a
-        column-major product.  With OpenBLAS 0.3.31 it gave ``apply_raw``'s
-        bits on the random tensors tried up to 15 pairs and on 4 x 4 types,
-        but from 2 x 8 types on the two products may round differently in
-        the last bit.
+        row-major.  Any input layout is accepted.
 
         Raises:
             AnnihilatedStateError: in normalized mode, before the division,
@@ -627,11 +617,10 @@ class GonosomalOperator(_Immutable):
         nu = dim - n
         vec = as_state_vector(states, dim)
         rows = math.prod(vec.shape[:-1])
-        # a stack of batches stays row-major: numpy multiplies a column-major
-        # stack slice by slice outside BLAS, which can round differently from
-        # the BLAS product apply_raw makes
+        # a stack of batches stays row-major: the (rows, dim) reshape of a
+        # column-major stack would be a copy, not a view of its buffer
         order = "F" if vec.ndim <= 2 else "C"
-        bufs = (np.empty(vec.shape, order=order), np.empty(vec.shape, order=order))
+        bufs = [np.empty(vec.shape, order=order) for _ in range(min(steps, 2))]
         pairs = np.empty(vec.shape[:-1] + (n * nu,), order=order)
         # (dim, rows) views, made once: coordinate j of every state is row j,
         # and the pair (i, k) of column i*nu + k is row [i, k] of an

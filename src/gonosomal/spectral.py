@@ -12,8 +12,12 @@ fs + ms = fs·ms, so its total mass is at least 4; roots of mass below 2,
 the origin among them, are dropped before the division.  The normalized
 reports describe the :func:`~gonosomal.normalized.reduced_jacobian_at`
 chart that eliminates the first male coordinate through the sum
-constraint (which removes the trivial unit eigenvalue the constraint would
-otherwise contribute).
+constraint.  The normalized map is constant along each block's ray, so
+its full Jacobian has one zero eigenvalue per block: at p = (1/2, 0, 1/2,
+0) its spectrum is {-1/2, 0, 0, 1}.  The chart drops one of those two
+zeros, the direction off the simplex, and keeps {-1/2, 0, 1}.  Its unit
+eigenvalue is no artifact of the constraint: it is the carrier centre
+direction (-2, 2, -1, 1), along which p attracts only algebraically.
 
 A Newton iteration costs what its live seeds need: the full step is
 ``base + step``, and the seeds it did not improve try all their halvings
@@ -123,8 +127,9 @@ class FixedPointReport:
     """One located fixed point with its linearization.
 
     In normalized mode ``point`` is the full simplex state while
-    ``jacobian`` and ``eigenvalues`` describe the reduced chart, so the
-    spectrum is free of the sum-constraint artifact.  ``attraction`` holds the
+    ``jacobian`` and ``eigenvalues`` describe the reduced chart, which
+    drops the zero eigenvalue of the direction off the simplex and keeps
+    every other one, the unit one included.  ``attraction`` holds the
     :func:`attraction_probe` distances of a non-hyperbolic normalized root.
     """
 

@@ -38,7 +38,7 @@ from .normalized import (
 )
 from .operator import (
     DIV_THRESHOLD, GonosomalOperator, InheritanceTensor, fold_columns, hemophilia_operator,
-    is_hemophilia, require_count,
+    is_hemophilia, require_batch, require_count,
 )
 from .spectral import (
     ATTRACTION_PROBES, ATTRACTION_RADIUS, ATTRACTION_STEPS, Classification, eigenvalues,
@@ -89,9 +89,10 @@ def empirical_limits(op: GonosomalOperator, states, steps: int = 80) -> np.ndarr
     coefficients, where that point is the nonzero fixed point), Infinity
     when non-finite or above ``DIV_THRESHOLD``, Undecided otherwise.  The raw
     dynamics is doubly exponential, so anything not exactly on the critical
-    boundary resolves within a few dozen steps.
+    boundary resolves within a few dozen steps.  Anything but a
+    ``(k, dim)`` array raises DimensionMismatchError, at ``steps=0`` too.
     """
-    cur = np.asarray(states, dtype=float)
+    cur = require_batch(states, op.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         for cur in op.orbit(cur, "raw", steps):
             pass

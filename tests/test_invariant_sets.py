@@ -571,6 +571,18 @@ def test_empirical_limits_returns_limit_kinds():
     ]
 
 
+@pytest.mark.parametrize("steps", [0, 5])
+@pytest.mark.parametrize(
+    "states", [[3.0, 0.0, 3.0, 0.0], np.zeros((2, 3, 4)), np.zeros((3, 5))],
+    ids=["one-state", "three-axes", "five-columns"],
+)
+def test_empirical_limits_refuses_anything_but_a_batch(states, steps):
+    # one verdict per row: a single state is not judged coordinate by
+    # coordinate, and the width is checked even when no step is taken
+    with pytest.raises(DimensionMismatchError):
+        empirical_limits(OP, states, steps=steps)
+
+
 def test_classifier_agrees_with_iteration_on_decided_cases():
     rng = np.random.default_rng(21)
     states = np.concatenate(

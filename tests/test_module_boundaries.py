@@ -43,7 +43,7 @@ def test_no_module_reads_a_private_attribute_of_another_object():
 # at least 1" nor load_tensor's "counts must be positive".
 @pytest.mark.parametrize(
     "phrase",
-    ["single state", "non-finite coordinate", "is immutable",
+    ["single state", "one per row", "non-finite coordinate", "is immutable",
      "{name} must be at least 1", "{name} must be positive"],
 )
 def test_each_input_rule_is_raised_from_one_place(phrase):
@@ -95,6 +95,24 @@ def test_only_orbit_steps_a_batch_in_a_loop():
                 ]
             stack.extend(ast.iter_child_nodes(node))
     assert not found, "; ".join(sorted(set(found)))
+
+
+def test_the_pair_matrix_is_read_by_the_kernels_alone():
+    # every map forms its pair products in orbit (apply_raw and
+    # apply_normalized are its iterate 1) or stepper (one state), and its
+    # Jacobian in _pair_jacobian: no second batch product reads the matrix.
+    # __init__ names it as a string, in the one write of the attribute.
+    tree = ast.parse((PACKAGE / "operator.py").read_text())
+    (cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "GonosomalOperator"
+    ]
+    readers = {
+        func.name for func in cls.body if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if "_pair_matrix" in (getattr(node, "attr", None), getattr(node, "value", None))
+    }
+    assert readers == {"__init__", "pair_matrix", "stepper", "orbit", "_pair_jacobian"}
 
 
 def test_the_block_sum_guard_has_one_home():

@@ -1128,14 +1128,12 @@ def _male_only_tensor(rng, n, nu):
 # Blocks of 8 and 9 types: numpy's add.reduce over a block of nine or more
 # contiguous coordinates sums pairwise, not left to right, so a stepping
 # loop that reduced there would lose the bits of the stacked batch.  Spread
-# magnitudes make the order of the additions show in the last bits.  (A 2-D
-# batch of several rows is left to the next test: on 9 x 2 types its
-# column-major product rounds differently from apply_raw's.)
+# magnitudes make the order of the additions show in the last bits.
 @pytest.mark.parametrize("mode", ["raw", "normalized"])
 @pytest.mark.parametrize("n, nu", [(9, 2), (2, 9), (8, 8), (9, 1), (1, 9)])
 @pytest.mark.parametrize(
-    "batch", [(), (1,), (0,), (3, 4), (2, 0)],
-    ids=["one-state", "one-row", "no-rows", "stack", "empty-stack"],
+    "batch", [(), (1,), (7,), (0,), (3, 4), (2, 0)],
+    ids=["one-state", "one-row", "rows", "no-rows", "stack", "empty-stack"],
 )
 @np.errstate(over="ignore", invalid="ignore")
 def test_orbit_is_the_reference_loop_on_wide_blocks_and_edge_shapes(n, nu, batch, mode):
@@ -1167,9 +1165,8 @@ def _column_major_orbit(op, states, mode, steps):
         yield cur
 
 
-# A 2-D batch of several rows steps column-major.  On 2 x 2 types that
-# product has apply_raw's bits (see above); on 9 x 2 types it may round
-# differently in the last bit, and orbit keeps the column-major bits.
+# A 2-D batch of several rows steps column-major: its pairs and images are
+# laid out as orbit lays them out, and formed by an independent loop.
 @pytest.mark.parametrize("mode", ["raw", "normalized"])
 @pytest.mark.parametrize("n, nu", [(2, 2), (9, 2), (2, 9)])
 @np.errstate(over="ignore", invalid="ignore")

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from gonosomal.normalized import EQUILIBRIUM, denormalize_fixed_point, sample_simplex
+from gonosomal.normalized import (
+    EQUILIBRIUM, denormalize_fixed_point, reduced_jacobian_at, sample_simplex,
+)
 from gonosomal.operator import GonosomalOperator, hemophilia_operator
 from gonosomal import spectral
 from gonosomal.spectral import (
@@ -103,6 +105,18 @@ def test_raw_search_classifications_and_spectra():
     )
     assert np.abs(pair.eigenvalues.imag).max() <= 1e-8
     assert origin.mode == "raw" and origin.note is None
+
+
+def test_the_chart_drops_one_zero_of_the_full_normalized_spectrum():
+    # the normalized map is constant along each block's ray: its full
+    # Jacobian at p has two zeros, and the chart drops the one off the
+    # simplex and keeps the unit eigenvalue, the carrier centre direction
+    full = OP.jacobian_normalized(EQUILIBRIUM)
+    np.testing.assert_allclose(eigenvalues(full).real, [-0.5, 0.0, 0.0, 1.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        eigenvalues(reduced_jacobian_at(EQUILIBRIUM)).real, [-0.5, 0.0, 1.0], rtol=0, atol=1e-12
+    )
+    np.testing.assert_array_equal(full @ [-2.0, 2.0, -1.0, 1.0], [-2.0, 2.0, -1.0, 1.0])
 
 
 def test_raw_search_is_deterministic():
