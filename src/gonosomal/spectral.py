@@ -19,11 +19,10 @@ zeros, the direction off the simplex, and keeps {-1/2, 0, 1}.  Its unit
 eigenvalue is no artifact of the constraint: it is the carrier centre
 direction (-2, 2, -1, 1), along which p attracts only algebraically.
 
-A Newton iteration costs what its live seeds need: the full step is
-``base + step``, and the seeds it did not improve try all their halvings
-in one ``fun`` call, laid out (seed, alpha, coordinate).  The singular
-screen takes the largest entry of each matrix with numpy's maximum over
-both matrix axes.
+A Newton iteration costs what its live seeds need: one LU solve per
+Jacobian, whose step also screens out the singular ones, the full step
+``base + step``, and one ``fun`` call for all halvings of the seeds it did
+not improve, laid out (coordinate, seed, alpha).
 
 Stability is read off the spectrum of the Jacobian at the root: strictly
 inside the unit circle is attracting, strictly outside repelling, mixed is
@@ -77,10 +76,10 @@ _SIMPLEX_SLACK = 1e-9
 # away; the step test pins the root itself.  Newton halves the step in the
 # singular direction, hence this is also (twice) the point accuracy.
 _STEP_TOL = 1e-12
-_SINGULAR_DET = 1e-14
-_MAX_HALVINGS = 40
-# Newton's trial step lengths: the full step, then each halving in turn.
-_ALPHAS = 0.5 ** np.arange(_MAX_HALVINGS)
+# the largest condition number Newton's singular screen lets pass
+_SINGULAR_KAPPA = 2.0**50
+# Newton's trial step lengths after the full step: each halving in turn.
+_HALVINGS = 0.5 ** np.arange(1, 40)
 
 # Why a Newton seed was dropped; see FixedPointSearchResult.
 DROP_REASONS = ("non_finite", "singular", "no_descent", "max_steps")
@@ -160,9 +159,9 @@ class FixedPointSearchResult(list):
     ``iterations`` counts the Newton steps the batch took.  ``drops`` maps
     each reason of ``DROP_REASONS`` to the number of seeds that died of it,
     so its counts sum to ``n_dropped``: ``non_finite`` (the starting residual
-    is not finite), ``singular`` (a singular or non-finite linearization),
-    ``no_descent`` (no step halving lowered the residual) and ``max_steps``
-    (still unconverged after the iteration budget).
+    is not finite), ``singular`` (a non-finite step or Jacobian, or a κ∞
+    reading above 2⁵⁰), ``no_descent`` (no step halving lowered the residual)
+    and ``max_steps`` (still unconverged after the iteration budget).
     """
 
     def __init__(self, reports, n_seeds: int, n_converged: int, *, iterations: int, drops):
@@ -184,22 +183,33 @@ class _NewtonRun(NamedTuple):
     drops: dict[str, int]
 
 
-def _singular(J) -> np.ndarray:
-    """Which matrices of the (k, d, d) stack ``J`` Newton drops as singular:
-    those with a non-finite entry, and those whose determinant is below
-    ``_SINGULAR_DET`` times ``max(1, max|entry|) ** d``.
+def _newton_steps(J, F, res):
+    """Newton steps σ = -J⁻¹F for the (k, d, d) stack ``J``, and which
+    seeds Newton drops as singular, both read from one solve.
 
-    The largest ``|entry|`` of each matrix is ``|J|``'s maximum over both
-    matrix axes.  NaN and inf both survive it, so it also flags the
-    non-finite matrices, and the copy of ``J`` with their entries zeroed for
-    the determinant is made only when there is one.
+    A seed is singular when σ is not finite, J has a non-finite entry, or
+    |σ|∞·max|J| > K·|F|∞, with K = ``_SINGULAR_KAPPA`` and ``res`` the
+    finite |F|∞: a NaN or inf in σ or J makes the reading NaN or inf, so one
+    comparison makes all three tests.  As |σ|∞ ≤ ‖J⁻¹‖∞·|F|∞ and ‖J‖∞ ≥
+    max|J|, the ratio is a lower bound on κ∞(J), unchanged when J and F
+    scale together; a seed on a root (F = 0, σ = 0) passes.  K = 2⁵⁰ is
+    about 1/(d·u), u = 2⁻⁵³: past it the solve's relative error, of order
+    d·u·κ, leaves the step no correct digit.  numpy fails a whole stack for
+    one exact zero pivot (or invalid operation, such as inf - inf), so a
+    failing stack is solved again in halves, down to the failing matrices.
     """
-    d = J.shape[-1]
+    try:
+        step = np.linalg.solve(J, -F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(J) == 1:
+            return np.full(F.shape, np.nan), np.ones(1, dtype=bool)
+        h = len(J) // 2
+        halves = _newton_steps(J[:h], F[:h], res[:h]), _newton_steps(J[h:], F[h:], res[h:])
+        return tuple(np.concatenate(parts) for parts in zip(*halves))
     top = np.abs(J).max(axis=(1, 2))
-    bad = ~np.isfinite(top)
     with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(np.where(np.isfinite(J), J, 0.0) if bad.any() else J)
-        return bad | (np.abs(det) < _SINGULAR_DET * np.maximum(top, 1.0) ** d)
+        fit = fold_columns(np.maximum, np.abs(step)) * (top / _SINGULAR_KAPPA) <= res
+    return step, ~fit
 
 
 def _newton_multistart(fun, jac, seeds, *, tol):
@@ -209,67 +219,72 @@ def _newton_multistart(fun, jac, seeds, *, tol):
     a root with a singular Jacobian (where the residual alone can stay
     small over a wide neighborhood) is still pinned to root accuracy of
     order ``_STEP_TOL``.  Each iteration tries the full Newton step
-    ``base + step`` of every active seed in one ``fun`` call, then every
-    halving ``_ALPHAS[1:]`` of the seeds it did not improve in a second call,
+    ``base + step`` of every live seed in one ``fun`` call, then every
+    halving ``_HALVINGS`` of the seeds it did not improve in a second call,
     rows in (seed, alpha) order; a seed takes the longest step that lowers
     its residual.  A batched ``fun`` can round a row differently in another
     grouping, so these two calls and their row order are part of the result.
     A seed dies at once when its residual is non-finite, its linearization
-    is singular or non-finite, or no halving lowers its residual; the drop
-    counts keep these reasons apart (see :class:`FixedPointSearchResult`).
+    is singular (:func:`_newton_steps`), or no halving lowers its residual;
+    :class:`FixedPointSearchResult` counts each reason.  Only the live seeds
+    are held, in seed order, and trials are column-major, as ``orbit``'s
+    iterates are, so that ``fun`` subtracts them in one layout.
     """
-    pts = np.array(seeds, dtype=float)
-    k, d = pts.shape
-    F = fun(pts)
+    x = np.array(seeds, dtype=float)
+    k, d = x.shape
+    F = fun(x)
     res = fold_columns(np.maximum, np.abs(F))
-    res = np.where(np.isfinite(res), res, np.inf)
-    last_step = np.full(k, np.inf)
-    done = np.zeros(k, dtype=bool)
-    dead = np.isinf(res)
+    ids = np.flatnonzero(np.isfinite(res))  # the live seeds
     drops = dict.fromkeys(DROP_REASONS, 0)
-    drops["non_finite"] = int(dead.sum())
-    halvings = np.repeat(_ALPHAS[1:, None], d, axis=1)  # (alpha, coordinate)
+    drops["non_finite"] = k - ids.size
+    x, F, res, last = x[ids], F[ids], res[ids], np.full(ids.size, np.inf)
+    roots, done = np.empty((k, d)), np.zeros(k, dtype=bool)
 
     iterations = 0
     while True:
-        done |= ~dead & (res <= tol) & (last_step <= _STEP_TOL)
-        active = np.flatnonzero(~done & ~dead)
-        if active.size == 0 or iterations == _MAX_NEWTON_STEPS:
+        conv = (res <= tol) & (last <= _STEP_TOL)
+        if conv.any():
+            done[ids[conv]] = True
+            roots[ids[conv]] = x[conv]
+            ids, x, F, res, last = (a[~conv] for a in (ids, x, F, res, last))
+        if ids.size == 0 or iterations == _MAX_NEWTON_STEPS:
             break
         iterations += 1
-        J = jac(pts[active])
-        singular = _singular(J)
+        step, singular = _newton_steps(jac(x), F, res)
         if singular.any():
-            dead[active[singular]] = True
             drops["singular"] += int(singular.sum())
-            active, J = active[~singular], J[~singular]
-        step = np.linalg.solve(J, -F[active][..., None])[..., 0]
-        # the full step (alpha = 1 scales exactly), then every halving of the
-        # seeds it left: their step and base repeated once per halving
-        idx, base, scaled = active, pts[active], step[:, None]
-        trial = (base + step)[:, None]
-        while idx.size:
-            Ft = fun(trial.reshape(-1, d)).reshape(trial.shape)
-            rt = fold_columns(np.maximum, np.abs(Ft))
-            ok = rt < res[idx][:, None]  # res is finite, so rt < res means rt is too
-            found = ok.any(axis=1)
-            rows = np.flatnonzero(found)
-            take = rows, ok[rows].argmax(axis=1)  # the first, longest, step that descends
-            tgt = idx[rows]
-            pts[tgt], F[tgt], res[tgt] = trial[take], Ft[take], rt[take]
-            last_step[tgt] = fold_columns(np.maximum, np.abs(scaled[take]))
-            idx = idx[~found]
-            if scaled.shape[1] > 1 or idx.size == 0:
-                break
-            scaled = step[~found, None].repeat(len(halvings), axis=1)
-            scaled *= halvings
-            trial = base[~found, None].repeat(len(halvings), axis=1)
-            trial += scaled
-        dead[idx] = True
-        drops["no_descent"] += int(idx.size)
+            ids, x, F, res, last, step = (a[~singular] for a in (ids, x, F, res, last, step))
+        # the full step, then every halving of the seeds it left, built as a
+        # C-order (coordinate, seed, alpha) array: both are column-major
+        trial = np.add(x, step, order="F")
+        Ft = fun(trial)
+        rt = fold_columns(np.maximum, np.abs(Ft))
+        ok = rt < res  # res is finite, so rt < res means rt is too
+        x[ok], F[ok], res[ok] = trial[ok], Ft[ok], rt[ok]
+        last[ok] = fold_columns(np.maximum, np.abs(step[ok]))
+        miss = np.flatnonzero(~ok)
+        if miss.size == 0:
+            continue
+        trials = np.empty((d, miss.size, len(_HALVINGS)))
+        np.multiply(step[miss].T[..., None], _HALVINGS, out=trials)
+        trials += x[miss].T[..., None]
+        trial = trials.reshape(d, -1).T
+        Ft = fun(trial)
+        rt = fold_columns(np.maximum, np.abs(Ft))
+        ok = rt.reshape(miss.size, -1) < res[miss, None]
+        found = ok.any(axis=1)
+        first = ok[found].argmax(axis=1)  # the first, longest, step that descends
+        take = np.flatnonzero(found) * ok.shape[1] + first
+        tgt = miss[found]
+        x[tgt], F[tgt], res[tgt] = trial[take], Ft[take], rt[take]
+        last[tgt] = fold_columns(np.maximum, np.abs(step[tgt] * _HALVINGS[first, None]))
+        if not found.all():
+            lost = miss[~found]
+            drops["no_descent"] += int(lost.size)
+            ids, x, F, res, last = (np.delete(a, lost, axis=0) for a in (ids, x, F, res, last))
 
-    drops["max_steps"] = int((~done & ~dead).sum())
-    return _NewtonRun(pts[done], int(done.sum()), iterations, drops)
+    drops["max_steps"] = int(ids.size)
+    return _NewtonRun(roots[done], int(done.sum()), iterations, drops)
 
 
 def _deduplicate(points, residuals):

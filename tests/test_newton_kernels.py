@@ -3,12 +3,16 @@ bit for bit.
 
 The normalized Jacobian, the reduced chart product and the embedding serve
 the reports and checks at a root.  Each must give every bit of its
-broadcast formula below (the embedding sums with ``r.sum(axis=-1)``), as
-the singular screen must of its ``axis=(1, 2)`` reductions.  Newton itself
-solves W(s) = s in both modes: the normalized search must hand it the raw
-residual and Jacobian, seeded at ``p / (fs * ms)`` from its simplex draws.
-Each comparison includes the sign of each zero.
+broadcast formula below (the embedding sums with ``r.sum(axis=-1)``).
+Newton itself solves W(s) = s in both modes: the normalized search must
+hand it the raw residual and Jacobian, seeded at ``p / (fs * ms)`` from its
+simplex draws.  Each comparison includes the sign of each zero.  Newton's
+singular screen, read from its one solve per iteration, must drop the
+zero, rank-deficient, non-finite and ill-conditioned matrices, alone, with
+no warning, and keep its verdicts when J and F are scaled together.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -67,16 +71,6 @@ def _stacked_reduced_jacobian(op, s, eliminate):
     pts = _sum_embed(np.eye(dim)[:, 1:], eliminate, dim)
     full_jac = _broadcast_jacobian_normalized(op, s)
     return np.delete(full_jac, eliminate, axis=-2) @ (pts[1:] - pts[0]).T
-
-
-@np.errstate(over="ignore")  # the scale of a matrix with entries near 1e300
-def _axis_screen(J):
-    d = J.shape[-1]
-    scale = np.maximum(np.abs(J).max(axis=(1, 2)), 1.0) ** d
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(J).all(axis=(1, 2))
-        det = np.where(bad, 0.0, np.linalg.det(np.where(np.isfinite(J), J, 0.0)))
-        return bad | (np.abs(det) < 1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,8 @@ def test_normalized_search_hands_newton_the_raw_system(op, monkeypatch):
 
 
 def _jacobian_stacks(rng, d):
-    # finite, singular, zero and non-finite matrices side by side
+    """Stacks of finite, singular, zero and non-finite matrices side by
+    side, each with residual vectors and which matrices are singular."""
     k = 40
     J = rng.normal(size=(k, d, d)) * 10.0 ** rng.integers(-20, 21, size=(k, 1, 1))
     J[1] = 0.0
@@ -193,16 +188,94 @@ def _jacobian_stacks(rng, d):
     J[6, 0, -1] = -np.inf
     J[7] = np.nan
     J[8, :, 0] = 1e300  # the scale overflows
-    yield J
-    yield J[:4]  # all finite
-    yield J[4:8]  # none finite
-    yield J[:1]
+    J[9] = np.diag([np.inf] + [1.0] * (d - 1))  # a finite step, -F[0] / inf = -0
+    F = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-20, 21, size=(k, 1))
+    singular = np.zeros(k, dtype=bool)
+    singular[[1, 2, 4, 5, 6, 7, 9]] = True
+    # a 1 x 1 rank-one matrix is invertible, and a 1e300 column alone is
+    # perfectly conditioned
+    singular[[3, 8]] = d > 1
+    for rows in (slice(None), slice(4), slice(4, 8), slice(1)):  # all, finite, non-finite, one
+        yield J[rows], F[rows], singular[rows]
+
+
+def _screen(J, F):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return spectral._newton_steps(J, F, fold_columns(np.maximum, np.abs(F)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
-def test_singular_screen_is_the_axis_reduction_formula(d):
+def test_singular_screen_drops_degenerate_matrices(d):
+    # zero, rank-one and non-finite matrices and the 1e300 column are
+    # dropped, with no warning, and the finite random ones keep their steps
     rng = np.random.default_rng(d)
-    for J in _jacobian_stacks(rng, d):
-        top = fold_columns(np.maximum, np.abs(J).reshape(-1, d * d))
-        _assert_same(top, np.abs(J).max(axis=(1, 2)))
-        _assert_same(spectral._singular(J), _axis_screen(J))
+    for J, F, singular in _jacobian_stacks(rng, d):
+        step, dropped = _screen(J, F)
+        np.testing.assert_array_equal(dropped, singular)
+        for i in np.flatnonzero(~singular):
+            _assert_same(step[i], np.linalg.solve(J[i], -F[i]))
+        # the same verdicts from the search, which lets no LinAlgError out:
+        # the seeds start at residuals F and no trial step descends
+        residuals = iter([F])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = spectral._newton_multistart(
+                lambda x: next(residuals, np.full(x.shape, np.inf)),
+                lambda x: J,
+                np.zeros(F.shape),
+                tol=1e-10,
+            )
+        assert run.drops["singular"] == singular.sum()
+        assert run.drops["no_descent"] == len(J) - singular.sum()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("scale", [2.0**200, 2.0**-200])
+def test_singular_screen_is_scale_free(d, scale):
+    rng = np.random.default_rng(d)
+    for J, F, _ in _jacobian_stacks(rng, d):
+        with np.errstate(over="ignore"):
+            J2, F2 = J * scale, F * scale
+        # only a matrix that overflows to inf (the 1e300 column) may change,
+        # and it becomes singular
+        overflowed = np.isfinite(J).all(axis=(1, 2)) & ~np.isfinite(J2).all(axis=(1, 2))
+        verdicts = _screen(J2, F2)[1]
+        assert verdicts[overflowed].all()
+        np.testing.assert_array_equal(verdicts[~overflowed], _screen(J, F)[1][~overflowed])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+def test_one_exactly_singular_matrix_drops_its_seed_alone(d):
+    # numpy fails the whole stack on the zero pivot; every other matrix gets
+    # its own solve, bit for bit
+    rng = np.random.default_rng(d + 100)
+    J = rng.normal(size=(33, d, d)) + d * np.eye(d)
+    F = rng.normal(size=(33, d))
+    J[17, :, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, -F[..., None])
+    step, singular = _screen(J, F)
+    np.testing.assert_array_equal(np.flatnonzero(singular), [17])
+    assert np.isnan(step[17]).all()
+    keep = np.arange(33) != 17
+    _assert_same(step[keep], np.linalg.solve(J[keep], -F[keep][..., None])[..., 0])
+
+
+def test_singular_screen_reads_the_condition_number_along_the_residual():
+    # [[eps, 1], [0, 1]] has kappa about 2 / eps; along F = (1, 0) the step
+    # is (-1 / eps, 0), a reading of 1 / eps: dropped above 2**50 (1.1e15)
+    for eps, singular in ((1e-17, True), (1e-13, False)):
+        J = np.array([[[eps, 1.0], [0.0, 1.0]]])
+        step, dropped = _screen(J, np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(step, [[-1.0 / eps, 0.0]])
+        assert dropped.tolist() == [singular]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_singular_screen_keeps_a_seed_on_a_root(d):
+    # F = 0 gives the step 0 and a reading 0 <= K * 0
+    J = np.random.default_rng(d).normal(size=(5, d, d)) + d * np.eye(d)
+    step, singular = _screen(J, np.zeros((5, d)))
+    assert not singular.any()
+    np.testing.assert_array_equal(step, 0.0)
