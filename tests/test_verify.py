@@ -1,11 +1,15 @@
 """The check battery behind ``gonosomal verify``."""
 
+import os
 import sys
+import threading
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from gonosomal import invariant_sets, spectral, verify
+from gonosomal import cli, invariant_sets, spectral, verify
 from gonosomal.invariant_sets import RAW_EQUILIBRIUM, LimitKind, closed_form_diagonal
 from gonosomal.operator import (
     DIV_THRESHOLD, GonosomalOperator, hemophilia_operator, hemophilia_tensor,
@@ -21,12 +25,15 @@ def _rootless(n_seeds):
     return FixedPointSearchResult([], n_seeds, 0, iterations=0, drops=drops)
 
 
-def test_run_battery_runs_the_attraction_probe_once(monkeypatch):
+def test_run_battery_runs_the_attraction_probe_once(monkeypatch, tmp_path):
+    # the probe may run in a forked child, so the count goes through a file
     real = spectral.attraction_probe
-    points = []
+    log = tmp_path / "points.txt"
+    log.touch()
 
     def counting(op, point, *args, **kwargs):
-        points.append(point)
+        with open(log, "a") as fh:
+            fh.write(" ".join(repr(float(v)) for v in point) + "\n")
         return real(op, point, *args, **kwargs)
 
     # every module that binds the probe, so a check that imported it counts
@@ -34,6 +41,7 @@ def test_run_battery_runs_the_attraction_probe_once(monkeypatch):
         if name.startswith("gonosomal") and getattr(mod, "attraction_probe", None) is real:
             monkeypatch.setattr(mod, "attraction_probe", counting)
     results = {r.name: r for r in verify.run_battery(samples=500)}
+    points = [np.array(line.split(), dtype=float) for line in log.read_text().splitlines()]
     assert len(points) == 1
     np.testing.assert_allclose(points[0], [0.5, 0.0, 0.5, 0.0], rtol=0, atol=1e-10)
     assert results["normalized-fixed-point"].ok
@@ -93,6 +101,143 @@ def test_every_hemophilia_operator_gets_the_full_battery(monkeypatch, op):
     names = [r.name for r in verify.run_battery(op, samples=50)]
     assert len(names) == 19
     assert names == [r.name for r in verify.run_battery(samples=50)]
+
+
+# The normalized search runs in a forked child while the parent runs the
+# other checks.  Each test below pins the usable CPUs, so that it takes the
+# path it names on any machine.
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _search_pids(monkeypatch, tmp_path):
+    # the pid of each normalized search, through a file that a child can write
+    real, log = verify.find_fixed_points, tmp_path / "pids.txt"
+    log.touch()
+
+    def recording(op, mode, **kwargs):
+        if mode == "normalized":
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return real(op, mode, **kwargs)
+
+    monkeypatch.setattr(verify, "find_fixed_points", recording)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [0, 90017])
+def test_verify_prints_the_same_bytes_through_the_child_and_in_process(
+    monkeypatch, capsys, seed
+):
+    _two_cpus(monkeypatch)
+    forked = cli.main(["verify", "--seed", str(seed)]), capsys.readouterr()
+    monkeypatch.delattr(os, "fork")
+    in_process = cli.main(["verify", "--seed", str(seed)]), capsys.readouterr()
+    assert forked == in_process
+    assert forked[0] == 0 and "failed=0" in forked[1].out.splitlines()
+
+
+def test_the_normalized_search_runs_in_another_process(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    pids = _search_pids(monkeypatch, tmp_path)
+    results = {r.name: r for r in verify.run_battery(samples=50)}
+    assert len(pids()) == 1 and pids()[0] != os.getpid()
+    assert results["normalized-fixed-point"].ok and results["local-attraction"].ok
+    _no_child_left()
+
+
+@contextmanager
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    yield
+
+
+@contextmanager
+def _no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    yield
+
+
+@contextmanager
+def _second_thread(monkeypatch):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10.0,))
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("condition", [_one_cpu, _no_fork, _second_thread],
+                         ids=["one-cpu", "no-fork", "second-thread"])
+def test_the_normalized_search_runs_in_process_where_a_fork_cannot_pay(
+    monkeypatch, tmp_path, condition
+):
+    _two_cpus(monkeypatch)
+    pids = _search_pids(monkeypatch, tmp_path)
+    with condition(monkeypatch):
+        results = {r.name: r for r in verify.run_battery(samples=50)}
+    assert pids() == [os.getpid()]
+    assert results["normalized-fixed-point"].ok and results["local-attraction"].ok
+
+
+def _boom(op, mode, **kwargs):
+    if mode == "normalized":
+        raise ValueError("boom")
+    return _rootless(kwargs["n_seeds"])
+
+
+_TEST_PID = os.getpid()
+
+
+def _silent_exit(op, mode, **kwargs):
+    # a child that dies before it replies; never exits the test process
+    if mode == "normalized":
+        assert os.getpid() != _TEST_PID, "the normalized search ran in-process"
+        os._exit(3)
+    return _rootless(kwargs["n_seeds"])
+
+
+@pytest.mark.parametrize(
+    "search, error, message",
+    [(_boom, ValueError, "^boom$"), (_silent_exit, ChildProcessError, "without a result")],
+    ids=["raises", "exits"],
+)
+def test_a_failed_child_search_fails_the_battery_and_is_reaped(
+    monkeypatch, search, error, message
+):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(verify, "find_fixed_points", search)
+    with pytest.raises(error, match=message):
+        verify.run_battery(samples=50)
+    _no_child_left()
+
+
+def test_a_check_that_raises_in_the_parent_kills_and_reaps_the_child(monkeypatch):
+    # the child would search for a minute: the parent must not wait for it
+    _two_cpus(monkeypatch)
+
+    def failing(op, rng_seed):
+        raise RuntimeError("raw search failed")
+
+    monkeypatch.setattr(verify, "find_fixed_points", lambda *args, **kwargs: time.sleep(60))
+    monkeypatch.setattr(verify, "_check_raw_roots", failing)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="raw search failed"):
+        verify.run_battery(samples=50)
+    assert time.perf_counter() - start < 10.0
+    _no_child_left()
 
 
 @pytest.mark.parametrize("samples", [0, -1])
