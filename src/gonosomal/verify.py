@@ -14,22 +14,33 @@ for any tensor.
 
 The hemophilia battery's normalized fixed-point search (400 Newton seeds,
 then the 5000-step attraction probe at its root) is about half of its
-time.  It draws from no generator that the other checks share, so it
-runs in a forked child, started before the first check, while the parent
-runs every other check in order and reads the child's pickled result
-where the two normalized checks need it.  The output is the same bytes
-either way.  Where a fork is not safe or cannot pay (``os.fork`` is
-missing, a second Python thread is running, or one CPU is usable), the
-search runs in-process at that point instead.  On a shared 2-CPU virtual
-machine (Intel Xeon, Python 3.11, numpy 2.4) an in-process ``gonosomal
-verify`` at its defaults took a median 119-129 ms with the child, against
-168-186 ms in one process.
+time.  It draws from no generator that the other checks share, so on
+Linux it runs in a forked child, started before the first check, while
+the parent runs every other check in order and reads the child's pickled
+result where the two normalized checks need it.  The output is the same
+bytes either way.  Where a fork is not known to be safe or cannot pay
+(not Linux, ``os.fork`` missing, a second Python thread running, or one
+CPU usable), the search runs in-process at that point instead.  On a
+shared 2-CPU virtual machine (Intel Xeon, Linux, Python 3.11, numpy 2.4
+with OpenBLAS) an in-process ``gonosomal verify`` at its defaults took a
+median 119-129 ms with the child, against 168-186 ms in one process;
+pinned to one of its CPUs, a child made it slower, 184-199 ms against
+174-187 ms.
+
+Only Python 3.11 was run.  From Python 3.12, ``os.fork`` emits a
+DeprecationWarning when the process has more than one OS thread, which
+it has whenever OpenBLAS keeps a thread pool (its default on a machine
+with several CPUs, unless ``OPENBLAS_NUM_THREADS=1``).  The fork itself
+is safe with that pool: OpenBLAS stops it before a fork and starts it
+again at its next call, so the child starts with one thread (seen on the
+machine above with its default two-thread pool).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import sys
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -520,12 +531,14 @@ def _in_child(fn):
     The child sends ``fn()``, or the exception it raised, back pickled
     through a pipe and leaves through ``os._exit``; the callable raises
     that exception again.  The child is reaped when the block is left, and
-    killed first if its result was not read.  Where a fork is not safe or
-    cannot pay (no ``os.fork``, a second Python thread, one usable CPU),
-    the callable runs ``fn()`` in-process instead.
+    killed first if its result was not read.  Where a fork is not known to
+    be safe or cannot pay (not Linux, no ``os.fork``, a second Python
+    thread, one usable CPU), the callable runs ``fn()`` in-process instead.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if not hasattr(os, "fork") or threading.active_count() > 1 or (cpus or 1) < 2:
+    if (
+        sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1
+        or len(os.sched_getaffinity(0)) < 2
+    ):
         yield fn
         return
     read, write = os.pipe()
@@ -560,7 +573,7 @@ def _in_child(fn):
             yield collect
         finally:
             if not pipe.closed:  # a check raised before the reply was read
-                import signal  # only this path needs it; module import stays as it was
+                import signal  # not at the top: it adds about 0.7 ms to importing the package
 
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -579,11 +592,13 @@ def run_battery(
     estimates, fixed-point values); any other operator gets the algebraic
     and generic-numeric checks only.
 
-    For the hemophilia checks the normalized search runs in a forked child
-    alongside the other checks (see the module docstring), with the same
-    results as in-process.  An exception it raises is raised here with the
-    same type and message, and no child outlives the call: it is reaped
-    on return, and killed first when a check raises.
+    For the hemophilia checks the normalized search runs, on Linux, in a
+    forked child alongside the other checks, with the same results as
+    in-process (the module docstring says when it runs in-process, and
+    gives the times and the Python versions measured).  An exception it
+    raises is raised here with the same type and message, and no child
+    outlives the call: it is reaped on return, and killed first when a
+    check raises.
     """
     require_count("samples", samples)
     op = hemophilia_operator() if op is None else op

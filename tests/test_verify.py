@@ -103,13 +103,20 @@ def test_every_hemophilia_operator_gets_the_full_battery(monkeypatch, op):
     assert names == [r.name for r in verify.run_battery(samples=50)]
 
 
-# The normalized search runs in a forked child while the parent runs the
-# other checks.  Each test below pins the usable CPUs, so that it takes the
-# path it names on any machine.
+# On Linux the normalized search runs in a forked child while the parent
+# runs the other checks.  Each test below pins two usable CPUs, so that it
+# takes the path it names on any Linux machine.
 
 
 def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    if sys.platform != "linux":
+        pytest.skip("the battery forks on Linux only")
+    _two_cpus(monkeypatch)
 
 
 def _search_pids(monkeypatch, tmp_path):
@@ -134,9 +141,8 @@ def _no_child_left():
 
 @pytest.mark.parametrize("seed", [0, 90017])
 def test_verify_prints_the_same_bytes_through_the_child_and_in_process(
-    monkeypatch, capsys, seed
+    forking, monkeypatch, capsys, seed
 ):
-    _two_cpus(monkeypatch)
     forked = cli.main(["verify", "--seed", str(seed)]), capsys.readouterr()
     monkeypatch.delattr(os, "fork")
     in_process = cli.main(["verify", "--seed", str(seed)]), capsys.readouterr()
@@ -144,8 +150,7 @@ def test_verify_prints_the_same_bytes_through_the_child_and_in_process(
     assert forked[0] == 0 and "failed=0" in forked[1].out.splitlines()
 
 
-def test_the_normalized_search_runs_in_another_process(monkeypatch, tmp_path):
-    _two_cpus(monkeypatch)
+def test_the_normalized_search_runs_in_another_process(forking, monkeypatch, tmp_path):
     pids = _search_pids(monkeypatch, tmp_path)
     results = {r.name: r for r in verify.run_battery(samples=50)}
     assert len(pids()) == 1 and pids()[0] != os.getpid()
@@ -156,7 +161,12 @@ def test_the_normalized_search_runs_in_another_process(monkeypatch, tmp_path):
 @contextmanager
 def _one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    yield
+
+
+@contextmanager
+def _not_linux(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "darwin")
     yield
 
 
@@ -179,9 +189,9 @@ def _second_thread(monkeypatch):
     assert not thread.is_alive()
 
 
-@pytest.mark.parametrize("condition", [_one_cpu, _no_fork, _second_thread],
-                         ids=["one-cpu", "no-fork", "second-thread"])
-def test_the_normalized_search_runs_in_process_where_a_fork_cannot_pay(
+@pytest.mark.parametrize("condition", [_not_linux, _no_fork, _second_thread, _one_cpu],
+                         ids=["not-linux", "no-fork", "second-thread", "one-cpu"])
+def test_the_normalized_search_runs_in_process_where_a_fork_is_not_safe_or_cannot_pay(
     monkeypatch, tmp_path, condition
 ):
     _two_cpus(monkeypatch)
@@ -215,19 +225,16 @@ def _silent_exit(op, mode, **kwargs):
     ids=["raises", "exits"],
 )
 def test_a_failed_child_search_fails_the_battery_and_is_reaped(
-    monkeypatch, search, error, message
+    forking, monkeypatch, search, error, message
 ):
-    _two_cpus(monkeypatch)
     monkeypatch.setattr(verify, "find_fixed_points", search)
     with pytest.raises(error, match=message):
         verify.run_battery(samples=50)
     _no_child_left()
 
 
-def test_a_check_that_raises_in_the_parent_kills_and_reaps_the_child(monkeypatch):
+def test_a_check_that_raises_in_the_parent_kills_and_reaps_the_child(forking, monkeypatch):
     # the child would search for a minute: the parent must not wait for it
-    _two_cpus(monkeypatch)
-
     def failing(op, rng_seed):
         raise RuntimeError("raw search failed")
 
