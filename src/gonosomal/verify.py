@@ -19,13 +19,12 @@ Linux it runs in a forked child, started before the first check, while
 the parent runs every other check in order and reads the child's pickled
 result where the two normalized checks need it.  The output is the same
 bytes either way.  Where a fork is not known to be safe or cannot pay
-(not Linux, ``os.fork`` missing, a second Python thread running, or one
-CPU usable), the search runs in-process at that point instead.  On a
-shared 2-CPU virtual machine (Intel Xeon, Linux, Python 3.11, numpy 2.4
-with OpenBLAS) an in-process ``gonosomal verify`` at its defaults took a
-median 119-129 ms with the child, against 168-186 ms in one process;
-pinned to one of its CPUs, a child made it slower, 184-199 ms against
-174-187 ms.
+(not Linux, a second Python thread running, or one CPU usable), the
+search runs in-process at that point instead.  On a shared 2-CPU virtual
+machine (Intel Xeon, Linux, Python 3.11, numpy 2.4 with OpenBLAS) an
+in-process ``gonosomal verify`` at its defaults took a median 119-129 ms
+with the child, against 168-186 ms in one process; pinned to one of its
+CPUs, a child made it slower, 184-199 ms against 174-187 ms.
 
 Only Python 3.11 was run.  From Python 3.12, ``os.fork`` emits a
 DeprecationWarning when the process has more than one OS thread, which
@@ -532,11 +531,11 @@ def _in_child(fn):
     through a pipe and leaves through ``os._exit``; the callable raises
     that exception again.  The child is reaped when the block is left, and
     killed first if its result was not read.  Where a fork is not known to
-    be safe or cannot pay (not Linux, no ``os.fork``, a second Python
-    thread, one usable CPU), the callable runs ``fn()`` in-process instead.
+    be safe or cannot pay (not Linux, a second Python thread, one usable
+    CPU), the callable runs ``fn()`` in-process instead.
     """
     if (
-        sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1
+        sys.platform != "linux" or threading.active_count() > 1
         or len(os.sched_getaffinity(0)) < 2
     ):
         yield fn
@@ -594,11 +593,11 @@ def run_battery(
 
     For the hemophilia checks the normalized search runs, on Linux, in a
     forked child alongside the other checks, with the same results as
-    in-process (the module docstring says when it runs in-process, and
-    gives the times and the Python versions measured).  An exception it
-    raises is raised here with the same type and message, and no child
-    outlives the call: it is reaped on return, and killed first when a
-    check raises.
+    in-process.  It runs in-process on other platforms, beside a second
+    Python thread, or with one usable CPU (the module docstring gives the
+    times and the Python versions measured).  An exception it raises is
+    raised here with the same type and message, and no child outlives the
+    call: it is reaped on return, and killed first when a check raises.
     """
     require_count("samples", samples)
     op = hemophilia_operator() if op is None else op

@@ -270,12 +270,19 @@ def test_classify_undecided_with_empirical_has_no_agreement(capsys):
 
 
 def test_classify_sign_forwarding(capsys):
-    code, out, _ = run_cli(capsys, "classify", "--state=-1,-1,-1,-1")
-    assert code == 0
+    # a start whose blocks each have one sign is classified as |s|: every
+    # sign pattern of (1, 1, 1, 1) prints its verdict, with no forward step
+    seen = []
+    for state in ["-1,-1,-1,-1", "-1,-1,1,1", "1,1,-1,-1", "1,1,1,1"]:
+        code, out, _ = run_cli(capsys, "classify", f"--state={state}")
+        assert code == 0
+        info = stanza_dict(out)
+        assert (info["kind"], info["forward_steps"], info["terms"]) == ("Zero", "0", "1")
+        seen.append(info["escape_sum"])
+    assert len(set(seen)) == 1 and float(seen[0]) < 0.0
+    code, out, _ = run_cli(capsys, "classify", "--state=-4,0,1,0")
     info = stanza_dict(out)
-    assert info["kind"] == "Zero"
-    assert info["forward_steps"] == "1"
-    assert float(info["escape_sum"]) < 0.0
+    assert code == 0 and (info["kind"], info["escape_sum"]) == ("Equilibrium", "0")
 
 
 @pytest.mark.parametrize("command", ["classify", "trajectory"])

@@ -133,15 +133,20 @@ def test_non_finite_states_are_rejected_not_classified(state):
 
 def test_huge_start_is_prescaled_not_overflowed():
     # its first image overflows in plain floats; scaled by its sup norm, it
-    # is one step from the nonnegative image of (1, 1, 1, 1) at scale 1e400
-    start = [-1e200, -1e200, -1e200, -1e200]
+    # is one step from the nonnegative image of (-1, 2, 1, 1) at scale 1e400
+    start = [-1e200, 2e200, 1e200, 1e200]
     v = classify_limit(start)
     assert v.kind is LimitKind.INFINITY
     assert v.forward_steps == 1 and v.terms == 0
-    image = OP.apply_raw([1.0, 1.0, 1.0, 1.0])
+    image = OP.apply_raw([-1.0, 2.0, 1.0, 1.0])
+    assert image.min() >= 0.0
     first = np.log(image[:2].sum() * image[2:].sum() / 4.0)
     assert v.escape_sum == pytest.approx(4.0 * np.log(1e200) + first, rel=1e-12)
     assert OP.iterate(start).stop_reason is StopReason.DIVERGED
+    # a huge start whose blocks each have one sign is summed as |s|, with no step
+    v = classify_limit([-1e200, -1e200, -1e200, -1e200])
+    assert (v.kind, v.forward_steps, v.terms) == (LimitKind.INFINITY, 0, 0)
+    assert v.escape_sum == pytest.approx(2.0 * np.log(1e200), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +278,11 @@ def test_carrier_free_starts_near_the_equilibrium_curve_take_the_exact_sign(x, u
 
 
 def test_a_start_carrier_free_only_after_forward_steps_gets_no_equilibrium():
-    # scaling by the sup norm 2 rounds the carrier coordinates to -0, and
-    # the forward step lands on (1/2, 0, 1/2, 0) up to scale: the band
-    # holds it, but no rule says where the carriers of the start lead
-    state = [-2.0, -5e-324, -2.0, -5e-324]
+    # each block changes sign, so the start takes a forward step; scaling by
+    # the sup norm 2 rounds the carrier coordinates to 0, and the step lands
+    # on (1/2, 0, 1/2, 0) up to scale: the band holds it, but no rule says
+    # where the carriers of the start lead
+    state = [-2.0, 5e-324, -2.0, 5e-324]
     v = classify_limit(state)
     assert v.kind is LimitKind.UNDECIDED and v.forward_steps == 1
     assert list(classify_limits([state])) == [LimitKind.UNDECIDED]
@@ -291,22 +297,25 @@ def test_escaping_certificate():
 
 
 def test_sign_pattern_forwarding():
-    for state, steps in [
-        ([-1.0, -1.0, -1.0, -1.0], 1),
-        ([-1.0, -1.0, 1.0, 1.0], 2),
-        ([1.0, 1.0, -1.0, -1.0], 2),
+    # W(εx, δy) = εδ·W(x, y): a start whose blocks each have one sign has
+    # the orbit of |s| from its second step on, so it gets the verdict of
+    # |s|, sum and terms included, with no forward step
+    for state, kind in [
+        ([-1.0, -1.0, -1.0, -1.0], LimitKind.ZERO),
+        ([-1.0, -1.0, 1.0, 1.0], LimitKind.ZERO),
+        ([1.0, 1.0, -1.0, -1.0], LimitKind.ZERO),
+        ([-6.0, -0.1, -6.0, -0.1], LimitKind.INFINITY),
+        ([-6.0, 0.0, 6.0, 0.1], LimitKind.INFINITY),
     ]:
-        v = classify_limit(state)
-        assert v.kind is LimitKind.ZERO, state
-        assert v.forward_steps == steps and v.escape_sum < 0.0, state
+        v, folded = classify_limit(state), classify_limit(np.abs(state))
+        assert v.kind is kind and v.forward_steps == 0, state
+        assert (v.escape_sum, v.terms) == (folded.escape_sum, folded.terms), state
+        twice = OP.apply_raw(OP.apply_raw(state))
+        assert twice.tobytes() == OP.apply_raw(OP.apply_raw(np.abs(state))).tobytes(), state
 
     # the sum doubles with each step: Λ(W(s)) = 2·Λ(s)
-    once = classify_limit([-1.0, -1.0, -1.0, -1.0])
+    once = classify_limit(OP.apply_raw([-1.0, -1.0, -1.0, -1.0]))
     assert once.escape_sum == pytest.approx(2.0 * classify_limit([1.0, 1.0, 1.0, 1.0]).escape_sum)
-
-    v = classify_limit([-6.0, -0.1, -6.0, -0.1])
-    assert v.kind is LimitKind.INFINITY
-    assert v.forward_steps == 1 and v.escape_sum > 0.0
 
 
 # a mixed-sign start that is still mixed-sign after the forward cap of 64
@@ -320,11 +329,15 @@ SHRINKING = [-1.0, 2.0, 3.0, -4.0]
 
 
 def test_mixed_sign_state_is_forwarded_then_summed():
-    # one step maps the nonpositive start onto W(1, 1, 1, 1); the series
-    # decides that image
-    v = classify_limit([-1.0, -1.0, -1.0, -1.0])
+    # the female block changes sign; one step maps the start into the
+    # nonnegative orthant, and the series decides that image
+    start = [-1.0, 2.0, 1.0, 1.0]
+    image = OP.apply_raw(start)
+    assert image.min() >= 0.0
+    v = classify_limit(start)
     assert v.kind is LimitKind.ZERO
     assert v.forward_steps == 1 and v.terms == 0 and v.escape_sum < 0.0
+    assert v.escape_sum == pytest.approx(np.log(image[:2].sum() * image[2:].sum() / 4.0))
 
     v = classify_limit(FORWARD_CAP)
     assert v.kind is LimitKind.UNDECIDED
@@ -442,6 +455,9 @@ def _reference_classify_limit(state):
     """classify_limit's loop, stepping with apply_raw one state at a time:
     (kind, escape_sum, forward_steps, terms)."""
     x, y, u, v = c = [float(a) for a in state]
+    # W(εx, δy) = εδ·W(x, y): blocks of one sign each are classified as |s|
+    if all(min(block) >= 0.0 or max(block) <= 0.0 for block in ((x, y), (u, v))):
+        x, y, u, v = c = [abs(a) for a in c]
 
     def step(w):
         return OP.apply_raw(np.array(w)).tolist()
@@ -537,8 +553,12 @@ def _no_stepper(self):
 
 @pytest.mark.parametrize(
     "state, escape_sum",
-    [([0.5, 0.5, 0.5, 0.5], np.log(0.25)), ([0.0, 0.0, 1.0, 1.0], -np.inf)],
-    ids=["first-sum", "zero-block"],
+    [
+        ([0.5, 0.5, 0.5, 0.5], np.log(0.25)),
+        ([0.0, 0.0, 1.0, 1.0], -np.inf),
+        ([-0.5, -0.5, 0.5, 0.5], np.log(0.25)),  # blocks of one sign each: |s|
+    ],
+    ids=["first-sum", "zero-block", "one-sign-blocks"],
 )
 def test_a_start_decided_with_no_step_builds_no_stepper(monkeypatch, state, escape_sum):
     monkeypatch.setattr(GonosomalOperator, "stepper", _no_stepper)
@@ -747,13 +767,17 @@ def test_batch_kinds_on_the_special_states():
 def test_band_edges_and_carrier_free_rows_go_to_the_single_state_classifier(monkeypatch):
     # (a, a, a, a) sums to 2·log(a) at once.  On the band edges -band and
     # log(9/8) + band rounding alone tells the verdicts apart, and only
-    # classify_limit claims Equilibrium, so it decides those rows and every
-    # carrier-free row; (2, 2, 2, 2) is well clear of both edges.
+    # classify_limit claims Equilibrium, so it decides those rows and the
+    # carrier-free rows inside the band; (2, 2, 2, 2) and the carrier-free
+    # (3, 0, 3, 0) are well clear of both edges.
     low = np.exp(-1e-12 / 2.0)  # band = 1e-12·(1 + 2|log a|), about 1e-12 here
     high = np.sqrt(9.0 / 8.0)
     for _ in range(3):
         high = np.sqrt(9.0 / 8.0) * np.exp(1e-12 * (1.0 + 2.0 * np.log(high)) / 2.0)
-    states = [[low] * 4, [high] * 4, [2.0] * 4, [4.0, 0.0, 1.0, 0.0], [-4.0, 0.0, 1.0, 0.0]]
+    states = [
+        [low] * 4, [high] * 4, [2.0] * 4, [4.0, 0.0, 1.0, 0.0], [-4.0, 0.0, 1.0, 0.0],
+        [3.0, 0.0, 3.0, 0.0],
+    ]
     calls = []
     real = invariant_sets.classify_limit
     monkeypatch.setattr(invariant_sets, "classify_limit", lambda s: calls.append(s) or real(s))
@@ -761,7 +785,7 @@ def test_band_edges_and_carrier_free_rows_go_to_the_single_state_classifier(monk
     assert [list(c) for c in calls] == [states[0], states[1], states[3], states[4]]
     assert list(kinds) == [real(s).kind for s in states] == [
         LimitKind.ZERO, LimitKind.INFINITY, LimitKind.INFINITY,
-        LimitKind.EQUILIBRIUM, LimitKind.EQUILIBRIUM,
+        LimitKind.EQUILIBRIUM, LimitKind.EQUILIBRIUM, LimitKind.INFINITY,
     ]
 
 
@@ -777,21 +801,6 @@ def test_a_first_partial_sum_inside_the_band_goes_to_the_single_state_classifier
     monkeypatch.setattr(invariant_sets, "classify_limit", lambda s: calls.append(s) or real(s))
     assert list(classify_limits([[a] * 4, [2.0] * 4])) == [LimitKind.INFINITY] * 2
     assert [list(c) for c in calls] == [[a] * 4]
-
-
-def test_the_batch_classifier_steps_only_the_raw_map(monkeypatch):
-    # the forward steps are its only orbit; the series is classify_limit's
-    modes = []
-    real = GonosomalOperator.orbit
-
-    def recording(self, states, mode, steps):
-        modes.append(mode)
-        return real(self, states, mode, steps)
-
-    monkeypatch.setattr(GonosomalOperator, "orbit", recording)
-    for make in BATCHES.values():
-        classify_limits(make())
-    assert modes and set(modes) == {"raw"}
 
 
 def test_empty_batch_gives_no_kinds():

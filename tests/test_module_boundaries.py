@@ -237,3 +237,17 @@ def test_one_function_forks_exits_and_reaps_a_child():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), f"{path.name}:<module>")
     assert sites == dict.fromkeys(("fork", "_exit", "waitpid"), {"verify.py:_in_child"})
+
+
+def test_the_batch_classifier_takes_no_raw_step():
+    # every raw step of the classifier is classify_limit's, under its
+    # rounding bound: classify_limits names no kernel that steps a state,
+    # and hands what it cannot decide to classify_limit
+    tree = ast.parse((PACKAGE / "invariant_sets.py").read_text())
+    (batch,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "classify_limits"
+    ]
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(batch)}
+    assert "classify_limit" in named
+    assert not named & {"orbit", "apply_raw", "stepper", "hemophilia_operator"}

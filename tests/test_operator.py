@@ -507,6 +507,33 @@ def test_two_steppers_used_in_turn_agree(op):
         assert _same_bits(alternate(a, b), alternate(b, a))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [pytest.param(op, id=label) for label, op in _raw_step_cases() if not label.startswith("non")],
+)
+def test_the_kernel_keeps_the_sign_symmetry_bit_for_bit(op):
+    # W(εx, δy) = εδ·W(x, y) holds in floats too: each pair product and
+    # each sum of them only changes sign, which rounding to nearest keeps.
+    # Magnitudes run from 1e-160, whose pair products are subnormal, up to
+    # 1e150; the second iterate of the largest overflows, the same way for
+    # both signs.  The classifier relies on this to classify a start whose
+    # blocks each have one sign as |s|.
+    rng = np.random.default_rng(op.dim)
+    s = rng.uniform(-1.0, 1.0, (500, op.dim)) * 10.0 ** rng.uniform(-160.0, 150.0, (500, 1))
+    step = op.stepper()
+    with np.errstate(over="ignore", invalid="ignore"):
+        image, second = [z.copy() for z in op.orbit(s, "raw", 2)]
+        for signs in [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)]:
+            flip = np.repeat(signs, [op.n, op.nu])
+            sign = signs[0] * signs[1]
+            flipped = s * flip
+            assert _same_bits(op.apply_raw(flipped), sign * image)
+            got = [z.copy() for z in op.orbit(flipped, "raw", 2)]
+            assert _same_bits(got[0], sign * image) and _same_bits(got[1], second)
+            for row, turned in zip(s[:100].tolist(), flipped[:100].tolist()):
+                assert _same_bits(np.array(step(turned)), sign * np.array(step(row)))
+
+
 def test_wrong_arity_rejected():
     with pytest.raises(DimensionMismatchError):
         OP.apply_raw([1.0, 2.0, 3.0])
@@ -889,13 +916,13 @@ def test_iterate_steps_with_its_own_stepper(monkeypatch):
 
 
 def test_classify_limit_steps_with_its_own_stepper(monkeypatch):
-    # a signed start with two forward steps and three series terms, all
-    # taken by the one stepper it builds
+    # a start with a sign change inside a block, two forward steps and
+    # three series terms, all taken by the one stepper it builds
     built = _count_steppers(monkeypatch)
-    verdict = classify_limit([-0.84, -1.88, 1.23, 0.25])
+    verdict = classify_limit([1.73, -0.02, 0.99, 1.36])
     assert built == [hemophilia_operator()]
     assert verdict.kind.value == "Infinity"
-    assert verdict.escape_sum == 0.018936517356559424
+    assert verdict.escape_sum == 0.017937310475815444
     assert (verdict.forward_steps, verdict.terms) == (2, 3)
 
 
@@ -907,7 +934,7 @@ def test_two_threads_iterate_the_shared_operator_as_sequential_runs():
     # forward steps and series terms, which share the thread's stepper
     starts = [[0.3, 0.2, 0.4, 0.1], [0.1, 0.4, 0.2, 0.3]]
     raw_starts = [[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, 2.001, 0.0]]
-    signed = [[-0.84, -1.88, 1.23, 0.25], [-1.68, -1.51, -0.37, 1.66]]
+    signed = [[1.73, -0.02, 0.99, 1.36], [-1.68, -1.51, -0.37, 1.66]]
     runs = 10
 
     def record_key(rec):
