@@ -30,7 +30,6 @@ from .normalized import (
     EstimateReport,
     check_estimates,
     denormalize_fixed_point,
-    embed_reduced,
     normalize_fixed_point,
     preserves_simplex,
     reduced_apply,
@@ -96,7 +95,6 @@ __all__ = [
     "denormalize_fixed_point",
     "dump_tensor",
     "eigenvalues",
-    "embed_reduced",
     "empirical_limits",
     "find_fixed_points",
     "format_report",

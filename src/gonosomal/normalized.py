@@ -7,8 +7,8 @@ the punctured simplex excludes it.
 
 For the built-in hemophilia model this module provides the estimate battery
 around the unique simplex fixed point p = (1/2, 0, 1/2, 0), a Monte Carlo
-scan of global convergence toward p, and reduced Jacobians obtained by
-eliminating one coordinate through the simplex constraint.
+scan of global convergence toward p, and reduced Jacobians in the one chart,
+which drops the first male coordinate through the simplex constraint.
 
 A note on rates: the reduced Jacobian at p has eigenvalues {-1/2, 0, 1}.
 The unit eigenvalue lies in the carrier directions, so the approach to p is
@@ -36,7 +36,6 @@ __all__ = [
     "EstimateReport",
     "check_estimates",
     "denormalize_fixed_point",
-    "embed_reduced",
     "normalize_fixed_point",
     "preserves_simplex",
     "reduced_apply",
@@ -157,49 +156,29 @@ def denormalize_fixed_point(s_simplex, op: GonosomalOperator | None = None) -> n
 
 
 # ---------------------------------------------------------------------------
-# Reduced dynamics: eliminate one coordinate through sum(s) = 1
+# Reduced dynamics: drop the first male coordinate through sum(s) = 1
 # ---------------------------------------------------------------------------
 
 
-def embed_reduced(reduced, eliminate: int, dim: int) -> np.ndarray:
-    """Full state from chart coordinates: coordinate ``eliminate`` (an index
-    into ``range(dim)``, so -1 is the last) is put back as one minus the sum
-    of the rest."""
-    r = as_state_vector(reduced, dim - 1)
-    eliminate = range(dim)[eliminate]
-    full = np.empty(r.shape[:-1] + (dim,))
-    full[..., np.arange(dim) != eliminate] = r
-    full[..., eliminate] = 1.0 - r.sum(axis=-1)
-    return full
-
-
-def reduced_apply(reduced, eliminate: int = -1, op: GonosomalOperator | None = None) -> np.ndarray:
-    """Normalized map in the chart that drops coordinate ``eliminate``.
-
-    The dropped coordinate is reconstructed as one minus the rest, the
-    normalized map applied, and the same coordinate dropped again (valid
-    because the normalized image always sums to one).
-    """
+def reduced_apply(reduced, op: GonosomalOperator | None = None) -> np.ndarray:
+    """Normalized map in the chart that drops coordinate ``op.n``, put back
+    as one minus the rest (the image sums to one, so it drops again).
+    Accepts a batch (chart points along the last axis)."""
     op = hemophilia_operator() if op is None else op
-    image = op.apply_normalized(embed_reduced(reduced, eliminate, op.dim))
-    return np.delete(image, eliminate, axis=-1)
+    r = as_state_vector(reduced, op.dim - 1)
+    image = op.apply_normalized(np.insert(r, op.n, 1.0 - r.sum(axis=-1), axis=-1))
+    return np.delete(image, op.n, axis=-1)
 
 
-def reduced_jacobian_at(state, eliminate: int = -1, op: GonosomalOperator | None = None) -> np.ndarray:
-    """Jacobian of the reduced normalized map at a full simplex state.
-
-    Chain rule through the embedding, whose derivative along chart axis j
-    is ``embed_reduced(e_j) - embed_reduced(0)``.  The eigenvalues at a
-    fixed point do not depend on which coordinate is eliminated (the charts
-    are affinely conjugate), which makes a useful consistency check.
-    Accepts a batch (states along the last axis).
-    """
+def reduced_jacobian_at(state, op: GonosomalOperator | None = None) -> np.ndarray:
+    """Jacobian of :func:`reduced_apply` at a full simplex state, the one
+    the normalized fixed-point reports print.  Chain rule through the
+    embedding, whose derivative is the identity with a row of -1 inserted
+    at ``op.n``.  Accepts a batch (states along the last axis)."""
     op = hemophilia_operator() if op is None else op
-    dim = op.dim
-    full_jac = op.jacobian_normalized(as_state_vector(state, dim))
-    # rows of the embedded points: the chart origin, then each chart axis
-    pts = embed_reduced(np.eye(dim)[:, 1:], eliminate, dim)
-    return np.delete(full_jac, eliminate, axis=-2) @ (pts[1:] - pts[0]).T
+    full_jac = op.jacobian_normalized(as_state_vector(state, op.dim))
+    d_embed = np.insert(np.eye(op.dim - 1), op.n, -1.0, axis=0)
+    return np.delete(full_jac, op.n, axis=-2) @ d_embed
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,8 @@ def format_state(values) -> str:
 
 
 class _Immutable:
-    """Base of the value classes, whose ``__init__`` uses ``object.__setattr__``."""
+    """Base of the value classes, whose ``__init__`` uses ``object.__setattr__``;
+    a copy is the instance, and a pickle calls the constructor (``__reduce__``)."""
 
     __slots__ = ()
 
@@ -299,6 +300,11 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__  # called with the name alone
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__  # called with no memo
 
 
 class InheritanceTensor(_Immutable):
@@ -362,6 +368,10 @@ class InheritanceTensor(_Immutable):
 
     def is_nonnegative(self) -> bool:
         return bool(self.gamma_f.min() >= 0.0 and self.gamma_m.min() >= 0.0)
+
+    def __reduce__(self):
+        # no second row check: load_tensor's tolerance (1e-9) is not the default
+        return partial(InheritanceTensor, rowsum_tol=math.inf), (self.gamma_f, self.gamma_m)
 
     def __repr__(self) -> str:
         return f"InheritanceTensor(n={self.n}, nu={self.nu})"
@@ -444,6 +454,9 @@ class GonosomalOperator(_Immutable):
             self, "_pair_index",
             tuple((i * nu + k, i, n + k) for i in range(n) for k in range(nu)),
         )
+
+    def __reduce__(self):
+        return GonosomalOperator, (self._tensor,)
 
     @property
     def tensor(self) -> InheritanceTensor:
@@ -887,8 +900,11 @@ def load_tensor(path) -> tuple[InheritanceTensor, str]:
 
 
 def dump_tensor(tensor: InheritanceTensor, mode: str = "raw") -> str:
-    """Serialize a tensor to the text format accepted by :func:`load_tensor`."""
+    """Serialize a tensor to the text format accepted by :func:`load_tensor`,
+    which refuses a signed tensor in mode ``normalized``."""
     require_mode(mode)
+    if mode == "normalized" and not tensor.is_nonnegative():
+        raise ValueError("a signed tensor cannot be written in mode normalized")
     out = [f"mode {mode}", f"{tensor.n} {tensor.nu}"]
     for row in tensor.rows():
         out.append(" ".join(map(format_float, row)))

@@ -10,8 +10,8 @@ mode seeds Newton at p / (fs·ms) from simplex draws p and maps each root s
 back to s / Σs.  A nonnegative raw root other than the origin has
 fs + ms = fs·ms, so its total mass is at least 4; roots of mass below 2,
 the origin among them, are dropped before the division.  The normalized
-reports describe the :func:`~gonosomal.normalized.reduced_jacobian_at`
-chart that eliminates the first male coordinate through the sum
+reports give the Jacobian of :func:`~gonosomal.normalized.reduced_jacobian_at`,
+in the one chart, which drops the first male coordinate through the sum
 constraint.  The normalized map is constant along each block's ray, so
 its full Jacobian has one zero eigenvalue per block: at p = (1/2, 0, 1/2,
 0) its spectrum is {-1/2, 0, 0, 1}.  The chart drops one of those two
@@ -393,7 +393,7 @@ def find_fixed_points(
             jacobian = op.jacobian_raw(point)
         else:
             residual = float(np.abs(op.apply_normalized(point) - point).max())
-            jacobian = reduced_jacobian_at(point, op.n, op)
+            jacobian = reduced_jacobian_at(point, op)
         eigs = eigenvalues(jacobian)
         label = classify(eigs)
         probed = mode == "normalized" and label is Classification.NON_HYPERBOLIC

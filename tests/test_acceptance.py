@@ -175,16 +175,20 @@ def test_criterion_06_normalized_root_and_reduced_spectrum():
     assert len(result) == 1, f"expected one simplex root, got {len(result)}"
     assert np.abs(result[0].point - EQUILIBRIUM).max() <= 1e-10
     assert result[0].classification is Classification.NON_HYPERBOLIC
+    assert result[0].jacobian.shape == (3, 3)
 
-    by_chart = []
-    for eliminate in (2, 3):  # u- and v-elimination
-        jac = reduced_jacobian_at(EQUILIBRIUM, eliminate=eliminate)
-        assert jac.shape == (3, 3)
+    # the reduced spectrum is the full Jacobian's, whose second zero is the
+    # direction off the simplex that the chart drops
+    spectra = []
+    for jac, target in (
+        (reduced_jacobian_at(EQUILIBRIUM), [-0.5, 0.0, 1.0]),
+        (OP.jacobian_normalized(EQUILIBRIUM), [-0.5, 0.0, 0.0, 1.0]),
+    ):
         eigs = np.sort(np.linalg.eigvals(jac))
         assert np.abs(eigs.imag).max() <= 1e-12
-        np.testing.assert_allclose(eigs.real, [-0.5, 0.0, 1.0], rtol=0, atol=1e-8)
-        by_chart.append(eigs.real)
-    np.testing.assert_allclose(by_chart[0], by_chart[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eigs.real, target, rtol=0, atol=1e-8)
+        spectra.append(eigs.real)
+    np.testing.assert_allclose(spectra[0], np.delete(spectra[1], 1), rtol=0, atol=1e-12)
 
 
 def test_criterion_07_estimate_lemmas_and_two_step_band():
@@ -330,13 +334,11 @@ def test_criterion_10_jacobian_finite_difference_oracle():
         simplex = np.concatenate([simplex, batch[batch.min(axis=1) >= 0.02]])
     simplex = simplex[:1000]
     worst_red = 0.0
-    jac = reduced_jacobian_at(simplex, eliminate=3)
+    jac = reduced_jacobian_at(simplex)
+    chart = np.delete(simplex, OP.n, axis=1)
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        fd = (
-            reduced_apply(simplex[:, :3] + e, eliminate=3)
-            - reduced_apply(simplex[:, :3] - e, eliminate=3)
-        ) / (2 * h)
+        fd = (reduced_apply(chart + e) - reduced_apply(chart - e)) / (2 * h)
         worst_red = max(worst_red, float(np.abs(jac[..., j] - fd).max()))
     assert worst_red <= 1e-6, f"reduced jacobian vs central differences: {worst_red:.3e}"

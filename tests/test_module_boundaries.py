@@ -198,7 +198,7 @@ def test_the_series_term_cap_is_read_by_classify_limit_alone():
 def test_the_fixed_point_search_builds_one_newton_system():
     # a normalized fixed point is the raw root on its simplex ray, so both
     # modes solve W(s) = s: find_fixed_points defines one residual and one
-    # Jacobian, and spectral.py imports no chart embedding or chart guard
+    # Jacobian, and spectral.py imports no chart guard
     tree = ast.parse((PACKAGE / "spectral.py").read_text())
     (search,) = [
         node for node in tree.body
@@ -213,7 +213,7 @@ def test_the_fixed_point_search_builds_one_newton_system():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert not imported & {"embed_reduced", "can_normalize"}
+    assert "can_normalize" not in imported
 
 
 def test_one_function_forks_exits_and_reaps_a_child():

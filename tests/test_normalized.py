@@ -21,7 +21,6 @@ from gonosomal.normalized import (
     EQUILIBRIUM,
     check_estimates,
     denormalize_fixed_point,
-    embed_reduced,
     normalize_fixed_point,
     preserves_simplex,
     reduced_apply,
@@ -173,17 +172,10 @@ def test_fixed_point_projections_reject_a_batch():
 # ---------------------------------------------------------------------------
 
 
-def test_reduced_apply_fixes_the_equilibrium_in_every_chart():
-    for eliminate in range(4):
-        keep = [i for i in range(4) if i != eliminate]
-        r = EQUILIBRIUM[keep]
-        np.testing.assert_array_equal(reduced_apply(r, eliminate=eliminate), r)
-
-
-def test_embed_reduced_counts_a_negative_index_from_the_end():
-    r = np.array([[0.125, 0.25, 0.5], [0.25, 0.0, 0.5]])
-    np.testing.assert_array_equal(embed_reduced(r, -1, 4), embed_reduced(r, 3, 4))
-    np.testing.assert_array_equal(embed_reduced(r, -1, 4)[:, 3], [0.125, 0.25])
+def test_reduced_apply_fixes_the_equilibrium():
+    # the chart drops the first male coordinate, u
+    r = np.delete(EQUILIBRIUM, 2)
+    np.testing.assert_array_equal(reduced_apply(r), r)
 
 
 def test_reduced_apply_matches_full_map():
@@ -191,29 +183,35 @@ def test_reduced_apply_matches_full_map():
     full = sample_simplex(rng, 32)
     image = OP.apply_normalized(full)
     np.testing.assert_allclose(
-        reduced_apply(full[:, :3], eliminate=3), image[:, :3], rtol=0, atol=1e-15
+        reduced_apply(np.delete(full, 2, axis=1)), np.delete(image, 2, axis=1), rtol=0, atol=1e-15
     )
 
 
 def test_reduced_jacobian_spectrum_is_chart_independent():
-    target = np.array([-0.5, 0.0, 1.0])
-    for eliminate in range(4):
-        jac = reduced_jacobian_at(EQUILIBRIUM, eliminate=eliminate)
-        eigs = np.sort(np.linalg.eigvals(jac).real)
-        np.testing.assert_allclose(eigs, target, rtol=0, atol=1e-12)
+    # the normalized image sums to one, so each column of the full Jacobian
+    # sums to zero: it maps into the simplex's tangent space, and its
+    # characteristic polynomial is the chart's times t, at every state
+    rng = np.random.default_rng(8)
+    for op in (OP, *(GonosomalOperator(random_tensor(rng, n, nu, nonnegative=True))
+                     for n, nu in [(1, 3), (3, 2)])):
+        for s in sample_simplex(rng, 20, op.n, op.nu):
+            chart = np.poly(reduced_jacobian_at(s, op=op))
+            full = np.poly(op.jacobian_normalized(s))
+            np.testing.assert_allclose(full, np.append(chart, 0.0), rtol=0, atol=1e-12)
+    eigs = np.sort(np.linalg.eigvals(reduced_jacobian_at(EQUILIBRIUM)).real)
+    np.testing.assert_allclose(eigs, [-0.5, 0.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_reduced_jacobian_matches_finite_differences():
     state = np.array([0.3, 0.2, 0.4, 0.1])
-    jac = reduced_jacobian_at(state, eliminate=3)
+    jac = reduced_jacobian_at(state)
+    chart = np.delete(state, 2)
     h = 1e-7
     fd = np.empty((3, 3))
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        plus = reduced_apply(state[:3] + e, eliminate=3)
-        minus = reduced_apply(state[:3] - e, eliminate=3)
-        fd[:, j] = (plus - minus) / (2 * h)
+        fd[:, j] = (reduced_apply(chart + e) - reduced_apply(chart - e)) / (2 * h)
     assert np.abs(jac - fd).max() <= 1e-6
 
 

@@ -1,6 +1,8 @@
 """Core operator tests: tensor validation, the bilinear map, Jacobians,
 iteration, the batch orbit, and the tensor file format."""
 
+import copy
+import pickle
 import sys
 import threading
 import warnings
@@ -279,6 +281,37 @@ def test_value_classes_refuse_setting_and_deleting_an_attribute(obj, name):
         delattr(obj, name)
     with pytest.raises(AttributeError, match=message):
         obj.extra = 1
+
+
+def _loose_tensor(tmp_path):
+    # a row off by 5e-10: inside load_tensor's 1e-9, outside the default 1e-12
+    path = tmp_path / "loose.tensor"
+    path.write_text("1 1\n0.5 0.5000000005\n")
+    return load_tensor(path)[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda _: hemophilia_tensor(), lambda _: OP, _loose_tensor,
+     lambda path: GonosomalOperator(_loose_tensor(path))],
+    ids=["hemophilia-tensor", "hemophilia-operator", "loose-tensor", "loose-operator"],
+)
+def test_value_classes_copy_as_themselves_and_pickle_through_their_constructors(make, tmp_path):
+    obj = make(tmp_path)
+    assert copy.copy(obj) is obj
+    assert copy.deepcopy(obj) is obj
+    restored = pickle.loads(pickle.dumps(obj))
+    assert type(restored) is type(obj)
+    tensors = [getattr(x, "tensor", x) for x in (obj, restored)]
+    for name in ("gamma_f", "gamma_m"):
+        before, after = (getattr(t, name) for t in tensors)
+        np.testing.assert_array_equal(after, before)
+        assert not after.flags.writeable
+    if isinstance(obj, GonosomalOperator):
+        np.testing.assert_array_equal(restored.pair_matrix, obj.pair_matrix)
+        assert not restored.pair_matrix.flags.writeable
+        state = np.linspace(0.5, 1.5, obj.dim)
+        assert restored.apply_raw(state).tobytes() == obj.apply_raw(state).tobytes()
 
 
 _RECORD_FIELDS = ("iterates", "step_indices", "stop_reason", "steps_taken", "limit", "mode")
@@ -1464,6 +1497,22 @@ def test_load_tensor_rejects_malformed_files(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(TensorFormatError, match=message):
         load_tensor(path)
+
+
+@pytest.mark.parametrize("mode", ["raw", "normalized"])
+@pytest.mark.parametrize("nonnegative", [True, False], ids=["nonnegative", "signed"])
+def test_dump_tensor_writes_only_files_that_load_tensor_accepts(tmp_path, mode, nonnegative):
+    tensor = random_tensor(np.random.default_rng(3), 2, 3, nonnegative=nonnegative)
+    assert tensor.is_nonnegative() is nonnegative
+    if mode == "normalized" and not nonnegative:
+        with pytest.raises(ValueError, match="signed tensor cannot be written in mode normalized"):
+            dump_tensor(tensor, mode=mode)
+        return
+    path = tmp_path / "dumped.tensor"
+    path.write_text(dump_tensor(tensor, mode=mode))
+    loaded, loaded_mode = load_tensor(path)
+    assert loaded_mode == mode
+    np.testing.assert_array_equal(loaded.rows(), tensor.rows())
 
 
 def test_dump_tensor_rejects_a_bad_mode():

@@ -539,6 +539,21 @@ def test_normalized_roots_lie_on_the_simplex_and_lift_to_raw_roots(n, nu, tensor
         assert np.abs(op.apply_raw(s) - s).max() <= 1e-10 * max(1.0, np.abs(s).max())
 
 
+@pytest.mark.parametrize(
+    "op",
+    [OP, GonosomalOperator(random_tensor(np.random.default_rng(0), 3, 2, nonnegative=True))],
+    ids=["hemophilia", "3x2-nonneg"],
+)
+def test_the_normalized_report_prints_the_one_chart_jacobian(op):
+    # one chart, the one that drops the first male coordinate: the printed
+    # Jacobian is reduced_jacobian_at's, bit for bit
+    found = find_fixed_points(op, mode="normalized", n_seeds=200, rng_seed=0)
+    assert len(found) == 1
+    for root in found:
+        assert root.jacobian.shape == (op.dim - 1, op.dim - 1)
+        assert root.jacobian.tobytes() == reduced_jacobian_at(root.point, op=op).tobytes()
+
+
 def test_normalized_root_carries_empirical_note():
     found = find_fixed_points(OP, mode="normalized", n_seeds=200, rng_seed=3)
     note = found[0].note
