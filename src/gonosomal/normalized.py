@@ -98,6 +98,7 @@ def require_simplex_state(state, n: int = 2, nu: int = 2, tol: float = _SLACK) -
     ``tol``) with strictly positive mass in both blocks.  Accepts a batch
     with states along the last axis; every row must pass.
     """
+    require_positive("tol", tol)
     vec = as_state_vector(state, n + nu)
     require_finite(vec)  # NaN would pass every test below
     if vec.min() < -tol:

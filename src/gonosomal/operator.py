@@ -43,10 +43,10 @@ scan, the attraction probe, the estimate probes, ``empirical_limits`` and
 ``classify_limits`` step with it.  The buffers of a batch are column-major
 (``order="F"``), so their ``(dim, rows)`` views are contiguous: a step
 forms every pair product with one broadcast multiply, adds each block's
-rows left to right, and normalizes with one broadcast divide.  Its guard
-:func:`can_normalize_all` shares with the division the one product of the
-block sums, and reduces fs, ms and g, rows of one buffer, at once before
-it falls back to the exact rule.
+rows left to right, and normalizes with one broadcast divide.  The block
+sums and their product, the divisor, are the rows of one buffer, the only
+input of its guard :func:`can_normalize_all`: one reduction over the buffer
+and one over the product, before the exact rule :func:`can_normalize`.
 :meth:`GonosomalOperator.stepper` is the single-state path: a workspace
 whose ``step`` stores the pair products, formed on Python floats, through a
 memoryview of a buffer allocated once and makes one matrix product,
@@ -181,46 +181,27 @@ def can_normalize(fs, ms):
     return (fs > _BLOCK_SUM_GUARD) & (ms > _BLOCK_SUM_GUARD) & (g >= _NORMAL_MIN) & (g < np.inf)
 
 
-def can_normalize_all(fs, ms, g=None) -> bool:
-    """``can_normalize(fs, ms).all()`` for arrays of any shape, without a
-    full mask.
+def can_normalize_all(sums) -> bool:
+    """``can_normalize(fs, ms).all()`` of block sums stacked with their
+    product, ``sums = (fs, ms, fs * ms)``, as the rows of the ``(3, rows)``
+    buffer of :meth:`GonosomalOperator.orbit` or any stack of equal shapes.
 
-    It first makes a sufficient test with two whole-array reductions: every
-    fs, ms and g above the guard 1e-300 (so every g is a normal double) and
-    every g finite.  When fs, ms and g are views into one array, as
-    :meth:`GonosomalOperator.orbit` passes the rows of its block-sum
-    buffer, the minimum is taken over that array at once, which bounds
-    theirs (a spare element there can only send the batch on to the exact
-    test); otherwise two element-wise minimums come first.  Only a batch
-    that fails the first test gets the exact one, one element-wise minimum
-    and three reductions, which also passes a g from the smallest normal
-    double up to 1e-300.  A reduction costs 1-2 us on a 32-row batch, such
-    as the attraction probe's, and 2-3 us on a 10,000-row one.
-    The reductions call ``np.minimum.reduce`` and ``np.maximum.reduce``
-    with ``axis=None`` (over every axis, as ``.min()`` does, without its
-    Python-level wrapper).  NaN fails each comparison, and an empty batch
-    passes before any reduction, which an empty array would refuse.  A
-    caller that divides by the product ``fs * ms`` passes it as ``g``, so
-    that it is formed once."""
-    if fs.size == 0:
-        return True
-    if g is None:
-        g = fs * ms
-    # views into one array (orbit's block-sum buffer) take their minimum
-    # from that array, every element of theirs being one of its elements
-    low = fs.base
-    if not (isinstance(low, np.ndarray) and ms.base is low and g.base is low):
-        low = np.minimum(np.minimum(fs, ms), g)
+    Its sufficient test is two reductions: every element of ``sums`` above
+    the guard 1e-300 (so every product is a normal double) and every
+    product finite.  Only a batch that fails it gets :func:`can_normalize`,
+    whose exact rule also passes a product from the smallest normal double
+    up to 1e-300.  A reduction costs 1-2 us on a 32-row batch, such as the
+    attraction probe's, and 2-3 us on a 10,000-row one.  The reductions
+    call ``np.minimum.reduce`` and ``np.maximum.reduce`` with ``axis=None``
+    (over every axis, as ``.min()`` does, without its Python-level
+    wrapper); their ``initial`` values pass an empty batch, and NaN fails
+    each comparison."""
     if (
-        np.minimum.reduce(low, axis=None) > _BLOCK_SUM_GUARD
-        and np.maximum.reduce(g, axis=None) < np.inf
+        np.minimum.reduce(sums, axis=None, initial=np.inf) > _BLOCK_SUM_GUARD
+        and np.maximum.reduce(sums[2], axis=None, initial=-np.inf) < np.inf
     ):
         return True
-    return bool(
-        np.minimum.reduce(np.minimum(fs, ms), axis=None) > _BLOCK_SUM_GUARD
-        and np.minimum.reduce(g, axis=None) >= _NORMAL_MIN
-        and np.maximum.reduce(g, axis=None) < np.inf
-    )
+    return bool(can_normalize(sums[0], sums[1]).all())
 
 
 def as_state_vector(state, dim: int | None = None) -> np.ndarray:
@@ -319,6 +300,7 @@ class InheritanceTensor(_Immutable):
     __slots__ = ("gamma_f", "gamma_m")
 
     def __init__(self, gamma_f, gamma_m, *, rowsum_tol: float = 1e-12):
+        require_positive("rowsum_tol", rowsum_tol)
         gamma_f = np.array(gamma_f, dtype=float)
         gamma_m = np.array(gamma_m, dtype=float)
         if gamma_f.ndim != 3 or gamma_m.ndim != 3:
@@ -609,9 +591,9 @@ class GonosomalOperator(_Immutable):
         divide by ``g = fs * ms``.  Each block sum adds its rows left to
         right, as :func:`fold_columns` adds columns; ``np.add.reduce`` over
         a block of nine or more contiguous rows would sum pairwise instead.
-        fs, ms and g are written into the rows of one ``(3, rows)`` buffer,
-        so that :func:`can_normalize_all` reduces them at once (a block of
-        one type is its own sum, and then the guard reduces them apart).
+        fs, ms and g are the rows of one ``(3, rows)`` buffer, which
+        :func:`can_normalize_all` takes whole; a block of one type copies
+        its column into its row.
 
         The buffers of one state or a 2-D batch are column-major
         (``order="F"``), so their ``(dim, rows)`` views are contiguous: an
@@ -642,20 +624,26 @@ class GonosomalOperator(_Immutable):
         views = [b.reshape(rows, dim).T for b in bufs]
         cur = vec.reshape(rows, dim).T
         if normalized:
-            # the block sums and their product, rows of one buffer, which
-            # the guard reduces at once
-            fs_row, ms_row, g = np.empty((3, rows))
+            # the block sums and their product, the rows of the guard's buffer
+            sums = np.empty((3, rows))
+            fs, ms, g = sums
         for step in range(steps):
             if normalized:
                 # added left to right, as fold_columns adds
-                fs = np.add(cur[0], cur[1], out=fs_row) if n > 1 else cur[0]
+                if n > 1:
+                    np.add(cur[0], cur[1], out=fs)
+                else:
+                    np.copyto(fs, cur[0])
                 for j in range(2, n):
                     np.add(fs, cur[j], out=fs)
-                ms = np.add(cur[n], cur[n + 1], out=ms_row) if nu > 1 else cur[n]
+                if nu > 1:
+                    np.add(cur[n], cur[n + 1], out=ms)
+                else:
+                    np.copyto(ms, cur[n])
                 for j in range(n + 2, dim):
                     np.add(ms, cur[j], out=ms)
                 np.multiply(fs, ms, out=g)
-                if not can_normalize_all(fs, ms, g):
+                if not can_normalize_all(sums):
                     raise _annihilated(step=step)
             np.multiply(cur[:n, np.newaxis], cur[n:], out=pair_view)
             out, cur = bufs[step % 2], views[step % 2]

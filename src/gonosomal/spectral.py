@@ -53,7 +53,6 @@ __all__ = [
     "classify",
     "eigenvalues",
     "find_fixed_points",
-    "format_float",
     "format_report",
 ]
 

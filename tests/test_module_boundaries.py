@@ -120,18 +120,20 @@ def test_the_pair_matrix_is_read_by_the_kernels_alone():
 
 
 def test_the_block_sum_guard_has_one_home():
-    # the normalized map's division rule reads its two thresholds in
-    # can_normalize (a mask) and can_normalize_all (its batch-wide .all())
-    # alone; every caller goes through one of the two
-    readers = set()
+    # the normalized map's exact division rule is can_normalize (a mask),
+    # the one reader of the normal-double floor; can_normalize_all (its
+    # batch-wide .all()) reads the 1e-300 guard for its sufficient test
+    # alone and leaves the rest to can_normalize
+    readers = {"_BLOCK_SUM_GUARD": set(), "_NORMAL_MIN": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef):
                 for node in ast.walk(func):
-                    if isinstance(node, ast.Name) and node.id in ("_BLOCK_SUM_GUARD", "_NORMAL_MIN"):
-                        readers.add(f"{path.name}:{func.name}")
-    assert readers == {"operator.py:can_normalize", "operator.py:can_normalize_all"}
+                    if isinstance(node, ast.Name) and node.id in readers:
+                        readers[node.id].add(f"{path.name}:{func.name}")
+    assert readers["_NORMAL_MIN"] == {"operator.py:can_normalize"}
+    assert readers["_BLOCK_SUM_GUARD"] == {"operator.py:can_normalize", "operator.py:can_normalize_all"}
 
 
 def test_the_annihilation_error_is_raised_by_the_two_stepping_loops_alone():

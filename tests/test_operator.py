@@ -107,6 +107,17 @@ def test_tensor_row_sum_tolerance():
     assert t.n == 1 and t.nu == 1
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_a_tolerance_that_is_not_positive_is_refused(tol):
+    # NaN fails every comparison, so a NaN tolerance once turned the check
+    # off: a row that sums to 20 and a state that sums to 12 both passed
+    row = np.full((1, 1, 1), 10.0)
+    with pytest.raises(ValueError, match="rowsum_tol must be positive"):
+        InheritanceTensor(row, row, rowsum_tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        require_simplex_state([5.0, 0.0, 7.0, 0.0], tol=tol)
+
+
 def test_tensor_is_immutable():
     t = hemophilia_tensor()
     with pytest.raises(ValueError):
@@ -641,6 +652,11 @@ _GUARD_EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, np.nextafter(1e-300,
                 1e-160, 1e200, 0.5, 1.0]
 
 
+def _sums(fs, ms):
+    # the batch guard's input: the block sums stacked with their product
+    return np.stack([fs, ms, fs * ms])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def test_the_batch_guard_is_can_normalize_all():
     pairs = [(f, m) for f in _GUARD_EDGES for m in _GUARD_EDGES]
@@ -648,22 +664,22 @@ def test_the_batch_guard_is_can_normalize_all():
     for f, m in pairs:
         fs, ms = np.array([f]), np.array([m])
         want = bool(can_normalize(fs, ms).all())
-        assert can_normalize_all(fs, ms) is want, (f, m)
+        assert can_normalize_all(_sums(fs, ms)) is want, (f, m)
         # the same pair beside a row that passes: one bad row refuses all
         fs, ms = np.array([0.5, f]), np.array([0.5, m])
-        assert can_normalize_all(fs, ms) is bool(can_normalize(fs, ms).all()), (f, m)
+        assert can_normalize_all(_sums(fs, ms)) is bool(can_normalize(fs, ms).all()), (f, m)
         outcomes.add(want)
     assert outcomes == {True, False}
     fs, ms = (np.array(c) for c in zip(*pairs))
-    assert can_normalize_all(fs, ms) is False
+    assert can_normalize_all(_sums(fs, ms)) is False
     # the 1e-300 edge, the underflowing and the overflowing product, one each
-    assert can_normalize_all(np.array([np.nextafter(1e-300, 1.0)]), np.array([1.0]))
-    assert not can_normalize_all(np.array([1e-300]), np.array([1.0]))
-    assert not can_normalize_all(np.array([1e-160]), np.array([1e-160]))
-    assert not can_normalize_all(np.array([1e200]), np.array([1e200]))
+    assert can_normalize_all(_sums(np.array([np.nextafter(1e-300, 1.0)]), np.array([1.0])))
+    assert not can_normalize_all(_sums(np.array([1e-300]), np.array([1.0])))
+    assert not can_normalize_all(_sums(np.array([1e-160]), np.array([1e-160])))
+    assert not can_normalize_all(_sums(np.array([1e200]), np.array([1e200])))
     # an empty batch passes, as the .all() of an empty mask does
-    assert can_normalize_all(np.empty(0), np.empty(0)) is True
-    assert can_normalize_all(np.empty((0, 3)), np.empty((0, 3))) is True
+    assert can_normalize_all(_sums(np.empty(0), np.empty(0))) is True
+    assert can_normalize_all(_sums(np.empty((0, 3)), np.empty((0, 3)))) is True
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (2, 1, 5)])
@@ -676,13 +692,13 @@ def test_can_normalize_all_reduces_every_axis_of_a_stack(shape):
     for _ in range(200):
         fs = rng.choice(_GUARD_EDGES, size=size).reshape(shape)
         ms = rng.choice(_GUARD_EDGES, size=size).reshape(shape)
-        assert can_normalize_all(fs, ms) is bool(can_normalize(fs, ms).all())
+        assert can_normalize_all(_sums(fs, ms)) is bool(can_normalize(fs, ms).all())
     ok = rng.uniform(0.5, 1.0, size=shape)
-    assert can_normalize_all(ok, ok) is True
+    assert can_normalize_all(_sums(ok, ok)) is True
     for f in _GUARD_EDGES:
         fs = ok.copy()
         fs.flat[size - 1] = f  # one bad entry in the last row of the last batch
-        assert can_normalize_all(fs, ok) is bool(can_normalize(fs, ok).all()), f
+        assert can_normalize_all(_sums(fs, ok)) is bool(can_normalize(fs, ok).all()), f
 
 
 # ---------------------------------------------------------------------------
@@ -1284,25 +1300,23 @@ def test_the_guard_shortcut_never_changes_where_orbit_refuses(target, refused):
     if target[0] == 1e-152:
         # the shortcut fails here and the exact rule passes
         fs, ms = np.array([target[0]]), np.array([target[2]])
-        assert (fs * ms)[0] <= 1e-300 and can_normalize_all(fs, ms)
+        assert (fs * ms)[0] <= 1e-300 and can_normalize_all(_sums(fs, ms))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def test_the_batch_guard_of_views_into_one_array_is_can_normalize_all():
-    # orbit hands the guard fs, ms and g as rows of one buffer, whose
-    # minimum the first test takes at once; a spare row of that buffer may
-    # fail the first test, never the verdict
+    # orbit hands the guard its (3, rows) buffer whole, with fs, ms and g
+    # as its rows; a column view of that buffer gets the same verdict, and
+    # a row that passes beside one that fails cannot pass the batch
     outcomes = set()
     for f in _GUARD_EDGES:
         for m in _GUARD_EDGES:
             want = bool(can_normalize(np.array([f]), np.array([m])).all())
             outcomes.add(want)
-            for spare in (None, 0.0, 1.0):
-                block = np.empty((3 if spare is None else 4, 2))
-                block[:3] = [[f, 0.5], [m, 0.5], [f * m, 0.25]]
-                if spare is not None:
-                    block[3] = spare
-                assert can_normalize_all(*block[:3]) is want, (f, m, spare)
+            block = np.array([[f, 0.5], [m, 0.5], [f * m, 0.25]])
+            assert can_normalize_all(block) is want, (f, m)
+            assert can_normalize_all(block[:, :1]) is want, (f, m)
+            assert can_normalize_all(block[:, 1:]) is True
     assert outcomes == {True, False}
 
 
