@@ -67,7 +67,7 @@ import numpy as np
 
 from .operator import (
     GonosomalOperator, fold_columns, hemophilia_operator, is_hemophilia, require_batch,
-    require_finite, require_single_state,
+    require_count, require_finite, require_single_state, require_steps,
 )
 
 __all__ = [
@@ -153,8 +153,7 @@ def closed_form_diagonal(x0: float, k: int) -> float:
     (at most 64 squarings for a finite start), so huge k yields a clean 0,
     2, or infinity.
     """
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
+    require_steps(k)
     if k == 0:
         return float(x0)
     p = float(x0) / 2.0
@@ -421,7 +420,10 @@ def verify_invariance(
     propagation) are asserted exactly: the images are sums of products each
     carrying a zero or signed factor, so floating point preserves them.
     The sum-cap contraction is checked with slack ``MEMBERSHIP_TOL``.
+    Fewer than one sample raises ValueError: a clause checked on no states
+    would pass vacuously.
     """
+    require_count("samples", samples)
     op = hemophilia_operator() if op is None else op
     if not is_hemophilia(op):
         raise ValueError("the invariance battery needs the hemophilia coefficients")

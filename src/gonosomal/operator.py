@@ -250,6 +250,12 @@ def require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
+def require_steps(steps) -> None:
+    """Refuse a negative step count; zero steps is the start itself."""
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
+
+
 def require_positive(name: str, value) -> None:
     """Refuse a tolerance that is not positive, NaN included."""
     if not value > 0:  # NaN is not positive either
@@ -580,7 +586,7 @@ class GonosomalOperator(_Immutable):
         each yielded iterate is a view into one of ``min(steps, 2)``
         buffers taken in turn: it stays valid until the iterate two steps
         later is formed.  Copy what must outlive that.  ``steps=0`` yields
-        nothing.
+        nothing, and a negative ``steps`` raises ValueError.
 
         One loop steps one state, a 2-D batch and a stack alike, on
         transposed ``(dim, rows)`` views of the buffers, the batch axes
@@ -607,6 +613,7 @@ class GonosomalOperator(_Immutable):
                 :func:`can_normalize_all`; ``step`` is ``k`` (0 for the input).
         """
         require_mode(mode)
+        require_steps(steps)
         normalized = mode == "normalized"
         dim, n = self._dim, self._n
         nu = dim - n

@@ -10,38 +10,11 @@ the same properties with code of its own.
 
 Checks bound to the built-in hemophilia structure only run when the
 battery is given an operator with its coefficients; algebraic checks run
-for any tensor.
-
-The hemophilia battery's normalized fixed-point search (400 Newton seeds,
-then the 5000-step attraction probe at its root) is about half of its
-time.  It draws from no generator that the other checks share, so on
-Linux it runs in a forked child, started before the first check, while
-the parent runs every other check in order and reads the child's pickled
-result where the two normalized checks need it.  The output is the same
-bytes either way.  Where a fork is not known to be safe or cannot pay
-(not Linux, a second Python thread running, or one CPU usable), the
-search runs in-process at that point instead.  On a shared 2-CPU virtual
-machine (Intel Xeon, Linux, Python 3.11, numpy 2.4 with OpenBLAS) an
-in-process ``gonosomal verify`` at its defaults took a median 119-129 ms
-with the child, against 168-186 ms in one process; pinned to one of its
-CPUs, a child made it slower, 184-199 ms against 174-187 ms.
-
-Only Python 3.11 was run.  From Python 3.12, ``os.fork`` emits a
-DeprecationWarning when the process has more than one OS thread, which
-it has whenever OpenBLAS keeps a thread pool (its default on a machine
-with several CPUs, unless ``OPENBLAS_NUM_THREADS=1``).  The fork itself
-is safe with that pool: OpenBLAS stops it before a fork and starts it
-again at its next call, so the child starts with one thread (seen on the
-machine above with its default two-thread pool).
+for any tensor.  The checks run in order, in one process.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
-import threading
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -521,62 +494,6 @@ def _check_local_attraction(op: GonosomalOperator, found, rng) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _in_child(fn):
-    """Start ``fn()`` in a forked child; yield a callable that returns its
-    result.
-
-    The child sends ``fn()``, or the exception it raised, back pickled
-    through a pipe and leaves through ``os._exit``; the callable raises
-    that exception again.  The child is reaped when the block is left, and
-    killed first if its result was not read.  Where a fork is not known to
-    be safe or cannot pay (not Linux, a second Python thread, one usable
-    CPU), the callable runs ``fn()`` in-process instead.
-    """
-    if (
-        sys.platform != "linux" or threading.active_count() > 1
-        or len(os.sched_getaffinity(0)) < 2
-    ):
-        yield fn
-        return
-    read, write = os.pipe()
-    with open(read, "rb") as pipe, open(write, "wb") as sink:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                try:
-                    reply = pickle.dumps((True, fn()))
-                except Exception as exc:
-                    reply = pickle.dumps((False, exc))
-                sink.write(reply)
-                sink.flush()
-                status = 0
-            finally:
-                os._exit(status)
-        sink.close()  # the child holds the only write end, so its exit ends the read
-
-        def collect():
-            data = pipe.read()
-            pipe.close()  # after a whole read only: an open pipe means no reply was read
-            ok, value = (
-                pickle.loads(data) if data
-                else (False, ChildProcessError(f"child {pid} exited without a result"))
-            )
-            if not ok:
-                raise value
-            return value
-
-        try:
-            yield collect
-        finally:
-            if not pipe.closed:  # a check raised before the reply was read
-                import signal  # not at the top: it adds about 0.7 ms to importing the package
-
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def run_battery(
     op: GonosomalOperator | None = None,
     samples: int = 10_000,
@@ -589,42 +506,32 @@ def run_battery(
     model-specific checks (invariant sets, closed form, trichotomy,
     estimates, fixed-point values); any other operator gets the algebraic
     and generic-numeric checks only.
-
-    For the hemophilia checks the normalized search runs, on Linux, in a
-    forked child alongside the other checks, with the same results as
-    in-process.  It runs in-process on other platforms, beside a second
-    Python thread, or with one usable CPU (the module docstring gives the
-    times and the Python versions measured).  An exception it raises is
-    raised here with the same type and message, and no child outlives the
-    call: it is reaped on return, and killed first when a check raises.
     """
     require_count("samples", samples)
     op = hemophilia_operator() if op is None else op
     builtin = is_hemophilia(op)
     rng = np.random.default_rng(rng_seed)
-    search = partial(find_fixed_points, op, mode="normalized", n_seeds=400, rng_seed=rng_seed)
-    with (_in_child(search) if builtin else nullcontext()) as normalized:
-        results = [
-            _check_tensor_rows(op),
-            _check_sum_product(op, rng, samples),
-            _check_sum_product_random(rng, samples),
-            _check_bilinearity(op, rng, samples),
-            _check_scale_invariance(op, rng, samples),
-            _check_jacobian_raw(op, rng, samples),
-            _check_jacobian_reduced(op, rng, samples),
-        ]
-        if op.tensor.is_nonnegative() and preserves_simplex(op.tensor):
-            results.append(_check_simplex_preservation(op, rng, samples))
-        if builtin:
-            results.append(_check_invariance(op, rng_seed, samples))
-            results.append(_check_closed_form(op))
-            results.append(_check_trichotomy(op, rng))
-            results.append(_check_growth_bound(op, rng, samples))
-            results.append(_check_classifier_mc(op, rng, samples))
-            results.extend(_check_estimates(rng, samples))
-            results.append(_check_correspondence(op, rng))
-            results.append(_check_raw_roots(op, rng_seed))
-            found = normalized()
-            results.append(_check_normalized_root(op, found))
-            results.append(_check_local_attraction(op, found, rng))
+    results = [
+        _check_tensor_rows(op),
+        _check_sum_product(op, rng, samples),
+        _check_sum_product_random(rng, samples),
+        _check_bilinearity(op, rng, samples),
+        _check_scale_invariance(op, rng, samples),
+        _check_jacobian_raw(op, rng, samples),
+        _check_jacobian_reduced(op, rng, samples),
+    ]
+    if op.tensor.is_nonnegative() and preserves_simplex(op.tensor):
+        results.append(_check_simplex_preservation(op, rng, samples))
+    if builtin:
+        results.append(_check_invariance(op, rng_seed, samples))
+        results.append(_check_closed_form(op))
+        results.append(_check_trichotomy(op, rng))
+        results.append(_check_growth_bound(op, rng, samples))
+        results.append(_check_classifier_mc(op, rng, samples))
+        results.extend(_check_estimates(rng, samples))
+        results.append(_check_correspondence(op, rng))
+        results.append(_check_raw_roots(op, rng_seed))
+        found = find_fixed_points(op, mode="normalized", n_seeds=400, rng_seed=rng_seed)
+        results.append(_check_normalized_root(op, found))
+        results.append(_check_local_attraction(op, found, rng))
     return results

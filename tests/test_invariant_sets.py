@@ -861,6 +861,13 @@ def test_invariance_battery_rejects_other_dimensions():
         verify_invariance(op)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_invariance_battery_rejects_fewer_than_one_sample(samples):
+    # no states would make every clause hold vacuously
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_invariance(samples=samples)
+
+
 def test_model_results_key_on_the_hemophilia_coefficients_not_the_type_counts():
     # a 2+2 operator with other coefficients: its clauses fail (400 failures
     # at 200 samples) and (2, 0, 2, 0) is not its fixed point

@@ -1345,6 +1345,9 @@ def test_orbit_checks_its_input():
         next(OP.orbit([1.0, 2.0, 3.0], "raw", 1))
     with pytest.raises(ValueError, match="mode must be"):
         next(OP.orbit([0.25] * 4, "other", 1))
+    for mode in ("raw", "normalized"):
+        with pytest.raises(ValueError, match="step count must be nonnegative"):
+            next(OP.orbit(np.full((3, 4), 0.25), mode, -1))
 
 
 def test_normalized_orbit_refuses_an_annihilated_start_at_step_0():

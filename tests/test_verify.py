@@ -1,10 +1,6 @@
 """The check battery behind ``gonosomal verify``."""
 
-import os
 import sys
-import threading
-import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,15 +21,12 @@ def _rootless(n_seeds):
     return FixedPointSearchResult([], n_seeds, 0, iterations=0, drops=drops)
 
 
-def test_run_battery_runs_the_attraction_probe_once(monkeypatch, tmp_path):
-    # the probe may run in a forked child, so the count goes through a file
+def test_run_battery_runs_the_attraction_probe_once(monkeypatch):
     real = spectral.attraction_probe
-    log = tmp_path / "points.txt"
-    log.touch()
+    points = []
 
     def counting(op, point, *args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(" ".join(repr(float(v)) for v in point) + "\n")
+        points.append(np.array(point, dtype=float))
         return real(op, point, *args, **kwargs)
 
     # every module that binds the probe, so a check that imported it counts
@@ -41,7 +34,6 @@ def test_run_battery_runs_the_attraction_probe_once(monkeypatch, tmp_path):
         if name.startswith("gonosomal") and getattr(mod, "attraction_probe", None) is real:
             monkeypatch.setattr(mod, "attraction_probe", counting)
     results = {r.name: r for r in verify.run_battery(samples=500)}
-    points = [np.array(line.split(), dtype=float) for line in log.read_text().splitlines()]
     assert len(points) == 1
     np.testing.assert_allclose(points[0], [0.5, 0.0, 0.5, 0.0], rtol=0, atol=1e-10)
     assert results["normalized-fixed-point"].ok
@@ -107,142 +99,23 @@ def test_every_hemophilia_operator_gets_the_full_battery(monkeypatch, op):
     assert names == [r.name for r in verify.run_battery(samples=50)]
 
 
-# On Linux the normalized search runs in a forked child while the parent
-# runs the other checks.  Each test below pins two usable CPUs, so that it
-# takes the path it names on any Linux machine.
-
-
-def _two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-@pytest.fixture
-def forking(monkeypatch):
-    if sys.platform != "linux":
-        pytest.skip("the battery forks on Linux only")
-    _two_cpus(monkeypatch)
-
-
-def _search_pids(monkeypatch, tmp_path):
-    # the pid of each normalized search, through a file that a child can write
-    real, log = verify.find_fixed_points, tmp_path / "pids.txt"
-    log.touch()
-
-    def recording(op, mode, **kwargs):
-        if mode == "normalized":
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-        return real(op, mode, **kwargs)
-
-    monkeypatch.setattr(verify, "find_fixed_points", recording)
-    return lambda: [int(pid) for pid in log.read_text().split()]
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("seed", [0, 90017])
-def test_verify_prints_the_same_bytes_through_the_child_and_in_process(
-    forking, monkeypatch, capsys, seed
-):
-    forked = cli.main(["verify", "--seed", str(seed)]), capsys.readouterr()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    in_process = cli.main(["verify", "--seed", str(seed)]), capsys.readouterr()
-    assert forked == in_process
-    assert forked[0] == 0 and "failed=0" in forked[1].out.splitlines()
+def test_verify_prints_the_same_bytes_on_every_run(capsys, seed):
+    first = cli.main(["verify", "--seed", str(seed)]), capsys.readouterr()
+    second = cli.main(["verify", "--seed", str(seed)]), capsys.readouterr()
+    assert first == second
+    assert first[0] == 0 and "failed=0" in first[1].out.splitlines()
 
 
-def test_the_normalized_search_runs_in_another_process(forking, monkeypatch, tmp_path):
-    pids = _search_pids(monkeypatch, tmp_path)
-    results = {r.name: r for r in verify.run_battery(samples=50)}
-    assert len(pids()) == 1 and pids()[0] != os.getpid()
-    assert results["normalized-fixed-point"].ok and results["local-attraction"].ok
-    _no_child_left()
+def test_an_exception_from_the_normalized_search_leaves_the_battery(monkeypatch):
+    def boom(op, mode, **kwargs):
+        if mode == "normalized":
+            raise ValueError("boom")
+        return _rootless(kwargs["n_seeds"])
 
-
-@contextmanager
-def _one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    yield
-
-
-@contextmanager
-def _not_linux(monkeypatch):
-    monkeypatch.setattr(sys, "platform", "darwin")
-    yield
-
-
-@contextmanager
-def _second_thread(monkeypatch):
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(10.0,))
-    thread.start()
-    try:
-        yield
-    finally:
-        release.set()
-        thread.join(10.0)
-    assert not thread.is_alive()
-
-
-@pytest.mark.parametrize("condition", [_not_linux, _second_thread, _one_cpu],
-                         ids=["not-linux", "second-thread", "one-cpu"])
-def test_the_normalized_search_runs_in_process_where_a_fork_is_not_safe_or_cannot_pay(
-    monkeypatch, tmp_path, condition
-):
-    _two_cpus(monkeypatch)
-    pids = _search_pids(monkeypatch, tmp_path)
-    with condition(monkeypatch):
-        results = {r.name: r for r in verify.run_battery(samples=50)}
-    assert pids() == [os.getpid()]
-    assert results["normalized-fixed-point"].ok and results["local-attraction"].ok
-
-
-def _boom(op, mode, **kwargs):
-    if mode == "normalized":
-        raise ValueError("boom")
-    return _rootless(kwargs["n_seeds"])
-
-
-_TEST_PID = os.getpid()
-
-
-def _silent_exit(op, mode, **kwargs):
-    # a child that dies before it replies; never exits the test process
-    if mode == "normalized":
-        assert os.getpid() != _TEST_PID, "the normalized search ran in-process"
-        os._exit(3)
-    return _rootless(kwargs["n_seeds"])
-
-
-@pytest.mark.parametrize(
-    "search, error, message",
-    [(_boom, ValueError, "^boom$"), (_silent_exit, ChildProcessError, "without a result")],
-    ids=["raises", "exits"],
-)
-def test_a_failed_child_search_fails_the_battery_and_is_reaped(
-    forking, monkeypatch, search, error, message
-):
-    monkeypatch.setattr(verify, "find_fixed_points", search)
-    with pytest.raises(error, match=message):
+    monkeypatch.setattr(verify, "find_fixed_points", boom)
+    with pytest.raises(ValueError, match="^boom$"):
         verify.run_battery(samples=50)
-    _no_child_left()
-
-
-def test_a_check_that_raises_in_the_parent_kills_and_reaps_the_child(forking, monkeypatch):
-    # the child would search for a minute: the parent must not wait for it
-    def failing(op, rng_seed):
-        raise RuntimeError("raw search failed")
-
-    monkeypatch.setattr(verify, "find_fixed_points", lambda *args, **kwargs: time.sleep(60))
-    monkeypatch.setattr(verify, "_check_raw_roots", failing)
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="raw search failed"):
-        verify.run_battery(samples=50)
-    assert time.perf_counter() - start < 10.0
-    _no_child_left()
 
 
 @pytest.mark.parametrize("samples", [0, -1])
@@ -266,6 +139,11 @@ def _empirical_by_apply(op, states, steps):
         out[size <= 1e-6] = LimitKind.ZERO
         out[np.abs(cur - RAW_EQUILIBRIUM).max(axis=1) <= 1e-6] = LimitKind.EQUILIBRIUM
     return out
+
+
+def test_empirical_limits_refuse_a_negative_step_count():
+    with pytest.raises(ValueError, match="step count must be nonnegative"):
+        verify.empirical_limits(OP, np.ones((3, 4)), steps=-1)
 
 
 @pytest.mark.parametrize("steps", [0, 1, 80])
