@@ -9,107 +9,19 @@ classifier of the built-in hemophilia model, estimate and convergence
 batteries, and a command line front end.
 """
 
-from .invariant_sets import (
-    RAW_EQUILIBRIUM,
-    InvarianceReport,
-    LimitKind,
-    LimitVerdict,
-    SetCheck,
-    SetMembership,
-    classify_limit,
-    classify_limits,
-    closed_form_diagonal,
-    membership,
-    verify_invariance,
-)
-from .normalized import (
-    ALGEBRAIC_RATE,
-    EQUILIBRIUM,
-    BoundCheck,
-    ConvergenceScanReport,
-    EstimateReport,
-    check_estimates,
-    denormalize_fixed_point,
-    normalize_fixed_point,
-    preserves_simplex,
-    reduced_apply,
-    reduced_jacobian_at,
-    require_simplex_state,
-    sample_simplex,
-    scan_global_convergence,
-)
-from .operator import (
-    AnnihilatedStateError,
-    DimensionMismatchError,
-    GonosomalOperator,
-    InheritanceTensor,
-    StopReason,
-    TensorFormatError,
-    TrajectoryRecord,
-    dump_tensor,
-    hemophilia_operator,
-    hemophilia_tensor,
-    load_tensor,
-)
-from .spectral import (
-    Classification,
-    FixedPointReport,
-    FixedPointSearchResult,
-    classify,
-    eigenvalues,
-    find_fixed_points,
-    format_report,
-)
-from .verify import CheckResult, empirical_limits, random_tensor, run_battery
+from . import invariant_sets, normalized, operator, spectral, verify
+from .invariant_sets import *
+from .normalized import *
+from .operator import *
+from .spectral import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGEBRAIC_RATE",
-    "AnnihilatedStateError",
-    "BoundCheck",
-    "CheckResult",
-    "Classification",
-    "ConvergenceScanReport",
-    "DimensionMismatchError",
-    "EQUILIBRIUM",
-    "EstimateReport",
-    "FixedPointReport",
-    "FixedPointSearchResult",
-    "GonosomalOperator",
-    "InheritanceTensor",
-    "InvarianceReport",
-    "LimitKind",
-    "LimitVerdict",
-    "RAW_EQUILIBRIUM",
-    "SetCheck",
-    "SetMembership",
-    "StopReason",
-    "TensorFormatError",
-    "TrajectoryRecord",
-    "check_estimates",
-    "classify",
-    "classify_limit",
-    "classify_limits",
-    "closed_form_diagonal",
-    "denormalize_fixed_point",
-    "dump_tensor",
-    "eigenvalues",
-    "empirical_limits",
-    "find_fixed_points",
-    "format_report",
-    "hemophilia_operator",
-    "hemophilia_tensor",
-    "load_tensor",
-    "membership",
-    "normalize_fixed_point",
-    "preserves_simplex",
-    "random_tensor",
-    "reduced_apply",
-    "reduced_jacobian_at",
-    "require_simplex_state",
-    "run_battery",
-    "sample_simplex",
-    "scan_global_convergence",
-    "verify_invariance",
-]
+# Each module's __all__ is its public API, declared there alone.
+__all__ = []
+__all__ += invariant_sets.__all__
+__all__ += normalized.__all__
+__all__ += operator.__all__
+__all__ += spectral.__all__
+__all__ += verify.__all__

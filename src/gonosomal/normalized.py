@@ -19,6 +19,7 @@ single step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +74,11 @@ def sample_simplex(
 
     Draws exponential spacings and normalizes, which is uniform on the
     simplex; rows whose female or male block sum falls below ``guard`` are
-    redrawn.  Needs ``n, nu >= 1`` and ``0 <= guard < 1/2``, else raises
-    ValueError before drawing: with an empty block or ``guard >= 1/2`` no
-    row can pass, and the redraws would never end.
+    redrawn.  Needs ``size, n, nu >= 1`` and ``0 <= guard < 1/2``, else
+    raises ValueError before drawing: with an empty block or
+    ``guard >= 1/2`` no row can pass, and the redraws would never end.
     """
+    require_count("size", size)
     if n < 1 or nu < 1:
         raise ValueError(f"n and nu must be at least 1, got {n} and {nu}")
     if not 0.0 <= guard < 0.5:  # NaN fails too
@@ -96,10 +98,12 @@ def require_simplex_state(state, n: int = 2, nu: int = 2, tol: float = _SLACK) -
 
     Requires finite, nonnegative coordinates summing to one (within
     ``tol``) with strictly positive mass in both blocks.  Accepts a batch
-    with states along the last axis; every row must pass.
+    with states along the last axis; every row must pass, and an empty
+    batch is refused.
     """
     require_positive("tol", tol)
     vec = as_state_vector(state, n + nu)
+    require_count("states", math.prod(vec.shape[:-1]))  # 1 for one state
     require_finite(vec)  # NaN would pass every test below
     if vec.min() < -tol:
         raise ValueError("state has a negative coordinate")

@@ -24,11 +24,7 @@ never reduces or broadcasts over a two- to four-wide trailing axis, which
 numpy does row by row.  It works on whole columns: :func:`fold_columns`
 reduces one column at a time, and :meth:`GonosomalOperator.orbit` steps
 on transposed ``(dim, rows)`` views, whose rows are the columns, with one
-numpy call per operation.  Newton's halving trials broadcast over the seed
-axis alone, each seed's (halving, coordinate) block being contiguous:
-19-22 us for 72 seeds, against 50-55 us column by column and 62-65 us over
-the coordinate axis (timeit minima, shared 2-CPU Xeon VM).  Newton solves
-W(s) = s in both of its modes, so
+numpy call per operation.  Newton solves W(s) = s in both of its modes, so
 :meth:`GonosomalOperator.jacobian_normalized` and
 ``normalized.reduced_jacobian_at`` serve only the reports and checks at a
 root, and broadcast over the state axis.
@@ -73,9 +69,9 @@ import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from itertools import count
-from operator import ge, sub
+from operator import add, ge, sub
 from pathlib import Path
 
 import numpy as np
@@ -162,15 +158,6 @@ def fold_columns(ufunc, a):
         out = ufunc(out, a[..., j])
     # one column must not come back as a view of the input
     return out if width > 1 else np.positive(out)
-
-
-def _add_floats(values):
-    """Sum of Python floats, left to right as :func:`fold_columns` adds
-    (``sum`` compensates since Python 3.12)."""
-    total = values[0]
-    for c in values[1:]:
-        total += c
-    return total
 
 
 def can_normalize(fs, ms):
@@ -730,7 +717,9 @@ class GonosomalOperator(_Immutable):
                 # apply_normalized without re-validating the state
                 k = next(stepped)
                 image = raw_step(values)
-                fs, ms = _add_floats(values[:n]), _add_floats(values[n:])
+                # left to right, as fold_columns adds (sum compensates
+                # since Python 3.12)
+                fs, ms = reduce(add, values[:n]), reduce(add, values[n:])
                 if not can_normalize(fs, ms):
                     raise _annihilated(step=k)
                 g = fs * ms

@@ -2,9 +2,12 @@
 read no private attribute of an object other than ``self`` or ``cls``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import gonosomal
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gonosomal"
 
@@ -242,3 +245,25 @@ def test_the_batch_classifier_takes_no_raw_step():
     named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(batch)}
     assert "classify_limit" in named
     assert not named & {"orbit", "apply_raw", "stepper", "hemophilia_operator"}
+
+
+PUBLIC_MODULES = ("invariant_sets", "normalized", "operator", "spectral", "verify")
+
+
+def test_the_package_restates_no_public_name():
+    # each public name is declared once, in its module's __all__: the
+    # package re-exports those lists and writes no name list of its own
+    modules = [importlib.import_module(f"gonosomal.{name}") for name in PUBLIC_MODULES]
+    assert gonosomal.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(gonosomal.__all__)) == len(gonosomal.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gonosomal, name) is getattr(module, name), name
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    starred = [node.module for node in imports if node.module is not None]
+    assert starred == list(PUBLIC_MODULES)
+    for node in imports:
+        names = [alias.name for alias in node.names]
+        assert node.level == 1
+        assert names == (["*"] if node.module else list(PUBLIC_MODULES)), ast.unparse(node)

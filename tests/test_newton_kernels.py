@@ -133,7 +133,9 @@ def test_reduced_apply_is_the_normalized_map_of_the_sum_embedding(op):
     rng = np.random.default_rng(op.dim * 10 + 2)
     for batch in BATCHES + [(0,), (40,)]:
         size = int(np.prod(batch, dtype=int))
-        full = sample_simplex(rng, size, op.n, op.nu).reshape(batch + (op.dim,))
+        # sample_simplex refuses size 0, which would draw nothing from rng
+        full = sample_simplex(rng, size, op.n, op.nu) if size else np.empty((0, op.dim))
+        full = full.reshape(batch + (op.dim,))
         r = np.delete(full, op.n, axis=-1)
         image = op.apply_normalized(_sum_embed(op, r))
         _assert_same(reduced_apply(r, op), np.delete(image, op.n, axis=-1))

@@ -73,6 +73,13 @@ def test_sample_simplex_rejects_arguments_no_row_can_pass(kw):
         sample_simplex(np.random.default_rng(0), 3, **kw)
 
 
+@pytest.mark.parametrize("size", [-1, 0])
+def test_sample_simplex_refuses_a_size_below_one(size):
+    # -1 once raised numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match="size must be at least 1"):
+        sample_simplex(np.random.default_rng(0), size)
+
+
 def test_sample_simplex_other_dimensions():
     pts = sample_simplex(np.random.default_rng(1), 100, n=3, nu=2)
     assert pts.shape == (100, 5)
@@ -90,6 +97,14 @@ def test_require_simplex_state():
         require_simplex_state([0.3, 0.3, 0.3, 0.3])
     with pytest.raises(ValueError):
         require_simplex_state([0.0, 0.0, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("call", [require_simplex_state, check_estimates])
+def test_an_empty_batch_is_refused_at_the_simplex_boundary(call):
+    # it once raised numpy's "zero-size array to reduction operation", and
+    # a check on no rows would pass vacuously
+    with pytest.raises(ValueError, match="states must be at least 1"):
+        call(np.empty((0, 4)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
